@@ -70,48 +70,56 @@ def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of a single-channel 2D input with C kernels.
 
     Args:
-        inp: (H, W) input plane.
+        inp: (H, W) input plane, or (B, H, W) for a batch of B planes.
         kernels: (C, k, k) square kernels, applied without flipping.
 
     Returns:
-        (C, H - k + 1, W - k + 1) output, one plane per kernel.
+        (C, H - k + 1, W - k + 1) output, one plane per kernel, with the
+        leading batch axis kept when the input has one.
     """
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
-    if inp.ndim != 2:
-        raise ValueError(f"input must be 2-D, got shape {inp.shape}")
+    if inp.ndim not in (2, 3):
+        raise ValueError(f"input must be 2-D or batched 3-D, got shape {inp.shape}")
     spec = ConvSpec.from_kernels(kernels)
-    spec.output_shape(*inp.shape)  # raises if the kernel does not fit
+    spec.output_shape(*inp.shape[-2:])  # raises if the kernel does not fit
     k = spec.kernel_size
-    windows = sliding_window_view(inp, (k, k))
-    return np.einsum("ijuv,cuv->cij", windows, kernels)
+    windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
+    # A batch goes through BLAS; a single plane keeps the direct sum.
+    return np.einsum("...ijuv,cuv->...cij", windows, kernels, optimize=inp.ndim == 3)
 
 
 def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
     """Gradients of ``sum(upstream * conv2d_fwd(inp, kernels))``.
 
     Returns:
-        (grad_inp, grad_kernels) with the shapes of inp and kernels.
+        (grad_inp, grad_kernels) with the shapes of inp and kernels; for a
+        batched input the kernel gradient is summed over the batch.
     """
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
+    if inp.ndim not in (2, 3):
+        raise ValueError(f"input must be 2-D or batched 3-D, got shape {inp.shape}")
     spec = ConvSpec.from_kernels(kernels)
-    out_shape = spec.output_shape(*inp.shape)
+    out_shape = inp.shape[:-2] + spec.output_shape(*inp.shape[-2:])
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {out_shape}")
     k = spec.kernel_size
-    ho, wo = out_shape[1], out_shape[2]
+    ho, wo = out_shape[-2], out_shape[-1]
+    batched = inp.ndim == 3
 
-    windows = sliding_window_view(inp, (k, k))
-    grad_kernels = np.einsum("ijuv,cij->cuv", windows, upstream)
+    windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
+    if not batched:
+        windows, upstream = windows[None], upstream[None]
+    grad_kernels = np.einsum("bijuv,bcij->cuv", windows, upstream, optimize=batched)
 
     # Scatter each kernel tap back onto the input patch it touched.
-    grad_inp = np.zeros_like(inp)
+    grad_inp = np.zeros((len(upstream),) + inp.shape[-2:])
     for u in range(k):
         for v in range(k):
-            grad_inp[u:u + ho, v:v + wo] += np.einsum("c,cij->ij", kernels[:, u, v], upstream)
-    return grad_inp, grad_kernels
+            grad_inp[:, u:u + ho, v:v + wo] += np.einsum("c,bcij->bij", kernels[:, u, v], upstream)
+    return (grad_inp if batched else grad_inp[0]), grad_kernels
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,12 @@ Images are projected into the embedding space through a learned linear map of
 their feature codes; findings and relations are embedding-table lookups. Two
 scoring functions are provided, a trilinear product and a convolutional
 scorer, each with exact analytic gradients for every parameter block.
+
+``forward`` and ``backward`` score and differentiate a batch of B
+(subject, relation) queries against all n findings at once; training,
+``predict_table`` and the gradient check all run through them. The single-triple
+scorers (``score_distmult``, ``score_conve``, ``conve_pipeline``) and the
+``score_all_objects*`` loops are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -218,7 +224,10 @@ def score_distmult(e_s: np.ndarray, r_r: np.ndarray, e_o: np.ndarray) -> float:
 
 @dataclass
 class ConvePipeline:
-    """Intermediate activations of the conv scorer, up to the object dot."""
+    """Intermediate activations of the conv scorer, up to the object dot.
+
+    Shapes are for one query; ``forward`` keeps a leading batch axis on each.
+    """
 
     stacked: np.ndarray    # (2k, k) subject reshaped on top of relation
     conv_out: np.ndarray   # (C, 2k-4, k-4) pre-activation
@@ -323,43 +332,86 @@ class ModelGrads:
             block *= factor
 
 
-def _grads_from_embedding(
-    model: EmbeddingModel,
-    e_s: np.ndarray,
-    relation: RelationKind,
-    upstream: np.ndarray,
-) -> tuple[ModelGrads, np.ndarray]:
-    """Backward pass shared by image and finding subjects.
+@dataclass
+class BatchCache:
+    """What ``backward`` needs from a ``forward`` pass over B queries."""
 
-    ``upstream`` is dL/dpsi_j over all n objects. Returns the gradients for
-    ef, er, and the conv blocks, plus dL/de_s for the caller to route into
-    either wx (image subject) or an ef row (finding subject).
+    e_s: np.ndarray                 # (B, d) subject embeddings
+    ridx: np.ndarray                # (B,) relation row of each query
+    h: np.ndarray                   # (B, d) psi = h @ ef.T: e_s * r (distmult), a2 (conve)
+    pipe: ConvePipeline | None      # batched conv activations; None for distmult
+
+
+def forward(model: EmbeddingModel, e_s: np.ndarray, ridx) -> tuple[np.ndarray, BatchCache]:
+    """Scores (B, n) of B (subject, relation) queries against every finding.
+
+    ``e_s`` holds the subject embeddings, one row per query, and ``ridx`` the
+    row of ``model.er`` for each query's relation. This is ConvE's 1-N
+    scoring across a batch; distmult is one elementwise product and a matmul.
     """
+    e_s = np.asarray(e_s, dtype=np.float64)
+    ridx = np.asarray(ridx, dtype=np.intp)
+    if e_s.ndim != 2 or e_s.shape[1] != model.embed_dim or ridx.shape != e_s.shape[:1]:
+        raise ValueError(
+            f"expected e_s (B, {model.embed_dim}) and ridx (B,), got {e_s.shape} and {ridx.shape}"
+        )
+    r = model.er[ridx]
+    pipe = None
+    if model.scorer == "distmult":
+        h = e_s * r
+    else:
+        b, k = len(e_s), model.reshape_side
+        stacked = np.concatenate([e_s.reshape(b, k, k), r.reshape(b, k, k)], axis=1)
+        conv_out = kernel.conv2d_fwd(stacked, model.kernels)
+        flat = kernel.relu(conv_out).reshape(b, -1)
+        z2 = flat @ model.wc
+        h = kernel.relu(z2)
+        pipe = ConvePipeline(stacked, conv_out, flat, z2, h)
+    return h @ model.ef.T, BatchCache(e_s, ridx, h, pipe)
+
+
+def backward(
+    model: EmbeddingModel, cache: BatchCache, dpsi: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Gradients of sum(dpsi * psi) for the batch ``forward`` cached.
+
+    Returns the gradients of ef, er and the conv blocks, summed over the
+    batch, and dL/de_s (B, d) for the caller to route into wx (image
+    subjects) or ef rows (finding subjects).
+    """
+    dpsi = np.asarray(dpsi, dtype=np.float64)
+    if dpsi.shape != (len(cache.e_s), model.n_findings):
+        raise ValueError(f"dpsi must have shape ({len(cache.e_s)}, {model.n_findings})")
+    grads = {"ef": dpsi.T @ cache.h}
+    d_h = dpsi @ model.ef
+    if model.scorer == "distmult":
+        d_r = cache.e_s * d_h
+        d_es = model.er[cache.ridx] * d_h
+    else:
+        pipe = cache.pipe
+        d_z2 = kernel.relu_bwd(pipe.z2, d_h)
+        grads["wc"] = pipe.flat.T @ d_z2
+        d_flat = d_z2 @ model.wc.T
+        d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape))
+        d_stacked, grads["kernels"] = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv)
+        k = model.reshape_side
+        d_es = d_stacked[:, :k].reshape(d_h.shape)
+        d_r = d_stacked[:, k:].reshape(d_h.shape)
+    grads["er"] = np.zeros_like(model.er)
+    np.add.at(grads["er"], cache.ridx, d_r)
+    return grads, d_es
+
+
+def _backward_one(
+    model: EmbeddingModel, e_s: np.ndarray, relation: RelationKind, upstream: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """``backward`` for a single query: block gradients and dL/de_s (d,)."""
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (model.n_findings,):
         raise ValueError(f"upstream must have shape ({model.n_findings},)")
-    grads = ModelGrads.zeros_like(model)
-    ridx = model.relation_index(relation)
-    r_r = model.er[ridx]
-    if model.scorer == "distmult":
-        pooled = upstream @ model.ef
-        grads.ef += np.outer(upstream, e_s * r_r)
-        grads.er[ridx] += e_s * pooled
-        d_es = r_r * pooled
-    else:
-        pipe = conve_pipeline(model, e_s, r_r)
-        grads.ef += np.outer(upstream, pipe.a2)
-        d_a2 = upstream @ model.ef
-        d_z2 = kernel.relu_bwd(pipe.z2, d_a2)
-        d_flat, d_wc = kernel.linear_bwd(pipe.flat, model.wc, d_z2)
-        grads.wc += d_wc
-        d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape))
-        d_stacked, d_kernels = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv)
-        grads.kernels += d_kernels
-        k = model.reshape_side
-        d_es = d_stacked[:k].reshape(model.embed_dim)
-        grads.er[ridx] += d_stacked[k:].reshape(model.embed_dim)
-    return grads, d_es
+    _, cache = forward(model, e_s[None], [model.relation_index(relation)])
+    grads, d_es = backward(model, cache, upstream[None])
+    return grads, d_es[0]
 
 
 def grad_all_objects(
@@ -370,12 +422,9 @@ def grad_all_objects(
 ) -> ModelGrads:
     """Gradients of sum_j upstream[j] * psi(image, relation, F_j)."""
     c_x = np.asarray(c_x, dtype=np.float64)
-    e_s = embed_subject(model, c_x)
-    grads, d_es = _grads_from_embedding(model, e_s, relation, upstream)
+    grads, d_es = _backward_one(model, embed_subject(model, c_x), relation, upstream)
     d_cx, d_wx = kernel.linear_bwd(c_x, model.wx, d_es)
-    grads.wx += d_wx
-    grads.c_x = d_cx
-    return grads
+    return ModelGrads(wx=d_wx, c_x=d_cx, **grads)
 
 
 def grad_all_objects_finding(
@@ -385,10 +434,9 @@ def grad_all_objects_finding(
     upstream: np.ndarray,
 ) -> ModelGrads:
     """Gradients of sum_j upstream[j] * psi(F_i, relation, F_j)."""
-    e_s = embed_object(model, i).copy()
-    grads, d_es = _grads_from_embedding(model, e_s, relation, upstream)
-    grads.ef[i] += d_es
-    return grads
+    grads, d_es = _backward_one(model, embed_object(model, i), relation, upstream)
+    grads["ef"][i] += d_es
+    return ModelGrads(wx=np.zeros_like(model.wx), **grads)
 
 
 def grad_score(

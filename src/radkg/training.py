@@ -69,16 +69,17 @@ def bce_loss(p: float, y: int) -> float:
     return -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
 
 
-def _item_loss(psi: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE over the n targets of one item and its gradient dL/dpsi.
+def _item_loss(psi: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean BCE over the n targets of each item and its gradient dL/dpsi.
 
+    The last axis runs over the n findings; a (B, n) batch gives B losses.
     The gradient of BCE through the sigmoid is (p - y) / n exactly; the clamp
     only guards the reported loss value.
     """
     p = kernel.sigmoid(psi)
     clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(np.mean(-(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped))))
-    dpsi = (p - targets) / len(targets)
+    loss = np.mean(-(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped)), axis=-1)
+    dpsi = (p - targets) / targets.shape[-1]
     return loss, dpsi
 
 
@@ -148,7 +149,13 @@ class Sgd:
 
 
 class Adam:
-    """Adam with bias correction; state is kept per parameter block."""
+    """Adam with bias correction; state is kept per parameter block.
+
+    The update runs in place through two scratch buffers per block, with the
+    operations of the textbook formula in the same order, so it is
+    bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``block -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``.
+    """
 
     def __init__(self, learning_rate: float, beta1: float = ADAM_BETA1,
                  beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
@@ -159,29 +166,72 @@ class Adam:
         self.t = 0
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        correct1 = 1.0 - self.beta1 ** self.t
+        correct2 = 1.0 - self.beta2 ** self.t
         for name, block in params.items():
             g = grads[name]
             if name not in self.moment1:
                 self.moment1[name] = np.zeros_like(block)
                 self.moment2[name] = np.zeros_like(block)
+                self._scratch[name] = (np.empty_like(block), np.empty_like(block))
             m = self.moment1[name]
             v = self.moment2[name]
+            update, denom = self._scratch[name]
+            np.multiply(g, 1.0 - self.beta1, out=update)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += update
+            np.multiply(g, 1.0 - self.beta2, out=update)
+            update *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            block -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += update
+            np.divide(m, correct1, out=update)
+            update *= self.learning_rate
+            np.divide(v, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            block -= update
 
 
 def make_optimizer(config: TrainConfig):
     if config.optimizer == "sgd":
         return Sgd(config.learning_rate)
     return Adam(config.learning_rate)
+
+
+def _batch_gradients(
+    model: scoring.EmbeddingModel, batch: list[BatchItem]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-item losses (B,) and the mean gradient of one batch.
+
+    The batch is scored and differentiated in one ``scoring.forward`` and
+    ``scoring.backward`` call. Image subjects enter through ``codes @ wx``
+    and finding subjects (coOccurs) as ef rows; dL/de_s flows back the same
+    two ways.
+    """
+    images = [k for k, item in enumerate(batch) if item.subject.kind is EntityKind.IMAGE]
+    findings = [k for k, item in enumerate(batch) if item.subject.kind is not EntityKind.IMAGE]
+    finding_idx = np.array([batch[k].subject.index for k in findings], dtype=np.intp)
+    codes = np.array([batch[k].code for k in images], dtype=np.float64).reshape(
+        len(images), model.feature_dim)
+    e_s = np.empty((len(batch), model.embed_dim))
+    e_s[images] = codes @ model.wx
+    e_s[findings] = model.ef[finding_idx]
+    ridx = [model.relation_index(item.relation) for item in batch]
+
+    psi, cache = scoring.forward(model, e_s, ridx)
+    losses, dpsi = _item_loss(psi, np.stack([item.targets for item in batch]))
+    grads, d_es = scoring.backward(model, cache, dpsi)
+    grads["wx"] = codes.T @ d_es[images]
+    np.add.at(grads["ef"], finding_idx, d_es[findings])
+    scale = 1.0 / len(batch)
+    for block in grads.values():
+        block *= scale
+    return losses, grads
 
 
 def train_epoch(
@@ -193,32 +243,24 @@ def train_epoch(
     """One pass over the batches; returns the (mutated) model and mean loss.
 
     Pass the same optimizer across epochs to keep Adam's moments; a fresh one
-    is created when none is given.
+    is created when none is given. A non-finite loss stops the epoch before
+    its batch updates the model, naming the batch and its first such item.
     """
     if optimizer is None:
         optimizer = make_optimizer(config)
-    losses: list[float] = []
-    for batch in batches:
-        accum = scoring.ModelGrads.zeros_like(model)
-        for item in batch:
-            if item.subject.kind is EntityKind.IMAGE:
-                psi = scoring.score_all_objects(model, item.code, item.relation)
-            else:
-                psi = scoring.score_all_objects_finding(model, item.subject.index, item.relation)
-            loss, dpsi = _item_loss(psi, item.targets)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss} on item ({item.subject}, {item.relation.value})"
-                )
-            losses.append(loss)
-            if item.subject.kind is EntityKind.IMAGE:
-                grads = scoring.grad_all_objects(model, item.code, item.relation, dpsi)
-            else:
-                grads = scoring.grad_all_objects_finding(model, item.subject.index, item.relation, dpsi)
-            accum.add(grads)
-        accum.scale(1.0 / len(batch))
-        optimizer.step(model.blocks(), accum.blocks())
-    return model, (float(np.mean(losses)) if losses else 0.0)
+    losses: list[np.ndarray] = []
+    for number, batch in enumerate(batches):
+        batch_losses, grads = _batch_gradients(model, batch)
+        diverged = np.flatnonzero(~np.isfinite(batch_losses))
+        if diverged.size:
+            item = batch[diverged[0]]
+            raise TrainingDivergedError(
+                f"non-finite loss {batch_losses[diverged[0]]} in batch {number} "
+                f"on item ({item.subject}, {item.relation.value})"
+            )
+        losses.append(batch_losses)
+        optimizer.step(model.blocks(), grads)
+    return model, (float(np.mean(np.concatenate(losses))) if losses else 0.0)
 
 
 def train(
@@ -235,7 +277,7 @@ def train(
     queries is recorded; the best-scoring model snapshot is returned. Training
     stops once the epochs since the last improvement reach the patience.
     """
-    from .evaluate import macro_auc, predict
+    from .evaluate import macro_auc, predict_table
 
     val_features, val_truth = val_fold
     overlap = set(features.image_ids) & set(val_features.image_ids)
@@ -249,12 +291,11 @@ def train(
     stall = 0
     for epoch in range(1, config.epochs + 1):
         batches = make_batches(kg, features, config, epoch=epoch)
-        model, mean_loss = train_epoch(model, batches, config, optimizer)
-        rows = [
-            predict(model, val_features.codes[i], val_features.image_ids[i])
-            for i in range(val_features.m)
-        ]
-        report = macro_auc(rows, val_truth, config.policy)
+        try:
+            model, mean_loss = train_epoch(model, batches, config, optimizer)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
+        report = macro_auc(predict_table(model, val_features), val_truth, config.policy)
         history.append({"epoch": epoch, "loss": mean_loss, "val_auc": report.macro})
         if report.macro is not None and report.macro > best_auc:
             best_auc = report.macro

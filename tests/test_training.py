@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_table, select_features
+from helpers import TextbookAdam, make_table, select_features
 
 from radkg import (
     CheckpointError,
@@ -176,6 +176,24 @@ def test_adam_state_persists_across_steps():
     assert params["w"][0] < -0.19  # two near-full steps in the same direction
 
 
+@pytest.mark.parametrize("learning_rate", [1e-3, 0.05, 0.0])
+def test_adam_is_bit_identical_to_textbook_formula(rng, learning_rate):
+    shapes = {"wx": (17, 9), "ef": (5, 9), "er": (3, 9), "kernels": (2, 5, 5)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    reference = {name: block.copy() for name, block in params.items()}
+    fast, textbook = Adam(learning_rate), TextbookAdam(learning_rate)
+    for _ in range(50):
+        grads = {name: rng.normal(scale=rng.choice([1e-9, 1e-3, 10.0]), size=shape)
+                 for name, shape in shapes.items()}
+        grads["er"][0] = 0.0
+        fast.step(params, grads)
+        textbook.step(reference, grads)
+    for name in shapes:
+        assert np.array_equal(params[name], reference[name]), name
+        assert np.array_equal(fast.moment1[name], textbook.moment1[name]), name
+        assert np.array_equal(fast.moment2[name], textbook.moment2[name]), name
+
+
 def test_make_optimizer_kinds():
     assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), Sgd)
     assert isinstance(make_optimizer(TrainConfig(optimizer="adam")), Adam)
@@ -321,6 +339,25 @@ def test_train_rejects_fold_overlap():
     model = init_model("distmult", 8, 16, 4, seed=0)
     with pytest.raises(ValueError):
         train(model, kg, tr_feat, (tr_feat, tr_ann), TrainConfig())
+
+
+def test_divergence_names_epoch_batch_and_item():
+    tr_feat, tr_ann, va_feat, va_ann = synth_folds()
+    graph = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
+    config = TrainConfig(epochs=3, batch_size=16, seed=0, patience=3)
+    model = init_model("distmult", 8, 16, 4, seed=0)
+    batches = make_batches(graph, tr_feat, config, epoch=1)
+    number = 1
+    item, later = batches[number][5], batches[number][9]
+    # Infinite feature codes make only these two items' scores non-finite.
+    tr_feat.codes[[item.subject.index, later.subject.index]] = np.inf
+    with pytest.raises(TrainingDivergedError) as caught, np.errstate(invalid="ignore"):
+        train(model, graph, tr_feat, (va_feat, va_ann), config)
+    message = str(caught.value)
+    assert message.startswith("epoch 1: ")
+    assert f"batch {number} " in message
+    assert f"({item.subject}, {item.relation.value})" in message
+    assert f"({later.subject}," not in message
 
 
 def test_patience_zero_runs_exactly_one_epoch():
