@@ -51,7 +51,6 @@ from .scoring import (
 )
 from .training import (
     Adam,
-    BatchItem,
     Sgd,
     TrainConfig,
     bce_loss,
@@ -67,7 +66,6 @@ from .evaluate import (
     PredictionRow,
     auc_bruteforce,
     auc_roc,
-    binary_truth,
     classify,
     format_report,
     macro_auc,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import kernel, scoring
-from .kg import AnnotationTable, LabelValue, RelationKind, UncertainPolicy
+from .kg import AnnotationTable, RelationKind, UncertainPolicy, relation_grid
 
 #: Rows ``predict_table`` scores per batched forward. Larger chunks score no
 #: faster, and their transients (the conv scorer's im2col copy alone is
@@ -112,19 +112,6 @@ class EvalReport:
     specificity: list[float | None] | None = None
 
 
-def binary_truth(truth: AnnotationTable, policy: UncertainPolicy) -> np.ndarray:
-    """Ground-truth 0/1 grid for hasFinding queries under the active policy.
-
-    Uncertain cells count as positive only under the as-positive policy; under
-    the separate-relation policy they are probablyHasFinding facts, not
-    hasFinding ones. Unmentioned cells are negative (closed world).
-    """
-    grid = truth.labels == LabelValue.POSITIVE
-    if policy is UncertainPolicy.AS_POSITIVE:
-        grid = grid | (truth.labels == LabelValue.UNCERTAIN)
-    return grid.astype(np.int8)
-
-
 def macro_auc(
     predictions: list[PredictionRow],
     truth: AnnotationTable,
@@ -156,7 +143,7 @@ def macro_auc(
         if not indices:
             raise ValueError("empty finding subset")
 
-    y = binary_truth(truth, policy)
+    y = relation_grid(truth, policy)
     psi = np.stack([by_id[i].psi for i in truth.image_ids]) if truth.m else np.zeros((0, truth.n))
     p = np.stack([by_id[i].p for i in truth.image_ids]) if truth.m else np.zeros((0, truth.n))
     if psi.shape[1] != truth.n:

@@ -46,29 +46,16 @@ def _random_instance(scorer, feature_dim, embed_dim, n_findings, channels, seed,
                      max_attempts=200):
     """Random model + input + targets suitable for differencing.
 
-    Blocks are drawn uniformly with fan-scaled bounds so activations stay
-    O(1) at every width. Instances are regenerated when any score saturates
-    the loss clamp, or (conv scorer) when every ReLU output is dead and the
-    deeper gradients would be vacuously zero.
+    The model comes from ``scoring.init_model``, whose fan-scaled bounds keep
+    activations O(1) at every width; model, input and targets are drawn from
+    one generator per attempt. Instances are regenerated when any score
+    saturates the loss clamp, or (conv scorer) when every ReLU output is dead
+    and the deeper gradients would be vacuously zero.
     """
-    relations = (RelationKind.HAS_FINDING,)
-    k = scoring.KERNEL_SIZE
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt])
-
-        def draw(shape, fan_in, fan_out):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, shape)
-
-        wx = draw((feature_dim, embed_dim), feature_dim, embed_dim)
-        ef = draw((n_findings, embed_dim), n_findings, embed_dim)
-        er = draw((1, embed_dim), 1, embed_dim)
-        kernels = wc = None
-        if scorer == "conve":
-            flat = scoring.conve_flat_size(embed_dim, channels)
-            kernels = draw((channels, k, k), k * k, channels * k * k)
-            wc = draw((flat, embed_dim), flat, embed_dim)
-        model = scoring.EmbeddingModel(scorer, wx, ef, er, relations, kernels, wc)
+        model = scoring.init_model(scorer, feature_dim, embed_dim, n_findings,
+                                   channels=channels, seed=rng)
         c_x = rng.normal(0.0, 1.0, feature_dim)
         targets = (rng.random(n_findings) < 0.5).astype(np.float64)
 

@@ -1,4 +1,4 @@
-"""Radiological knowledge graph: typed triples over image and finding entities.
+"""Radiological knowledge graph: typed edges over image and finding entities.
 
 Graphs are built from annotation tables under an uncertainty policy, queried
 closed-world (a missing edge is a negative), optionally extended with
@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,48 +169,66 @@ class AnnotationTable:
 
 
 class KnowledgeGraph:
-    """Immutable triple set over m image entities and n finding entities."""
+    """Immutable graph over m images and n findings: one read-only bool grid
+    per relation, (m, n) for Image subjects and (n, n) for coOccurs, whose
+    True cells are the edges. ``grids`` is anything ``dict()`` accepts, from
+    ``RelationKind`` to a bool array; a missing relation is empty."""
 
-    def __init__(self, triples: Iterable[Triple], m: int, n: int):
+    def __init__(self, grids, m: int, n: int):
         if m < 0 or n < 0:
             raise ValueError("entity counts must be non-negative")
-        triples = frozenset(triples)
-        for t in triples:
-            for ent in (t.subject, t.obj):
-                bound = m if ent.kind is EntityKind.IMAGE else n
-                if ent.index >= bound:
-                    raise ValueError(f"entity {ent} out of bounds for m={m}, n={n}")
-        self.triples = triples
         self.m = m
         self.n = n
-        objects: dict[tuple[RelationKind, EntityId], set[int]] = {}
-        for t in triples:
-            objects.setdefault((t.relation, t.subject), set()).add(t.obj.index)
-        self._objects = {key: frozenset(v) for key, v in objects.items()}
+        given = dict(grids)
+        self._grids: dict[RelationKind, np.ndarray] = {}
+        for relation in RelationKind:
+            shape = (m if relation.subject_kind is EntityKind.IMAGE else n, n)
+            grid = np.array(given.get(relation, np.zeros(shape)), dtype=bool)
+            if grid.shape != shape:
+                raise ValueError(f"{relation.value} grid has shape {grid.shape}, expected {shape}")
+            if relation.subject_kind is EntityKind.FINDING and grid.diagonal().any():
+                raise ValueError(f"self-loop between findings is not allowed in {relation.value}")
+            grid.flags.writeable = False
+            self._grids[relation] = grid
+
+    def grid(self, relation: RelationKind) -> np.ndarray:
+        """The read-only boolean (subjects, n) grid of ``relation``."""
+        return self._grids[relation]
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        """Every edge as a ``Triple``, for file output and inspection."""
+        return frozenset(
+            Triple(EntityId(relation.subject_kind, s), relation, EntityId.finding(o))
+            for relation, grid in self._grids.items()
+            for s, o in np.argwhere(grid).tolist()
+        )
 
     def objects_of(self, subject: EntityId, relation: RelationKind) -> frozenset[int]:
         """Finding indices linked to ``subject`` under ``relation``."""
-        return self._objects.get((relation, subject), frozenset())
+        grid = self._grids[relation]
+        if subject.kind is not relation.subject_kind or subject.index >= len(grid):
+            return frozenset()
+        return frozenset(np.flatnonzero(grid[subject.index]).tolist())
 
     def relation_counts(self) -> dict[RelationKind, int]:
-        counts = {rel: 0 for rel in RelationKind}
-        for t in self.triples:
-            counts[t.relation] += 1
-        return counts
+        return {rel: int(np.count_nonzero(grid)) for rel, grid in self._grids.items()}
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(self.relation_counts().values())
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self.triples
+        return triple.obj.index in self.objects_of(triple.subject, triple.relation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        return (self.triples, self.m, self.n) == (other.triples, other.m, other.n)
+        return (self.m, self.n) == (other.m, other.n) and all(
+            np.array_equal(grid, other._grids[rel]) for rel, grid in self._grids.items()
+        )
 
     def __repr__(self) -> str:
-        return f"KnowledgeGraph({len(self.triples)} triples, m={self.m}, n={self.n})"
+        return f"KnowledgeGraph({len(self)} triples, m={self.m}, n={self.n})"
 
 
 def relation_grid(
@@ -242,14 +260,13 @@ def build_radkg(annotations: AnnotationTable, policy: UncertainPolicy) -> Knowle
 
     Positive cells become hasFinding edges.  Uncertain cells follow the
     policy: promoted to hasFinding, dropped, or kept as probablyHasFinding.
-    Negative and unmentioned cells produce no triple.
+    Negative and unmentioned cells produce no edge.
     """
-    triples = []
-    for relation in (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING):
-        grid = relation_grid(annotations, policy, relation)
-        for i, j in np.argwhere(grid):
-            triples.append(Triple(EntityId.image(int(i)), relation, EntityId.finding(int(j))))
-    return KnowledgeGraph(triples, annotations.m, annotations.n)
+    grids = {
+        relation: relation_grid(annotations, policy, relation)
+        for relation in (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING)
+    }
+    return KnowledgeGraph(grids, annotations.m, annotations.n)
 
 
 def negatives_for(kg: KnowledgeGraph, image: EntityId, relation: RelationKind) -> set[EntityId]:
@@ -293,12 +310,9 @@ def add_cooccurrence(kg: KnowledgeGraph, matrix: np.ndarray, threshold: float = 
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     keep = np.isfinite(matrix) & (matrix > threshold)
     np.fill_diagonal(keep, False)
-    new_triples = set(kg.triples)
-    for i, j in np.argwhere(keep):
-        new_triples.add(
-            Triple(EntityId.finding(int(i)), RelationKind.CO_OCCURS, EntityId.finding(int(j)))
-        )
-    return KnowledgeGraph(new_triples, kg.m, kg.n)
+    grids = {relation: kg.grid(relation) for relation in RelationKind}
+    grids[RelationKind.CO_OCCURS] = grids[RelationKind.CO_OCCURS] | keep
+    return KnowledgeGraph(grids, kg.m, kg.n)
 
 
 def _subtable(annotations: AnnotationTable, rows: Sequence[int]) -> AnnotationTable:
@@ -448,29 +462,29 @@ def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str
 
 
 def write_kg(kg: KnowledgeGraph, path, comments: Sequence[str] = ()) -> None:
-    """Serialize a graph as tab-separated ``Kind:index`` triple lines."""
-    ordered = sorted(
-        kg.triples,
-        key=lambda t: (t.relation.value, t.subject.kind.value, t.subject.index, t.obj.index),
-    )
+    """Serialize a graph as tab-separated ``Kind:index`` triple lines, sorted
+    by relation name, then subject index, then object index."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# m = {kg.m}\n")
         fh.write(f"# n = {kg.n}\n")
         for line in comments:
             fh.write(f"# {line}\n")
-        for t in ordered:
-            fh.write(f"{t}\n")
+        for relation in sorted(RelationKind, key=lambda r: r.value):
+            middle = f"\t{relation.value}\t{EntityKind.FINDING.value}:"
+            subject = relation.subject_kind.value
+            fh.writelines(f"{subject}:{s}{middle}{o}\n"
+                          for s, o in np.argwhere(kg.grid(relation)).tolist())
 
 
 def load_kg(path) -> KnowledgeGraph:
     """Read a graph serialized by ``write_kg``.
 
     Entity counts come from the ``# m = ...`` / ``# n = ...`` header comments
-    when present, otherwise from the largest index seen.
+    when present, otherwise from the largest index seen. An index outside
+    those counts is a ``ParseError`` at its line.
     """
     m = n = None
-    triples = []
-    max_image = max_finding = -1
+    triples: list[tuple[int, Triple]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -492,16 +506,21 @@ def load_kg(path) -> KnowledgeGraph:
                 subject = EntityId.parse(parts[0])
                 relation = RelationKind(parts[1])
                 obj = EntityId.parse(parts[2])
-                triples.append(Triple(subject, relation, obj))
+                triples.append((lineno, Triple(subject, relation, obj)))
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
-            for ent in (subject, obj):
-                if ent.kind is EntityKind.IMAGE:
-                    max_image = max(max_image, ent.index)
-                else:
-                    max_finding = max(max_finding, ent.index)
-    return KnowledgeGraph(
-        triples,
-        m if m is not None else max_image + 1,
-        n if n is not None else max_finding + 1,
-    )
+
+    def largest(kind: EntityKind) -> int:
+        return max((ent.index for _, t in triples for ent in (t.subject, t.obj)
+                    if ent.kind is kind), default=-1)
+
+    m = m if m is not None else largest(EntityKind.IMAGE) + 1
+    n = n if n is not None else largest(EntityKind.FINDING) + 1
+    grids = {relation: np.zeros((m, n) if relation.subject_kind is EntityKind.IMAGE else (n, n),
+                                bool) for relation in RelationKind}
+    for lineno, t in triples:
+        for ent in (t.subject, t.obj):
+            if ent.index >= (m if ent.kind is EntityKind.IMAGE else n):
+                raise ParseError(path, lineno, f"entity {ent} out of bounds for m={m}, n={n}")
+        grids[t.relation][t.subject.index, t.obj.index] = True
+    return KnowledgeGraph(grids, m, n)

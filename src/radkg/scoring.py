@@ -166,12 +166,13 @@ def init_model(
     n_findings: int,
     relations: tuple[RelationKind, ...] = (RelationKind.HAS_FINDING,),
     channels: int = 8,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> EmbeddingModel:
     """Uniform initialization in [-a, a], a = sqrt(6 / (fan_in + fan_out)).
 
     Blocks are drawn in a fixed order (wx, ef, er, kernels, wc) so the model
-    is a deterministic function of the seed.
+    is a deterministic function of the seed. ``seed`` may also be a
+    ``np.random.Generator``; the blocks are then drawn from it, advancing it.
     """
     if scorer not in SCORER_KINDS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORER_KINDS}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernel, scoring
 from .errors import CheckpointError, TrainingDivergedError
-from .kg import EntityId, EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy
+from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy
 from .encoders import FeatureTable
 
 PROB_CLAMP = 1e-12
@@ -84,13 +84,20 @@ def _item_loss(psi: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 @dataclass(frozen=True)
-class BatchItem:
-    """One training item: a subject, a relation, and closed-world targets."""
+class Batch:
+    """Minibatch rows: row k asks (``subjects[k]``, ``relations[k]``, ?) and
+    its ``targets`` are that subject's row of the relation's grid. ``images``
+    marks image subjects, whose feature rows are gathered from the shared
+    (m, D) ``feature_codes`` when scored, so batches hold no feature copy."""
 
-    subject: EntityId
-    relation: RelationKind
+    relations: tuple[RelationKind, ...]
+    subjects: np.ndarray
     targets: np.ndarray
-    code: np.ndarray | None = None
+    images: np.ndarray
+    feature_codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.relations)
 
 
 def resolve_relations(
@@ -111,32 +118,29 @@ def make_batches(
     features: FeatureTable,
     config: TrainConfig,
     epoch: int = 0,
-) -> list[list[BatchItem]]:
-    """Exhaustive closed-world items, shuffled deterministically per epoch.
+) -> list[Batch]:
+    """Exhaustive closed-world rows, shuffled deterministically per epoch.
 
-    For each trained relation and each admissible subject, the target vector
-    marks exactly the findings linked in the graph; every other finding is a
-    negative. No stochastic negative sampling happens anywhere.
+    Each subject of each trained relation, in that order, is one row whose
+    targets are its grid row: every finding not linked is a negative. The
+    rows are permuted with ``default_rng([seed, epoch])``; no stochastic
+    negative sampling happens anywhere.
     """
     if kg.m != features.m:
         raise ValueError(f"graph has {kg.m} images but feature table has {features.m} rows")
-    items: list[BatchItem] = []
-    for relation in resolve_relations(kg, config.relations):
-        if relation.subject_kind is EntityKind.IMAGE:
-            subjects = [(EntityId.image(i), features.codes[i]) for i in range(kg.m)]
-        else:
-            subjects = [(EntityId.finding(i), None) for i in range(kg.n)]
-        for subject, code in subjects:
-            targets = np.zeros(kg.n, dtype=np.float64)
-            linked = kg.objects_of(subject, relation)
-            if linked:
-                targets[sorted(linked)] = 1.0
-            items.append(BatchItem(subject, relation, targets, code))
-    rng = np.random.default_rng([config.seed, epoch])
-    order = rng.permutation(len(items))
-    shuffled = [items[k] for k in order]
-    size = config.batch_size
-    return [shuffled[s:s + size] for s in range(0, len(shuffled), size)]
+    relations = resolve_relations(kg, config.relations)
+    grids = [kg.grid(relation) for relation in relations]
+    targets = np.concatenate(grids).astype(np.float64)
+    relation_of = np.repeat(np.arange(len(relations)), [len(grid) for grid in grids])
+    subjects = np.concatenate([np.arange(len(grid)) for grid in grids])
+    is_image = np.array([r.subject_kind is EntityKind.IMAGE for r in relations])[relation_of]
+    order = np.random.default_rng([config.seed, epoch]).permutation(len(subjects))
+    batches = []
+    for start in range(0, len(order), config.batch_size):
+        rows = order[start:start + config.batch_size]
+        batches.append(Batch(tuple(relations[r] for r in relation_of[rows]), subjects[rows],
+                             targets[rows], is_image[rows], features.codes))
+    return batches
 
 
 class Sgd:
@@ -204,27 +208,25 @@ def make_optimizer(config: TrainConfig):
 
 
 def _batch_gradients(
-    model: scoring.EmbeddingModel, batch: list[BatchItem]
+    model: scoring.EmbeddingModel, batch: Batch
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-item losses (B,) and the mean gradient of one batch.
+    """Per-row losses (B,) and the mean gradient of one batch.
 
     The batch is scored and differentiated in one ``scoring.forward`` and
     ``scoring.backward`` call. Image subjects enter through ``codes @ wx``
     and finding subjects (coOccurs) as ef rows; dL/de_s flows back the same
     two ways.
     """
-    images = [k for k, item in enumerate(batch) if item.subject.kind is EntityKind.IMAGE]
-    findings = [k for k, item in enumerate(batch) if item.subject.kind is not EntityKind.IMAGE]
-    finding_idx = np.array([batch[k].subject.index for k in findings], dtype=np.intp)
-    codes = np.array([batch[k].code for k in images], dtype=np.float64).reshape(
-        len(images), model.feature_dim)
+    images, findings = batch.images, ~batch.images
+    codes = batch.feature_codes[batch.subjects[images]]
+    finding_idx = batch.subjects[findings]
     e_s = np.empty((len(batch), model.embed_dim))
     e_s[images] = codes @ model.wx
     e_s[findings] = model.ef[finding_idx]
-    ridx = [model.relation_index(item.relation) for item in batch]
+    ridx = [model.relation_index(relation) for relation in batch.relations]
 
     psi, cache = scoring.forward(model, e_s, ridx)
-    losses, dpsi = _item_loss(psi, np.stack([item.targets for item in batch]))
+    losses, dpsi = _item_loss(psi, batch.targets)
     grads, d_es = scoring.backward(model, cache, dpsi)
     grads["wx"] = codes.T @ d_es[images]
     np.add.at(grads["ef"], finding_idx, d_es[findings])
@@ -236,7 +238,7 @@ def _batch_gradients(
 
 def train_epoch(
     model: scoring.EmbeddingModel,
-    batches: list[list[BatchItem]],
+    batches: list[Batch],
     config: TrainConfig,
     optimizer=None,
 ) -> tuple[scoring.EmbeddingModel, float]:
@@ -253,10 +255,11 @@ def train_epoch(
         batch_losses, grads = _batch_gradients(model, batch)
         diverged = np.flatnonzero(~np.isfinite(batch_losses))
         if diverged.size:
-            item = batch[diverged[0]]
+            row = diverged[0]
+            relation = batch.relations[row]
             raise TrainingDivergedError(
-                f"non-finite loss {batch_losses[diverged[0]]} in batch {number} "
-                f"on item ({item.subject}, {item.relation.value})"
+                f"non-finite loss {batch_losses[row]} in batch {number} on item "
+                f"({relation.subject_kind.value}:{batch.subjects[row]}, {relation.value})"
             )
         losses.append(batch_losses)
         optimizer.step(model.blocks(), grads)

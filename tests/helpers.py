@@ -1,10 +1,12 @@
 """Shared builders and per-item reference implementations for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from radkg import AnnotationTable, FeatureTable, kernel, scoring
+from radkg import AnnotationTable, EntityId, FeatureTable, RelationKind, kernel, scoring
 from radkg.kg import EntityKind
-from radkg.training import _item_loss
+from radkg.training import _item_loss, resolve_relations
 
 
 def make_table(labels, groups=None, names=None, ids=None):
@@ -33,6 +35,68 @@ def random_table(rng, m, n, uncertain=False, unmentioned=False):
 def select_features(features: FeatureTable, ids) -> FeatureTable:
     index = {image_id: i for i, image_id in enumerate(features.image_ids)}
     return FeatureTable(list(ids), features.codes[[index[i] for i in ids]])
+
+
+# ---------------------------------------------------------------------------
+# Per-triple and per-item references for the grid-backed graph and batches.
+# ---------------------------------------------------------------------------
+
+
+def reference_write_kg(kg, path, comments=()):
+    """``write_kg`` as one line per ``Triple``, sorted by the file's key."""
+    ordered = sorted(
+        kg.triples,
+        key=lambda t: (t.relation.value, t.subject.kind.value, t.subject.index, t.obj.index),
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# m = {kg.m}\n")
+        fh.write(f"# n = {kg.n}\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
+        for t in ordered:
+            fh.write(f"{t}\n")
+
+
+@dataclass(frozen=True)
+class Item:
+    """One training row: a subject, a relation, closed-world targets and,
+    for an image subject, its feature code."""
+
+    subject: EntityId
+    relation: RelationKind
+    targets: np.ndarray
+    code: np.ndarray | None = None
+
+
+def batch_items(batch):
+    """The rows of a ``training.Batch`` as a list of ``Item``s."""
+    codes = iter(batch.feature_codes[batch.subjects[batch.images]])
+    return [
+        Item(EntityId(relation.subject_kind, int(subject)), relation, batch.targets[k],
+             next(codes) if batch.images[k] else None)
+        for k, (relation, subject) in enumerate(zip(batch.relations, batch.subjects))
+    ]
+
+
+def reference_batches(kg, features, config, epoch=0):
+    """``make_batches`` built item by item from the graph's triples."""
+    linked = {}
+    for t in kg.triples:
+        linked.setdefault((t.relation, t.subject), []).append(t.obj.index)
+    items = []
+    for relation in resolve_relations(kg, config.relations):
+        if relation.subject_kind is EntityKind.IMAGE:
+            subjects = [(EntityId.image(i), features.codes[i]) for i in range(kg.m)]
+        else:
+            subjects = [(EntityId.finding(i), None) for i in range(kg.n)]
+        for subject, code in subjects:
+            targets = np.zeros(kg.n, dtype=np.float64)
+            targets[linked.get((relation, subject), [])] = 1.0
+            items.append(Item(subject, relation, targets, code))
+    order = np.random.default_rng([config.seed, epoch]).permutation(len(items))
+    shuffled = [items[k] for k in order]
+    size = config.batch_size
+    return [shuffled[s:s + size] for s in range(0, len(shuffled), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +155,10 @@ def reference_grad_all_objects_finding(model, i, relation, upstream):
 
 
 def reference_batch_grads(model, batch):
-    """Per-item losses and the mean gradient of one batch, item by item."""
+    """Per-item losses and the mean gradient of one ``Batch``, item by item."""
     losses = []
     accum = scoring.ModelGrads.zeros_like(model)
-    for item in batch:
+    for item in batch_items(batch):
         if item.subject.kind is EntityKind.IMAGE:
             psi = scoring.score_all_objects(model, item.code, item.relation)
             loss, dpsi = _item_loss(psi, item.targets)

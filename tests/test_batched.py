@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     TextbookAdam,
+    batch_items,
     make_table,
     reference_batch_grads,
     reference_train_epoch,
@@ -70,7 +71,7 @@ def test_problem_mixes_relations_with_a_short_last_batch():
     for scorer, channels in CASES:
         for seed in SEEDS:
             model, graph, features, config = random_problem(scorer, channels, seed)
-            batches = make_batches(graph, features, config)
+            batches = [batch_items(b) for b in make_batches(graph, features, config)]
             items = [item for batch in batches for item in batch]
             assert {item.relation for item in items} == set(RELATIONS)
             assert len(items) % config.batch_size

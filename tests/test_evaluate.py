@@ -11,7 +11,6 @@ from radkg import (
     UncertainPolicy,
     auc_bruteforce,
     auc_roc,
-    binary_truth,
     classify,
     format_report,
     init_model,
@@ -19,6 +18,7 @@ from radkg import (
     param_count,
     predict,
     predict_table,
+    relation_grid,
     write_predictions,
 )
 from radkg.encoders import FeatureTable
@@ -284,6 +284,6 @@ def test_write_predictions_without_threshold(tmp_path):
 
 def test_binary_truth_policies():
     truth = make_table([[1, -1, 0, -2]])
-    assert binary_truth(truth, UncertainPolicy.AS_POSITIVE).tolist() == [[1, 1, 0, 0]]
-    assert binary_truth(truth, UncertainPolicy.AS_NEGATIVE).tolist() == [[1, 0, 0, 0]]
-    assert binary_truth(truth, UncertainPolicy.AS_SEPARATE_RELATION).tolist() == [[1, 0, 0, 0]]
+    assert relation_grid(truth, UncertainPolicy.AS_POSITIVE).tolist() == [[1, 1, 0, 0]]
+    assert relation_grid(truth, UncertainPolicy.AS_NEGATIVE).tolist() == [[1, 0, 0, 0]]
+    assert relation_grid(truth, UncertainPolicy.AS_SEPARATE_RELATION).tolist() == [[1, 0, 0, 0]]

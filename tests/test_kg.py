@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_table, random_table
+from helpers import make_table, random_table, reference_write_kg
 
 from radkg import (
     AnnotationTable,
@@ -362,3 +362,71 @@ def test_kg_parse_error_location(tmp_path):
     with pytest.raises(ParseError) as err:
         load_kg(path)
     assert ":1:" in str(err.value)
+
+
+@pytest.mark.parametrize("body,lineno", [
+    ("# m = 1\nImage:5\thasFinding\tFinding:0\n", 2),
+    ("# m = 2\n# n = 3\nImage:1\thasFinding\tFinding:2\nImage:0\thasFinding\tFinding:3\n", 4),
+    ("# n = 2\nFinding:0\tcoOccurs\tFinding:1\nFinding:4\tcoOccurs\tFinding:1\n", 3),
+])
+def test_kg_out_of_bounds_index_is_parse_error(tmp_path, body, lineno):
+    path = tmp_path / "graph.tsv"
+    path.write_text(body)
+    with pytest.raises(ParseError) as err:
+        load_kg(path)
+    assert str(path) in str(err.value)
+    assert f":{lineno}: " in str(err.value)
+    assert "out of bounds" in str(err.value)
+
+
+def random_graph(rng, m, n, empty=()):
+    """Graph with random hasFinding, probablyHasFinding and coOccurs grids;
+    the relations in ``empty`` have no edge."""
+    grids = {}
+    for relation in RelationKind:
+        rows = m if relation.subject_kind is EntityKind.IMAGE else n
+        grid = rng.random((rows, n)) < rng.uniform(0.1, 0.6)
+        if relation is RelationKind.CO_OCCURS:
+            np.fill_diagonal(grid, False)
+        grids[relation] = grid & (relation not in empty)
+    return KnowledgeGraph(grids, m, n)
+
+
+def test_write_kg_matches_reference_writer(tmp_path, rng):
+    cases = [(int(rng.integers(1, 30)), int(rng.integers(1, 15)), ()) for _ in range(12)]
+    cases += [(0, 4, ()), (0, 1, ()), (5, 3, tuple(RelationKind))]
+    cases += [(7, 5, (relation,)) for relation in RelationKind]
+    for number, (m, n, empty) in enumerate(cases):
+        graph = random_graph(rng, m, n, empty)
+        fast, slow = tmp_path / f"fast{number}.tsv", tmp_path / f"slow{number}.tsv"
+        write_kg(graph, fast, comments=["policy = separate"])
+        reference_write_kg(graph, slow, comments=["policy = separate"])
+        assert fast.read_bytes() == slow.read_bytes(), (m, n, empty)
+        assert load_kg(fast) == graph
+
+
+def test_graph_grids_are_validated_copies():
+    has = np.array([[True, False, True], [False, False, True]])
+    kg = KnowledgeGraph({RelationKind.HAS_FINDING: has}, 2, 3)
+    has[0, 0] = False
+    assert kg.objects_of(EntityId.image(0), RelationKind.HAS_FINDING) == {0, 2}
+    for relation in RelationKind:
+        assert not kg.grid(relation).flags.writeable
+        with pytest.raises(ValueError):
+            kg.grid(relation)[0, 0] = True
+    assert kg.grid(RelationKind.CO_OCCURS).shape == (3, 3)
+    assert kg.relation_counts()[RelationKind.PROBABLY_HAS_FINDING] == 0
+    with pytest.raises(ValueError):
+        KnowledgeGraph({RelationKind.HAS_FINDING: np.zeros((3, 2), bool)}, 2, 3)
+    with pytest.raises(ValueError):
+        KnowledgeGraph({RelationKind.CO_OCCURS: np.zeros((2, 3), bool)}, 2, 3)
+    with pytest.raises(ValueError):
+        KnowledgeGraph({RelationKind.CO_OCCURS: np.eye(3, dtype=bool)}, 2, 3)
+
+
+def test_objects_of_wrong_kind_or_out_of_range_is_empty():
+    kg = build_radkg(make_table([[1, 1]]), UncertainPolicy.AS_POSITIVE)
+    assert kg.objects_of(EntityId.finding(0), RelationKind.HAS_FINDING) == frozenset()
+    assert kg.objects_of(EntityId.image(0), RelationKind.CO_OCCURS) == frozenset()
+    assert kg.objects_of(EntityId.image(7), RelationKind.HAS_FINDING) == frozenset()
+    assert Triple(EntityId.image(7), RelationKind.HAS_FINDING, EntityId.finding(0)) not in kg

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import TextbookAdam, make_table, select_features
+from helpers import TextbookAdam, batch_items, make_table, reference_batches, select_features
 
 from radkg import (
     CheckpointError,
@@ -89,7 +89,7 @@ def test_make_batches_closed_world_targets():
     table, features, kg = tiny_problem()
     config = TrainConfig(batch_size=4, seed=1)
     batches = make_batches(kg, features, config)
-    items = [item for batch in batches for item in batch]
+    items = [item for batch in batches for item in batch_items(batch)]
     assert len(items) == table.m  # one item per image for hasFinding
     for item in items:
         i = item.subject.index
@@ -105,7 +105,7 @@ def test_make_batches_deterministic_and_epoch_dependent():
     a = make_batches(kg, features, config, epoch=1)
     b = make_batches(kg, features, config, epoch=1)
     c = make_batches(kg, features, config, epoch=2)
-    order = lambda bs: [str(item.subject) for batch in bs for item in batch]
+    order = lambda bs: [str(item.subject) for batch in bs for item in batch_items(batch)]
     assert order(a) == order(b)
     assert order(a) != order(c)
 
@@ -114,7 +114,7 @@ def test_make_batches_separate_relation_targets():
     table, features, kg = tiny_problem(uncertain=True,
                                        policy=UncertainPolicy.AS_SEPARATE_RELATION)
     config = TrainConfig(batch_size=100, seed=0)
-    items = [it for b in make_batches(kg, features, config) for it in b]
+    items = [it for b in make_batches(kg, features, config) for it in batch_items(b)]
     has_items = [it for it in items if it.relation is HAS]
     prob_items = [it for it in items if it.relation is PROB]
     assert len(has_items) == table.m and len(prob_items) == table.m
@@ -129,11 +129,39 @@ def test_make_batches_cooccur_items_have_no_code():
     table, features, kg = tiny_problem()
     kg = add_cooccurrence(kg, cooccurrence_matrix(table, UncertainPolicy.AS_POSITIVE))
     config = TrainConfig(batch_size=100, seed=0)
-    items = [it for b in make_batches(kg, features, config) for it in b]
+    items = [it for b in make_batches(kg, features, config) for it in batch_items(b)]
     co_items = [it for it in items if it.relation is CO]
     assert len(co_items) == table.n
     assert all(it.code is None for it in co_items)
     assert all(it.subject.kind is EntityKind.FINDING for it in co_items)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_make_batches_rows_match_per_item_reference(seed):
+    """Same rows, targets, codes, order and batch cuts as building the items
+    one by one from the triples, for all three relations."""
+    rng = np.random.default_rng([seed, 31])
+    m, n = int(rng.integers(5, 20)), int(rng.integers(2, 7))
+    table = make_table(rng.choice(np.array([1, 0, -1, -2], dtype=np.int8), size=(m, n)))
+    features = FeatureTable(list(table.image_ids), rng.normal(size=(m, 3)))
+    policy = UncertainPolicy.AS_SEPARATE_RELATION
+    kg = build_radkg(table, policy)
+    kg = add_cooccurrence(kg, cooccurrence_matrix(table, policy), threshold=0.0)
+    for relations in (None, (HAS, PROB, CO), (CO, HAS)):
+        config = TrainConfig(batch_size=int(rng.integers(1, 9)), seed=seed, relations=relations)
+        for epoch in (0, 1, 2):
+            batches = make_batches(kg, features, config, epoch)
+            reference = reference_batches(kg, features, config, epoch)
+            assert [len(b) for b in batches] == [len(b) for b in reference]
+            for batch, expected in zip(batches, reference):
+                for got, item in zip(batch_items(batch), expected):
+                    assert (got.subject, got.relation) == (item.subject, item.relation)
+                    assert got.targets.dtype == np.float64
+                    assert np.array_equal(got.targets, item.targets)
+                    if item.code is None:
+                        assert got.code is None
+                    else:
+                        assert np.array_equal(got.code, item.code)
 
 
 def test_make_batches_rejects_misaligned_features():
@@ -234,7 +262,7 @@ def test_batch_gradient_is_mean_over_items(rng):
     mean per-item loss through the whole pipeline."""
     _, features, kg = tiny_problem(m=5, n=3, dim=4)
     config = TrainConfig(batch_size=5, seed=2)
-    [batch] = make_batches(kg, features, config)
+    [batch] = map(batch_items, make_batches(kg, features, config))
     model = init_model("distmult", 4, 9, 3, seed=8)
 
     accum = ModelGrads.zeros_like(model)
@@ -346,7 +374,7 @@ def test_divergence_names_epoch_batch_and_item():
     graph = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
     config = TrainConfig(epochs=3, batch_size=16, seed=0, patience=3)
     model = init_model("distmult", 8, 16, 4, seed=0)
-    batches = make_batches(graph, tr_feat, config, epoch=1)
+    batches = [batch_items(b) for b in make_batches(graph, tr_feat, config, epoch=1)]
     number = 1
     item, later = batches[number][5], batches[number][9]
     # Infinite feature codes make only these two items' scores non-finite.
