@@ -6,14 +6,13 @@ Scoring triples with DistMult and the conv scorer
 import numpy as np
 
 from radkg import (
-    RelationKind,
     conve_pipeline,
     embed_subject,
     init_model,
     param_count,
-    score_all_objects,
     score_conve,
     score_distmult,
+    scoring,
 )
 
 rng = np.random.default_rng(0)
@@ -56,11 +55,14 @@ print(f"  projected     : {pipe.z2.shape}")
 psi = score_conve(model, e_s, model.er[0], model.ef[3])
 print(f"  score vs finding 3: {psi:+.4f}")
 
-# Scoring one image against every finding reuses the pipeline up to the final
-# dot product, one pass for n scores:
-all_psi = score_all_objects(model, c_x, RelationKind.HAS_FINDING)
+# Scoring one image against every finding runs the pipeline once, up to the
+# final product with the whole finding table: one pass for n scores. The
+# batched engine takes a batch of subject embeddings (here one) and their
+# relation rows; its convolution sums in another order, so it agrees with the
+# single-triple score to rounding:
+(all_psi,), _ = scoring.forward(model, e_s[None], [0])
 print(f"\nscores for all 14 findings:\n{np.round(all_psi, 3)}")
-assert all_psi[3] == psi
+assert abs(all_psi[3] - psi) <= 1e-12 * abs(psi)
 
 # ---------------------------------------------------------------------------
 # Model sizes. The embedding formulation at D=1024, d=100, n=14 carries about

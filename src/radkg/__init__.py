@@ -29,23 +29,15 @@ from .kg import (
 from .encoders import (
     FeatureTable,
     SyntheticSpec,
-    encode_finding,
     load_features,
     synth_dataset,
     write_features,
 )
 from .scoring import (
     EmbeddingModel,
-    ModelGrads,
     conve_pipeline,
-    embed_object,
     embed_subject,
-    grad_all_objects,
-    grad_all_objects_finding,
-    grad_score,
     init_model,
-    score_all_objects,
-    score_all_objects_finding,
     score_conve,
     score_distmult,
 )
@@ -70,7 +62,6 @@ from .evaluate import (
     format_report,
     macro_auc,
     param_count,
-    predict,
     predict_table,
     write_predictions,
 )

@@ -1,8 +1,8 @@
-"""Static entity codes.
+"""Image feature codes.
 
-Findings are coded one-hot. Images arrive as precomputed fixed-length feature
-vectors, either loaded from a CSV produced by an external encoder or
-synthesized with planted structure for end-to-end testing.
+Images arrive as precomputed fixed-length feature vectors, either loaded from
+a CSV produced by an external encoder or synthesized with planted structure
+for end-to-end testing.
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ import numpy as np
 
 from .errors import ParseError
 from .kg import AnnotationTable, LabelValue, _data_lines, _split_csv_line
-
-
-def encode_finding(j: int, n: int) -> np.ndarray:
-    """One-hot code for finding j among n findings."""
-    if not 0 <= j < n:
-        raise IndexError(f"finding index {j} out of range for n={n}")
-    code = np.zeros(n, dtype=np.float64)
-    code[j] = 1.0
-    return code
 
 
 @dataclass

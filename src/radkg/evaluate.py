@@ -33,15 +33,9 @@ class PredictionRow:
     labels: np.ndarray | None = None
 
 
-def predict(model: scoring.EmbeddingModel, c_x: np.ndarray, image_id: str = "") -> PredictionRow:
-    """Score (image, hasFinding, F_j) for all j and apply the sigmoid."""
-    psi = scoring.score_all_objects(model, c_x, RelationKind.HAS_FINDING)
-    return PredictionRow(image_id=image_id, psi=psi, p=kernel.sigmoid(psi))
-
-
 def predict_table(model: scoring.EmbeddingModel, features) -> list[PredictionRow]:
-    """``predict`` for every row of a feature table, PREDICT_CHUNK rows per
-    batched ``scoring.forward`` call."""
+    """Score (image, hasFinding, F_j) for every row of a feature table and
+    apply the sigmoid, PREDICT_CHUNK rows per batched ``scoring.forward`` call."""
     ridx = model.relation_index(RelationKind.HAS_FINDING)
     rows = []
     for start in range(0, features.m, PREDICT_CHUNK):

@@ -59,14 +59,11 @@ def _random_instance(scorer, feature_dim, embed_dim, n_findings, channels, seed,
         c_x = rng.normal(0.0, 1.0, feature_dim)
         targets = (rng.random(n_findings) < 0.5).astype(np.float64)
 
-        psi = scoring.score_all_objects(model, c_x, RelationKind.HAS_FINDING)
+        psi, cache = scoring.forward(model, (c_x @ model.wx)[None], [0])
         if np.max(np.abs(psi)) > SATURATION_LIMIT:
             continue
-        if scorer == "conve":
-            pipe = scoring.conve_pipeline(model, scoring.embed_subject(model, c_x),
-                                          model.er[0])
-            if not (np.any(pipe.flat > 0.0) and np.any(pipe.a2 > 0.0)):
-                continue
+        if scorer == "conve" and not (np.any(cache.pipe.flat > 0.0) and np.any(cache.h > 0.0)):
+            continue
         return model, c_x, targets, attempt + 1
     raise RuntimeError(
         f"no usable instance found in {max_attempts} attempts for seed {seed}"
@@ -86,7 +83,10 @@ def check_gradients(
     """Compare analytic gradients to central differences on one instance.
 
     mode "loss" checks the mean item BCE through the sigmoid; mode "score"
-    checks the raw score of a single triple. Small blocks are checked on
+    checks the raw score of a single triple. The analytic gradients come from
+    one B=1 ``scoring.forward``/``scoring.backward`` call, with dL/de_s routed
+    into wx and the feature code; the differences are taken on the
+    single-triple pipeline. Small blocks are checked on
     every coordinate; large blocks on a deterministic sample plus one random
     directional derivative that touches every coordinate at once.
     """
@@ -95,8 +95,7 @@ def check_gradients(
     model, c_x, targets, attempts = _random_instance(
         scorer, feature_dim, embed_dim, n_findings, channels, seed
     )
-    relation = RelationKind.HAS_FINDING
-    ridx = model.relation_index(relation)
+    ridx = model.relation_index(RelationKind.HAS_FINDING)
     j_fixed = seed % n_findings
 
     def probe() -> tuple[float, np.ndarray | None]:
@@ -112,15 +111,15 @@ def check_gradients(
         value = _item_loss(psi, targets)[0] if mode == "loss" else float(psi[j_fixed])
         return value, signs
 
-    psi = scoring.score_all_objects(model, c_x, relation)
+    psi, cache = scoring.forward(model, (c_x @ model.wx)[None], [ridx])
     if mode == "loss":
-        _, dpsi = _item_loss(psi, targets)
-        analytic = scoring.grad_all_objects(model, c_x, relation, dpsi)
+        _, dpsi = _item_loss(psi[0], targets)
     else:
-        analytic = scoring.grad_score(model, c_x, relation, j_fixed, 1.0)
-
-    grads = dict(analytic.blocks())
-    grads["c_x"] = analytic.c_x
+        dpsi = np.zeros(n_findings)
+        dpsi[j_fixed] = 1.0
+    grads, d_es = scoring.backward(model, cache, dpsi[None])
+    grads["wx"] = np.outer(c_x, d_es[0])
+    grads["c_x"] = model.wx @ d_es[0]
     blocks = dict(model.blocks())
     blocks["c_x"] = c_x
 

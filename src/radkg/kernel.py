@@ -1,6 +1,6 @@
 """Minimal dense numeric kernel: linear map, valid 2D convolution, ReLU, sigmoid.
 
-Every operation comes with an exact analytic backward pass, and
+Convolution and ReLU come with exact analytic backward passes, and
 ``finite_diff_grad`` provides the central-difference oracle used to verify
 them.  Arrays are float64 throughout; there is no autodiff graph, no
 broadcasting magic, and no padding semantics beyond "valid".
@@ -21,22 +21,6 @@ def linear_fwd(x: np.ndarray, wm: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or wm.ndim != 2 or wm.shape[0] != x.shape[0]:
         raise ValueError(f"linear shape mismatch: x {x.shape} vs wm {wm.shape}")
     return x @ wm
-
-
-def linear_bwd(x: np.ndarray, wm: np.ndarray, upstream: np.ndarray):
-    """Gradients of ``upstream . linear_fwd(x, wm)`` with respect to x and wm.
-
-    Returns:
-        (grad_x, grad_wm) with the shapes of x and wm.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    wm = np.asarray(wm, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (wm.shape[1],):
-        raise ValueError(f"upstream shape {upstream.shape} does not match output ({wm.shape[1]},)")
-    grad_x = wm @ upstream
-    grad_wm = np.outer(x, upstream)
-    return grad_x, grad_wm
 
 
 @dataclass(frozen=True)

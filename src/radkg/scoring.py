@@ -6,16 +6,17 @@ scoring functions are provided, a trilinear product and a convolutional
 scorer, each with exact analytic gradients for every parameter block.
 
 ``forward`` and ``backward`` score and differentiate a batch of B
-(subject, relation) queries against all n findings at once; training,
-``predict_table`` and the gradient check all run through them. The single-triple
-scorers (``score_distmult``, ``score_conve``, ``conve_pipeline``) and the
-``score_all_objects*`` loops are the reference they are tested against.
+(subject, relation) queries against all n findings at once. Training,
+``predict_table`` and the gradient check all run through them; the gradient
+check calls them with B=1. The single-triple scorers ``score_distmult``,
+``score_conve`` and ``conve_pipeline``, with ``embed_subject``, are the
+reference they are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,13 +206,6 @@ def embed_subject(model: EmbeddingModel, c_x: np.ndarray) -> np.ndarray:
     return kernel.linear_fwd(c_x, model.wx)
 
 
-def embed_object(model: EmbeddingModel, j: int) -> np.ndarray:
-    """Embedding of finding j: a row lookup, one-hot times the table."""
-    if not 0 <= j < model.n_findings:
-        raise IndexError(f"finding index {j} out of range for n={model.n_findings}")
-    return model.ef[j]
-
-
 def score_distmult(e_s: np.ndarray, r_r: np.ndarray, e_o: np.ndarray) -> float:
     """Trilinear score: sum_k e_s[k] * r_r[k] * e_o[k].
 
@@ -261,76 +255,6 @@ def score_conve(model: EmbeddingModel, e_s: np.ndarray, r_r: np.ndarray, e_o: np
     if e_o.shape != (model.embed_dim,):
         raise ValueError("object embedding dim mismatch")
     return float(np.dot(pipe.a2, e_o))
-
-
-def _scores_from_embedding(model: EmbeddingModel, e_s: np.ndarray, relation: RelationKind) -> np.ndarray:
-    r_r = model.er[model.relation_index(relation)]
-    psi = np.empty(model.n_findings, dtype=np.float64)
-    if model.scorer == "distmult":
-        for j in range(model.n_findings):
-            psi[j] = score_distmult(e_s, r_r, model.ef[j])
-    else:
-        pipe = conve_pipeline(model, e_s, r_r)
-        for j in range(model.n_findings):
-            psi[j] = float(np.dot(pipe.a2, model.ef[j]))
-    return psi
-
-
-def score_all_objects(model: EmbeddingModel, c_x: np.ndarray, relation: RelationKind) -> np.ndarray:
-    """Raw scores of (image, relation, F_j) for every finding j.
-
-    Each entry is arithmetically identical to the corresponding single-triple
-    score; the conv pipeline before the object dot is computed once.
-    """
-    return _scores_from_embedding(model, embed_subject(model, c_x), relation)
-
-
-def score_all_objects_finding(model: EmbeddingModel, i: int, relation: RelationKind) -> np.ndarray:
-    """Scores of (F_i, relation, F_j) for every j, for finding-subject relations."""
-    if relation.subject_kind.value != "Finding":
-        raise ValueError(f"{relation.value} does not take Finding subjects")
-    return _scores_from_embedding(model, embed_object(model, i), relation)
-
-
-@dataclass
-class ModelGrads:
-    """Gradient accumulator shaped like the model's parameter blocks.
-
-    ``c_x`` holds the gradient with respect to the image feature code when the
-    subject was an image, else None.
-    """
-
-    wx: np.ndarray
-    ef: np.ndarray
-    er: np.ndarray
-    kernels: np.ndarray | None = None
-    wc: np.ndarray | None = None
-    c_x: np.ndarray | None = None
-
-    @classmethod
-    def zeros_like(cls, model: EmbeddingModel) -> "ModelGrads":
-        return cls(
-            wx=np.zeros_like(model.wx),
-            ef=np.zeros_like(model.ef),
-            er=np.zeros_like(model.er),
-            kernels=None if model.kernels is None else np.zeros_like(model.kernels),
-            wc=None if model.wc is None else np.zeros_like(model.wc),
-        )
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        named = {"wx": self.wx, "ef": self.ef, "er": self.er}
-        if self.kernels is not None:
-            named["kernels"] = self.kernels
-            named["wc"] = self.wc
-        return named
-
-    def add(self, other: "ModelGrads") -> None:
-        for name, block in self.blocks().items():
-            block += other.blocks()[name]
-
-    def scale(self, factor: float) -> None:
-        for block in self.blocks().values():
-            block *= factor
 
 
 @dataclass
@@ -402,54 +326,3 @@ def backward(
     np.add.at(grads["er"], cache.ridx, d_r)
     return grads, d_es
 
-
-def _backward_one(
-    model: EmbeddingModel, e_s: np.ndarray, relation: RelationKind, upstream: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """``backward`` for a single query: block gradients and dL/de_s (d,)."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (model.n_findings,):
-        raise ValueError(f"upstream must have shape ({model.n_findings},)")
-    _, cache = forward(model, e_s[None], [model.relation_index(relation)])
-    grads, d_es = backward(model, cache, upstream[None])
-    return grads, d_es[0]
-
-
-def grad_all_objects(
-    model: EmbeddingModel,
-    c_x: np.ndarray,
-    relation: RelationKind,
-    upstream: np.ndarray,
-) -> ModelGrads:
-    """Gradients of sum_j upstream[j] * psi(image, relation, F_j)."""
-    c_x = np.asarray(c_x, dtype=np.float64)
-    grads, d_es = _backward_one(model, embed_subject(model, c_x), relation, upstream)
-    d_cx, d_wx = kernel.linear_bwd(c_x, model.wx, d_es)
-    return ModelGrads(wx=d_wx, c_x=d_cx, **grads)
-
-
-def grad_all_objects_finding(
-    model: EmbeddingModel,
-    i: int,
-    relation: RelationKind,
-    upstream: np.ndarray,
-) -> ModelGrads:
-    """Gradients of sum_j upstream[j] * psi(F_i, relation, F_j)."""
-    grads, d_es = _backward_one(model, embed_object(model, i), relation, upstream)
-    grads["ef"][i] += d_es
-    return ModelGrads(wx=np.zeros_like(model.wx), **grads)
-
-
-def grad_score(
-    model: EmbeddingModel,
-    c_x: np.ndarray,
-    relation: RelationKind,
-    j: int,
-    upstream: float = 1.0,
-) -> ModelGrads:
-    """Gradients of upstream * psi(image, relation, F_j) for a single triple."""
-    if not 0 <= j < model.n_findings:
-        raise IndexError(f"finding index {j} out of range for n={model.n_findings}")
-    one_hot = np.zeros(model.n_findings, dtype=np.float64)
-    one_hot[j] = float(upstream)
-    return grad_all_objects(model, c_x, relation, one_hot)

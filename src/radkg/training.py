@@ -383,8 +383,12 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
               ("er", (n_rel, embed_dim))]
     if scorer == "conve":
         k = scoring.KERNEL_SIZE
+        try:
+            flat = scoring.conve_flat_size(embed_dim, channels)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         shapes.append(("kernels", (channels, k, k)))
-        shapes.append(("wc", (scoring.conve_flat_size(embed_dim, channels), embed_dim)))
+        shapes.append(("wc", (flat, embed_dim)))
     blocks = {}
     for name, shape in shapes:
         chunk, offset = _take(buf, offset, 8, path, f"{name} length")
@@ -400,8 +404,12 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
     chunk, offset = _take(buf, offset, meta_len, path, "metadata")
     if offset != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes after metadata")
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: metadata is not UTF-8: {exc}") from None
     metadata: dict[str, str] = {}
-    for line in chunk.decode("utf-8").splitlines():
+    for line in text.splitlines():
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"{path}: malformed metadata line {line!r}")

@@ -4,7 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radkg import AnnotationTable, EntityId, FeatureTable, RelationKind, kernel, scoring
+from radkg import (
+    AnnotationTable, EntityId, FeatureTable, PredictionRow, RelationKind, kernel, scoring,
+)
 from radkg.kg import EntityKind
 from radkg.training import _item_loss, resolve_relations
 
@@ -100,10 +102,84 @@ def reference_batches(kg, features, config, epoch=0):
 
 
 # ---------------------------------------------------------------------------
-# Per-item references for the batched engine. These are the per-item backward
-# pass, training epoch and Adam update the engine replaced, kept verbatim so
-# the batched code is differentially tested against them.
+# Per-item references for the batched engine. These are the per-item scoring
+# loops, backward pass, training epoch and Adam update the engine replaced,
+# kept so the batched code is differentially tested against them.
 # ---------------------------------------------------------------------------
+
+
+def linear_bwd(x, wm, upstream):
+    """Gradients of ``upstream . kernel.linear_fwd(x, wm)`` with respect to x and wm.
+
+    Returns:
+        (grad_x, grad_wm) with the shapes of x and wm.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    wm = np.asarray(wm, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (wm.shape[1],):
+        raise ValueError(f"upstream shape {upstream.shape} does not match output ({wm.shape[1]},)")
+    grad_x = wm @ upstream
+    grad_wm = np.outer(x, upstream)
+    return grad_x, grad_wm
+
+
+def _scores_from_embedding(model, e_s, relation):
+    r_r = model.er[model.relation_index(relation)]
+    psi = np.empty(model.n_findings, dtype=np.float64)
+    if model.scorer == "distmult":
+        for j in range(model.n_findings):
+            psi[j] = scoring.score_distmult(e_s, r_r, model.ef[j])
+    else:
+        pipe = scoring.conve_pipeline(model, e_s, r_r)
+        for j in range(model.n_findings):
+            psi[j] = float(np.dot(pipe.a2, model.ef[j]))
+    return psi
+
+
+def score_all_objects(model, c_x, relation):
+    """Raw scores of (image, relation, F_j) for every finding j, one
+    single-triple score per finding."""
+    return _scores_from_embedding(model, scoring.embed_subject(model, c_x), relation)
+
+
+def score_all_objects_finding(model, i, relation):
+    """Scores of (F_i, relation, F_j) for every j, for finding-subject relations."""
+    return _scores_from_embedding(model, model.ef[i], relation)
+
+
+def predict(model, c_x, image_id=""):
+    """One ``predict_table`` row, scored by the per-finding loop."""
+    psi = score_all_objects(model, c_x, RelationKind.HAS_FINDING)
+    return PredictionRow(image_id=image_id, psi=psi, p=kernel.sigmoid(psi))
+
+
+def zero_grads(model):
+    """Gradient accumulator: a zero array per parameter block of the model."""
+    return {name: np.zeros_like(block) for name, block in model.blocks().items()}
+
+
+def image_grads(model, c_x, relation, upstream):
+    """Gradients of sum_j upstream[j] * psi(image, relation, F_j) from one B=1
+    ``scoring.forward``/``backward`` call, with dL/de_s routed into ``wx``
+    and into the feature code (key ``"c_x"``)."""
+    c_x = np.asarray(c_x, dtype=np.float64)
+    _, cache = scoring.forward(model, (c_x @ model.wx)[None], [model.relation_index(relation)])
+    grads, d_es = scoring.backward(model, cache, np.asarray(upstream, dtype=np.float64)[None])
+    grads["wx"] = np.outer(c_x, d_es[0])
+    grads["c_x"] = model.wx @ d_es[0]
+    return grads
+
+
+def finding_grads(model, i, relation, upstream):
+    """Gradients of sum_j upstream[j] * psi(F_i, relation, F_j) from one B=1
+    ``scoring.forward``/``backward`` call, with dL/de_s routed into row i of
+    ``ef``; ``wx`` gets zeros and there is no ``"c_x"``."""
+    _, cache = scoring.forward(model, model.ef[i][None], [model.relation_index(relation)])
+    grads, d_es = scoring.backward(model, cache, np.asarray(upstream, dtype=np.float64)[None])
+    grads["ef"][i] += d_es[0]
+    grads["wx"] = np.zeros_like(model.wx)
+    return grads
 
 
 def reference_grads_from_embedding(model, e_s, relation, upstream):
@@ -111,27 +187,27 @@ def reference_grads_from_embedding(model, e_s, relation, upstream):
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (model.n_findings,):
         raise ValueError(f"upstream must have shape ({model.n_findings},)")
-    grads = scoring.ModelGrads.zeros_like(model)
+    grads = zero_grads(model)
     ridx = model.relation_index(relation)
     r_r = model.er[ridx]
     if model.scorer == "distmult":
         pooled = upstream @ model.ef
-        grads.ef += np.outer(upstream, e_s * r_r)
-        grads.er[ridx] += e_s * pooled
+        grads["ef"] += np.outer(upstream, e_s * r_r)
+        grads["er"][ridx] += e_s * pooled
         d_es = r_r * pooled
     else:
         pipe = scoring.conve_pipeline(model, e_s, r_r)
-        grads.ef += np.outer(upstream, pipe.a2)
+        grads["ef"] += np.outer(upstream, pipe.a2)
         d_a2 = upstream @ model.ef
         d_z2 = kernel.relu_bwd(pipe.z2, d_a2)
-        d_flat, d_wc = kernel.linear_bwd(pipe.flat, model.wc, d_z2)
-        grads.wc += d_wc
+        d_flat, d_wc = linear_bwd(pipe.flat, model.wc, d_z2)
+        grads["wc"] += d_wc
         d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape))
         d_stacked, d_kernels = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv)
-        grads.kernels += d_kernels
+        grads["kernels"] += d_kernels
         k = model.reshape_side
         d_es = d_stacked[:k].reshape(model.embed_dim)
-        grads.er[ridx] += d_stacked[k:].reshape(model.embed_dim)
+        grads["er"][ridx] += d_stacked[k:].reshape(model.embed_dim)
     return grads, d_es
 
 
@@ -140,37 +216,39 @@ def reference_grad_all_objects(model, c_x, relation, upstream):
     c_x = np.asarray(c_x, dtype=np.float64)
     e_s = scoring.embed_subject(model, c_x)
     grads, d_es = reference_grads_from_embedding(model, e_s, relation, upstream)
-    d_cx, d_wx = kernel.linear_bwd(c_x, model.wx, d_es)
-    grads.wx += d_wx
-    grads.c_x = d_cx
+    d_cx, d_wx = linear_bwd(c_x, model.wx, d_es)
+    grads["wx"] += d_wx
+    grads["c_x"] = d_cx
     return grads
 
 
 def reference_grad_all_objects_finding(model, i, relation, upstream):
     """Per-item gradients of sum_j upstream[j] * psi(F_i, relation, F_j)."""
-    e_s = scoring.embed_object(model, i).copy()
+    e_s = model.ef[i].copy()
     grads, d_es = reference_grads_from_embedding(model, e_s, relation, upstream)
-    grads.ef[i] += d_es
+    grads["ef"][i] += d_es
     return grads
 
 
 def reference_batch_grads(model, batch):
     """Per-item losses and the mean gradient of one ``Batch``, item by item."""
     losses = []
-    accum = scoring.ModelGrads.zeros_like(model)
+    accum = zero_grads(model)
     for item in batch_items(batch):
         if item.subject.kind is EntityKind.IMAGE:
-            psi = scoring.score_all_objects(model, item.code, item.relation)
+            psi = score_all_objects(model, item.code, item.relation)
             loss, dpsi = _item_loss(psi, item.targets)
             grads = reference_grad_all_objects(model, item.code, item.relation, dpsi)
         else:
-            psi = scoring.score_all_objects_finding(model, item.subject.index, item.relation)
+            psi = score_all_objects_finding(model, item.subject.index, item.relation)
             loss, dpsi = _item_loss(psi, item.targets)
             grads = reference_grad_all_objects_finding(
                 model, item.subject.index, item.relation, dpsi)
         losses.append(float(loss))
-        accum.add(grads)
-    accum.scale(1.0 / len(batch))
+        for name, block in accum.items():
+            block += grads[name]
+    for block in accum.values():
+        block *= 1.0 / len(batch)
     return losses, accum
 
 
@@ -180,7 +258,7 @@ def reference_train_epoch(model, batches, optimizer):
     for batch in batches:
         batch_losses, grads = reference_batch_grads(model, batch)
         losses += batch_losses
-        optimizer.step(model.blocks(), grads.blocks())
+        optimizer.step(model.blocks(), grads)
     return model, (float(np.mean(losses)) if losses else 0.0)
 
 

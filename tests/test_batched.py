@@ -12,6 +12,7 @@ from helpers import (
     TextbookAdam,
     batch_items,
     make_table,
+    predict,
     reference_batch_grads,
     reference_train_epoch,
 )
@@ -28,7 +29,6 @@ from radkg import (
     init_model,
     load_checkpoint,
     make_batches,
-    predict,
     predict_table,
     save_checkpoint,
     score_conve,
@@ -106,8 +106,8 @@ def test_batch_gradients_match_per_item_backward(scorer, channels, seed):
     for batch in make_batches(graph, features, config):
         losses, grads = _batch_gradients(model, batch)
         reference_losses, reference = reference_batch_grads(model, batch)
-        assert grads.keys() == reference.blocks().keys()
-        for name, block in reference.blocks().items():
+        assert grads.keys() == reference.keys()
+        for name, block in reference.items():
             assert max_relative_error(grads[name], block, floor=1e-12) < 1e-10, name
         assert max_relative_error(losses, reference_losses, floor=1e-12) < 1e-12
 

@@ -354,14 +354,14 @@ def test_gradcheck_cli_passes_quickly(capsys):
 
 
 def test_gradcheck_cli_catches_corruption(monkeypatch, capsys):
-    true_grad = scoring.grad_all_objects
+    true_backward = scoring.backward
 
-    def biased(model, c_x, relation, upstream):
-        grads = true_grad(model, c_x, relation, upstream)
-        grads.er += 5e-3
-        return grads
+    def biased(model, cache, dpsi):
+        grads, d_es = true_backward(model, cache, dpsi)
+        grads["er"] += 5e-3
+        return grads, d_es
 
-    monkeypatch.setattr(scoring, "grad_all_objects", biased)
+    monkeypatch.setattr(scoring, "backward", biased)
     rc = run_cli([
         "gradcheck", "--scorer", "distmult", "--dim", "8", "--embed-dim", "16",
         "--n", "3", "--trials", "1",

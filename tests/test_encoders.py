@@ -7,31 +7,11 @@ from radkg import (
     FeatureTable,
     ParseError,
     SyntheticSpec,
-    encode_finding,
     load_features,
     synth_dataset,
     write_features,
 )
 from radkg.evaluate import auc_roc
-
-
-def test_encode_finding_is_one_hot():
-    for j in range(4):
-        v = encode_finding(j, 4)
-        assert v.shape == (4,)
-        assert v[j] == 1.0 and v.sum() == 1.0
-
-
-def test_encode_finding_orthonormal():
-    basis = np.stack([encode_finding(j, 6) for j in range(6)])
-    assert np.array_equal(basis @ basis.T, np.eye(6))
-
-
-def test_encode_finding_bounds():
-    with pytest.raises(IndexError):
-        encode_finding(4, 4)
-    with pytest.raises(IndexError):
-        encode_finding(-1, 4)
 
 
 def test_feature_table_validation():

@@ -16,7 +16,6 @@ from radkg import (
     init_model,
     macro_auc,
     param_count,
-    predict,
     predict_table,
     relation_grid,
     write_predictions,
@@ -95,17 +94,6 @@ def test_auc_label_flip_complements(rng):
 
 
 # ---------------------------------------------------------------- inference
-
-
-def test_predict_scores_has_finding(rng):
-    model = init_model("distmult", 6, 9, 4, seed=3)
-    c_x = rng.normal(size=6)
-    out = predict(model, c_x, "img9")
-    from radkg.scoring import score_all_objects
-    assert np.array_equal(out.psi,
-                          score_all_objects(model, c_x, RelationKind.HAS_FINDING))
-    assert out.image_id == "img9"
-    assert np.all((out.p > 0) & (out.p < 1))
 
 
 def test_predict_table_aligns_ids(rng):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import score_all_objects
+
 from radkg import check_gradients, default_cases, run_suite
 from radkg.gradcheck import TOLERANCE, GradCheckResult, _random_instance
 from radkg import scoring
@@ -36,7 +38,7 @@ def test_random_instance_avoids_saturation():
     from radkg.kg import RelationKind
     for seed in range(5):
         model, c_x, _, _ = _random_instance("conve", 64, 100, 5, 8, seed=seed)
-        psi = scoring.score_all_objects(model, c_x, RelationKind.HAS_FINDING)
+        psi = score_all_objects(model, c_x, RelationKind.HAS_FINDING)
         assert np.max(np.abs(psi)) <= SATURATION_LIMIT
 
 
@@ -62,14 +64,13 @@ def test_run_suite_aggregates_worst_case():
 
 def test_corrupted_gradient_is_caught(monkeypatch):
     """Negative control: a biased backward pass must fail the check."""
-    true_grad = scoring.grad_all_objects
+    true_backward = scoring.backward
 
-    def biased(model, c_x, relation, upstream):
-        grads = true_grad(model, c_x, relation, upstream)
-        grads.wx += 1e-2
-        return grads
+    def biased(model, cache, dpsi):
+        grads, d_es = true_backward(model, cache, dpsi)
+        return grads, d_es + 1e-2
 
-    monkeypatch.setattr(scoring, "grad_all_objects", biased)
+    monkeypatch.setattr(scoring, "backward", biased)
     result = check_gradients("distmult", feature_dim=8, embed_dim=16,
                              n_findings=4, seed=0, mode="loss")
     assert result.max_rel_error > TOLERANCE

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from helpers import linear_bwd
+
 from radkg.kernel import (
     ConvSpec,
     conv2d_bwd,
     conv2d_fwd,
     finite_diff_grad,
-    linear_bwd,
     linear_fwd,
     max_relative_error,
     relu,

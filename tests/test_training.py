@@ -1,11 +1,16 @@
 """Tests for batching, loss, optimizers, the training loop, and checkpoints."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from helpers import TextbookAdam, batch_items, make_table, reference_batches, select_features
+from helpers import (
+    TextbookAdam, batch_items, make_table, predict, reference_batches, score_all_objects,
+    select_features,
+)
 
 from radkg import (
     CheckpointError,
@@ -31,8 +36,7 @@ from radkg import (
     train_epoch,
 )
 from radkg.kernel import finite_diff_grad, max_relative_error, sigmoid
-from radkg.scoring import ModelGrads, grad_all_objects, score_all_objects
-from radkg.training import Adam, Sgd, _item_loss, make_optimizer
+from radkg.training import Adam, Sgd, _batch_gradients, _item_loss, make_optimizer
 
 HAS = RelationKind.HAS_FINDING
 PROB = RelationKind.PROBABLY_HAS_FINDING
@@ -262,15 +266,11 @@ def test_batch_gradient_is_mean_over_items(rng):
     mean per-item loss through the whole pipeline."""
     _, features, kg = tiny_problem(m=5, n=3, dim=4)
     config = TrainConfig(batch_size=5, seed=2)
-    [batch] = map(batch_items, make_batches(kg, features, config))
+    [rows] = make_batches(kg, features, config)
+    batch = batch_items(rows)
     model = init_model("distmult", 4, 9, 3, seed=8)
 
-    accum = ModelGrads.zeros_like(model)
-    for item in batch:
-        _, dpsi = _item_loss(score_all_objects(model, item.code, item.relation),
-                             item.targets)
-        accum.add(grad_all_objects(model, item.code, item.relation, dpsi))
-    accum.scale(1.0 / len(batch))
+    _, accum = _batch_gradients(model, rows)
 
     def batch_loss(name):
         block = model.blocks()[name]
@@ -291,7 +291,7 @@ def test_batch_gradient_is_mean_over_items(rng):
 
         return fn
 
-    for name, grad in accum.blocks().items():
+    for name, grad in accum.items():
         numeric = finite_diff_grad(batch_loss(name), model.blocks()[name])
         assert max_relative_error(grad, numeric) < 1e-4, name
 
@@ -341,7 +341,7 @@ def test_train_returns_best_validation_model():
     model = init_model("distmult", 8, 16, 4, seed=0)
     best, history = train(model, kg, tr_feat, (va_feat, va_ann), config)
     assert 1 <= len(history) <= 8
-    from radkg.evaluate import macro_auc, predict
+    from radkg.evaluate import macro_auc
     rows = [predict(best, va_feat.codes[i], va_feat.image_ids[i])
             for i in range(va_feat.m)]
     recomputed = macro_auc(rows, va_ann, UncertainPolicy.AS_POSITIVE).macro
@@ -461,6 +461,21 @@ def test_checkpoint_rejects_unknown_scorer_code(tmp_path):
     blob[8] = 9  # scorer code byte
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("corruption", ["non-square embed_dim", "non-UTF-8 metadata"])
+def test_checkpoint_corruption_is_checkpoint_error(tmp_path, corruption):
+    model = init_model("conve", 4, 25, 3, channels=2, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    if corruption == "non-square embed_dim":
+        blob[13:17] = struct.pack("<I", 24)  # header dims start at byte 9
+    else:
+        blob[-2] = 0xFF  # inside the last metadata line
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
