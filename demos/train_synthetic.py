@@ -12,7 +12,6 @@ end-to-end smoke test with a known answer.
 import numpy as np
 
 from radkg import (
-    FeatureTable,
     SyntheticSpec,
     TrainConfig,
     UncertainPolicy,
@@ -36,13 +35,7 @@ print(f"positive cells: {(annotations.labels == 1).mean():.1%}")
 
 train_t, val_t, test_t = split(annotations, (0.7, 0.1, 0.2), seed=0)
 print(f"folds: {train_t.m}/{val_t.m}/{test_t.m}")
-
-
-def take(fold):
-    index = {i: k for k, i in enumerate(features.image_ids)}
-    rows = [index[i] for i in fold.image_ids]
-    return FeatureTable(list(fold.image_ids), features.codes[rows])
-
+train_f, val_f, test_f = (features.select(t.image_ids) for t in (train_t, val_t, test_t))
 
 graph = build_radkg(train_t, UncertainPolicy.AS_POSITIVE)
 print(f"training graph: {len(graph)} triples over {graph.m} images")
@@ -50,7 +43,7 @@ print(f"training graph: {len(graph)} triples over {graph.m} images")
 model = init_model("distmult", features.dim, embed_dim=32, n_findings=8, seed=0)
 config = TrainConfig(learning_rate=5e-3, epochs=40, batch_size=32, seed=0,
                      patience=5)
-best, history = train(model, graph, take(train_t), (take(val_t), val_t), config)
+best, history = train(model, graph, train_f, (val_f, val_t), config)
 
 print(f"\ntrained {len(history)} epochs (early stopping patience "
       f"{config.patience})")
@@ -58,8 +51,8 @@ for entry in history[:3] + history[-2:]:
     print(f"  epoch {entry['epoch']:>2}  loss {entry['loss']:.4f}  "
           f"val macro-AUC {entry['val_auc']:.4f}")
 
-rows = predict_table(best, take(test_t))
-report = macro_auc(rows, test_t, UncertainPolicy.AS_POSITIVE)
+predictions = predict_table(best, test_f)
+report = macro_auc(predictions, test_t, UncertainPolicy.AS_POSITIVE)
 print("\nheld-out test fold:")
 for name, auc, p, n in zip(report.finding_names, report.auc,
                            report.positives, report.negatives):

@@ -12,7 +12,6 @@ on the same data and compares held-out ranking quality.
 import numpy as np
 
 from radkg import (
-    FeatureTable,
     RelationKind,
     SyntheticSpec,
     TrainConfig,
@@ -36,13 +35,7 @@ print(f"label counts: positive {counts[1]}, negative {counts[0]}, "
       f"uncertain {counts[-1]}")
 
 train_t, val_t, test_t = split(annotations, (0.7, 0.1, 0.2), seed=0)
-
-
-def take(fold):
-    index = {i: k for k, i in enumerate(features.image_ids)}
-    rows = [index[i] for i in fold.image_ids]
-    return FeatureTable(list(fold.image_ids), features.codes[rows])
-
+train_f, val_f, test_f = (features.select(t.image_ids) for t in (train_t, val_t, test_t))
 
 for policy in UncertainPolicy:
     graph = build_radkg(train_t, policy)
@@ -50,12 +43,12 @@ for policy in UncertainPolicy:
     model = init_model("distmult", 16, 16, 6, relations=relations, seed=0)
     config = TrainConfig(learning_rate=0.01, epochs=12, batch_size=32, seed=0,
                          policy=policy, relations=relations, patience=12)
-    best, _ = train(model, graph, take(train_t), (take(val_t), val_t), config)
+    best, _ = train(model, graph, train_f, (val_f, val_t), config)
 
     # Inference always asks the same completion query (image, hasFinding, ?),
     # whatever extra relations the model was trained with.
-    rows = predict_table(best, take(test_t))
-    report = macro_auc(rows, test_t, policy)
+    predictions = predict_table(best, test_f)
+    report = macro_auc(predictions, test_t, policy)
 
     trained = ",".join(r.value for r in best.relations)
     print(f"\npolicy = {policy.value}")

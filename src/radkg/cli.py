@@ -15,12 +15,10 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gradcheck
-from .encoders import FeatureTable, SyntheticSpec, load_features, synth_dataset, write_features
+from .encoders import SyntheticSpec, load_features, synth_dataset, write_features
 from .errors import CheckpointError, ParseError, TrainingDivergedError
-from .evaluate import format_report, macro_auc, param_count, predict_table, write_predictions
+from .evaluate import format_report, macro_auc, predict_table, write_predictions
 from .kg import (
     RelationKind,
     UncertainPolicy,
@@ -340,18 +338,6 @@ def echo_lines(command: str, resolved: dict[str, object]) -> list[str]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _align_features(features: FeatureTable, ids: list[str]) -> FeatureTable:
-    index = {image_id: i for i, image_id in enumerate(features.image_ids)}
-    missing = [i for i in ids if i not in index]
-    if missing:
-        listing = "\n".join(f"  missing features for {i!r}" for i in missing)
-        raise ValueError(f"{len(missing)} image ids lack feature rows:\n{listing}")
-    if not ids:
-        return FeatureTable([], np.zeros((0, features.dim)))
-    rows = features.codes[[index[i] for i in ids]]
-    return FeatureTable(list(ids), rows)
-
-
 def _cmd_synth(cfg: dict, echo: list[str]) -> int:
     spec = SyntheticSpec(
         m=cfg["m"],
@@ -394,8 +380,8 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
     features = load_features(cfg["features"])
     annotations = load_annotations(cfg["annotations"])
     train_t, val_t, _ = split(annotations, cfg["ratios"], cfg["split_seed"])
-    train_f = _align_features(features, train_t.image_ids)
-    val_f = _align_features(features, val_t.image_ids)
+    train_f = features.select(train_t.image_ids)
+    val_f = features.select(val_t.image_ids)
 
     graph = build_radkg(train_t, cfg["policy"])
     if cfg["cooccurrence"]:
@@ -464,9 +450,8 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
             f"checkpoint expects {model.feature_dim}-dim features, file has {features.dim}"
         )
     fold_t = _split_fold(annotations, cfg, cfg["fold"])
-    fold_f = _align_features(features, fold_t.image_ids)
-    rows = predict_table(model, fold_f)
-    report = macro_auc(rows, fold_t, policy, findings=cfg["findings"], tau=cfg["tau"])
+    predictions = predict_table(model, features.select(fold_t.image_ids))
+    report = macro_auc(predictions, fold_t, policy, findings=cfg["findings"], tau=cfg["tau"])
     text = format_report(report, echo=echo)
     sys.stdout.write(text)
     if cfg["out"]:
@@ -482,13 +467,13 @@ def _cmd_predict(cfg: dict, echo: list[str]) -> int:
         raise ValueError(
             f"checkpoint expects {model.feature_dim}-dim features, file has {features.dim}"
         )
-    selected = _align_features(features, cfg["ids"]) if cfg["ids"] is not None else features
+    selected = features.select(cfg["ids"]) if cfg["ids"] is not None else features
     finding_names = metadata.get("findings", "").split(",")
     if len(finding_names) != model.n_findings:
         finding_names = [f"finding_{j:02d}" for j in range(model.n_findings)]
-    rows = predict_table(model, selected)
-    write_predictions(rows, finding_names, cfg["out"], tau=cfg["tau"], comments=echo)
-    print(f"wrote {len(rows)} prediction rows")
+    predictions = predict_table(model, selected)
+    write_predictions(predictions, finding_names, cfg["out"], tau=cfg["tau"], comments=echo)
+    print(f"wrote {len(predictions)} prediction rows")
     return EXIT_OK
 
 

@@ -44,11 +44,14 @@ class FeatureTable:
     def dim(self) -> int:
         return self.codes.shape[1]
 
-    def row_for(self, image_id: str) -> np.ndarray:
-        try:
-            return self.codes[self.image_ids.index(image_id)]
-        except ValueError:
-            raise KeyError(f"no features for image id {image_id!r}") from None
+    def select(self, ids) -> "FeatureTable":
+        """The rows of ``ids``, in that order; every id must have a row."""
+        index = {image_id: i for i, image_id in enumerate(self.image_ids)}
+        missing = [i for i in ids if i not in index]
+        if missing:
+            listing = "\n".join(f"  missing features for {i!r}" for i in missing)
+            raise ValueError(f"{len(missing)} image ids lack feature rows:\n{listing}")
+        return FeatureTable(list(ids), self.codes[[index[i] for i in ids]])
 
 
 def load_features(path) -> FeatureTable:

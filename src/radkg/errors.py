@@ -19,7 +19,8 @@ class ParseError(RadkgError):
 
 
 class CheckpointError(RadkgError):
-    """A checkpoint file is malformed, truncated, or has the wrong version."""
+    """A checkpoint file is malformed, truncated, corrupted (its checksum
+    does not match), or has the wrong version."""
 
 
 class TrainingDivergedError(RadkgError):

@@ -1,9 +1,10 @@
 """Inference and evaluation.
 
 Labels are inferred by scoring the completion (image, hasFinding, F_j) for
-every finding. Quality is measured per finding by AUC-ROC in the rank-sum
-formulation, cross-checked by an O(P*N) pairwise oracle, and summarized as an
-unweighted macro mean over the findings where AUC is defined.
+every finding; ``predict_table`` returns the (m, n) grid of scores for m
+images. Quality is measured per finding by AUC-ROC in the rank-sum
+formulation and summarized as an unweighted macro mean over the findings
+where AUC is defined.
 """
 
 from __future__ import annotations
@@ -24,34 +25,35 @@ PREDICT_CHUNK = 64
 
 
 @dataclass
-class PredictionRow:
-    """Scores of one image against every finding."""
+class Predictions:
+    """Scores of every image against every finding: row i of the (m, n)
+    grids ``psi`` and ``p = sigmoid(psi)`` belongs to ``image_ids[i]``."""
 
-    image_id: str
+    image_ids: list[str]
     psi: np.ndarray
     p: np.ndarray
-    labels: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
-def predict_table(model: scoring.EmbeddingModel, features) -> list[PredictionRow]:
+def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     """Score (image, hasFinding, F_j) for every row of a feature table and
     apply the sigmoid, PREDICT_CHUNK rows per batched ``scoring.forward`` call."""
     ridx = model.relation_index(RelationKind.HAS_FINDING)
-    rows = []
+    psi = np.empty((features.m, model.n_findings))
     for start in range(0, features.m, PREDICT_CHUNK):
         codes = features.codes[start:start + PREDICT_CHUNK]
-        psi, _ = scoring.forward(model, codes @ model.wx, np.full(len(codes), ridx))
-        p = kernel.sigmoid(psi)
-        ids = features.image_ids[start:start + PREDICT_CHUNK]
-        rows.extend(PredictionRow(image_id, psi[i], p[i]) for i, image_id in enumerate(ids))
-    return rows
+        psi[start:start + len(codes)], _ = scoring.forward(
+            model, codes @ model.wx, np.full(len(codes), ridx))
+    return Predictions(list(features.image_ids), psi, kernel.sigmoid(psi))
 
 
-def classify(row: PredictionRow, tau: float) -> np.ndarray:
+def classify(p: np.ndarray, tau: float) -> np.ndarray:
     """Binary labels: 1 where p strictly exceeds tau."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"threshold must be inside (0, 1), got {tau}")
-    return (row.p > tau).astype(np.int8)
+    return (p > tau).astype(np.int8)
 
 
 def auc_roc(scores, labels) -> float | None:
@@ -74,24 +76,6 @@ def auc_roc(scores, labels) -> float | None:
     return (float(ranks[pos].sum()) - p * (p + 1) / 2.0) / (p * n)
 
 
-def auc_bruteforce(scores, labels) -> float | None:
-    """Pairwise AUC oracle: wins plus half-ties over all pos/neg pairs."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos_scores = scores[labels == 1]
-    neg_scores = scores[labels == 0]
-    if len(pos_scores) == 0 or len(neg_scores) == 0:
-        return None
-    count = 0.0
-    for sp in pos_scores:
-        for sn in neg_scores:
-            if sp > sn:
-                count += 1.0
-            elif sp == sn:
-                count += 0.5
-    return count / (len(pos_scores) * len(neg_scores))
-
-
 @dataclass
 class EvalReport:
     """Per-finding and macro AUC, class counts, optional threshold metrics."""
@@ -107,7 +91,7 @@ class EvalReport:
 
 
 def macro_auc(
-    predictions: list[PredictionRow],
+    predictions: Predictions,
     truth: AnnotationTable,
     policy: UncertainPolicy = UncertainPolicy.AS_POSITIVE,
     findings: list[str] | None = None,
@@ -119,12 +103,14 @@ def macro_auc(
     to a subset of finding names; ``tau`` adds sensitivity/specificity at that
     threshold.
     """
-    by_id = {row.image_id: row for row in predictions}
-    if len(by_id) != len(predictions):
+    index = {image_id: i for i, image_id in enumerate(predictions.image_ids)}
+    if len(index) != len(predictions):
         raise ValueError("duplicate image ids among predictions")
-    missing = [i for i in truth.image_ids if i not in by_id]
+    missing = [i for i in truth.image_ids if i not in index]
     if missing:
         raise ValueError(f"no predictions for {len(missing)} truth rows, e.g. {missing[:3]}")
+    if predictions.psi.shape[1] != truth.n:
+        raise ValueError(f"predictions have {predictions.psi.shape[1]} findings, truth has {truth.n}")
 
     if findings is None:
         indices = list(range(truth.n))
@@ -138,10 +124,8 @@ def macro_auc(
             raise ValueError("empty finding subset")
 
     y = relation_grid(truth, policy)
-    psi = np.stack([by_id[i].psi for i in truth.image_ids]) if truth.m else np.zeros((0, truth.n))
-    p = np.stack([by_id[i].p for i in truth.image_ids]) if truth.m else np.zeros((0, truth.n))
-    if psi.shape[1] != truth.n:
-        raise ValueError(f"predictions have {psi.shape[1]} findings, truth has {truth.n}")
+    rows = [index[i] for i in truth.image_ids]
+    psi, p = predictions.psi[rows], predictions.p[rows]
 
     names, aucs, positives, negatives = [], [], [], []
     sens: list[float | None] = []
@@ -201,7 +185,7 @@ def format_report(report: EvalReport, echo=()) -> str:
 
 
 def write_predictions(
-    rows: list[PredictionRow],
+    predictions: Predictions,
     finding_names: list[str],
     path,
     tau: float | None = None,
@@ -209,6 +193,10 @@ def write_predictions(
 ) -> None:
     """Prediction CSV: probabilities to 6 decimals, binary label columns
     appended when a threshold is given."""
+    width = predictions.p.shape[1]
+    if width != len(finding_names):
+        raise ValueError(f"predictions have {width} findings, expected {len(finding_names)}")
+    labels = None if tau is None else classify(predictions.p, tau)
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -216,12 +204,8 @@ def write_predictions(
         if tau is not None:
             header += [f"{name}_label" for name in finding_names]
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row.p) != len(finding_names):
-                raise ValueError(
-                    f"row {row.image_id!r} has {len(row.p)} findings, expected {len(finding_names)}"
-                )
-            cells = [row.image_id] + [f"{v:.6f}" for v in row.p]
-            if tau is not None:
-                cells += [str(int(v)) for v in classify(row, tau)]
+        for i, image_id in enumerate(predictions.image_ids):
+            cells = [image_id] + [f"{v:.6f}" for v in predictions.p[i]]
+            if labels is not None:
+                cells += [str(v) for v in labels[i]]
             fh.write(",".join(cells) + "\n")

@@ -8,8 +8,6 @@ broadcasting magic, and no padding semantics beyond "valid".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -23,31 +21,17 @@ def linear_fwd(x: np.ndarray, wm: np.ndarray) -> np.ndarray:
     return x @ wm
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Valid-padding, stride-1 correlation with square kernels."""
-
-    channels: int
-    kernel_size: int = 5
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size}")
-
-    @classmethod
-    def from_kernels(cls, kernels: np.ndarray) -> "ConvSpec":
-        kernels = np.asarray(kernels)
-        if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
-            raise ValueError(f"kernels must have shape (channels, k, k), got {kernels.shape}")
-        return cls(channels=kernels.shape[0], kernel_size=kernels.shape[1])
-
-    def output_shape(self, height: int, width: int) -> tuple[int, int, int]:
-        k = self.kernel_size
-        if height < k or width < k:
-            raise ValueError(f"input {height}x{width} smaller than {k}x{k} kernel")
-        return (self.channels, height - k + 1, width - k + 1)
+def _kernel_side(inp: np.ndarray, kernels: np.ndarray) -> int:
+    """Side k of the (C, k, k) kernels; raises unless they fit the input."""
+    if inp.ndim not in (2, 3):
+        raise ValueError(f"input must be 2-D or batched 3-D, got shape {inp.shape}")
+    if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2] or 0 in kernels.shape:
+        raise ValueError(f"kernels must have shape (channels, k, k), got {kernels.shape}")
+    k = kernels.shape[1]
+    height, width = inp.shape[-2:]
+    if height < k or width < k:
+        raise ValueError(f"input {height}x{width} smaller than {k}x{k} kernel")
+    return k
 
 
 def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -63,11 +47,7 @@ def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
-    if inp.ndim not in (2, 3):
-        raise ValueError(f"input must be 2-D or batched 3-D, got shape {inp.shape}")
-    spec = ConvSpec.from_kernels(kernels)
-    spec.output_shape(*inp.shape[-2:])  # raises if the kernel does not fit
-    k = spec.kernel_size
+    k = _kernel_side(inp, kernels)
     windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
     # A batch goes through BLAS; a single plane keeps the direct sum.
     return np.einsum("...ijuv,cuv->...cij", windows, kernels, optimize=inp.ndim == 3)
@@ -83,14 +63,11 @@ def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if inp.ndim not in (2, 3):
-        raise ValueError(f"input must be 2-D or batched 3-D, got shape {inp.shape}")
-    spec = ConvSpec.from_kernels(kernels)
-    out_shape = inp.shape[:-2] + spec.output_shape(*inp.shape[-2:])
+    k = _kernel_side(inp, kernels)
+    ho, wo = inp.shape[-2] - k + 1, inp.shape[-1] - k + 1
+    out_shape = inp.shape[:-2] + (len(kernels), ho, wo)
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {out_shape}")
-    k = spec.kernel_size
-    ho, wo = out_shape[-2], out_shape[-1]
     batched = inp.ndim == 3
 
     windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
@@ -158,14 +135,3 @@ def finite_diff_grad(scalar_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarr
         grad.flat[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
 
-
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    """Largest elementwise relative difference, floored to dodge 0/0 noise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom))

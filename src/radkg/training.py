@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +57,6 @@ class TrainConfig:
             if not rels or len(set(rels)) != len(rels):
                 raise ValueError("relations must be a non-empty set of distinct kinds")
             object.__setattr__(self, "relations", rels)
-
-
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross entropy -y*log(p) - (1-y)*log(1-p), with p clamped away
-    from exact 0/1 so the loss stays finite."""
-    if y not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {y!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
 
 
 def _item_loss(psi: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,12 +305,13 @@ def train(
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic RKG1, little-endian header, length-prefixed
-# float64 blocks in the order wx, ef, er, kernels, wc, then one
-# length-prefixed UTF-8 metadata block of sorted key=value lines.
+# float64 blocks in the order wx, ef, er, kernels, wc, one length-prefixed
+# UTF-8 metadata block of sorted key=value lines, then a u32 zlib.crc32 of
+# every byte before it.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"RKG1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _SCORER_CODES = {"distmult": 1, "conve": 2}
 _SCORER_NAMES = {code: name for name, code in _SCORER_CODES.items()}
 
@@ -334,24 +325,27 @@ def save_checkpoint(model: scoring.EmbeddingModel, path, metadata: dict | None =
             raise ValueError(f"metadata entry {key!r} not representable as key=value line")
     blob = "".join(f"{key}={meta[key]}\n" for key in sorted(meta)).encode("utf-8")
 
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<B", _SCORER_CODES[model.scorer]))
-        fh.write(struct.pack(
+    parts = [
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<B", _SCORER_CODES[model.scorer]),
+        struct.pack(
             "<5I",
             model.feature_dim,
             model.embed_dim,
             model.n_findings,
             model.channels,
             len(model.relations),
-        ))
-        for block in model.blocks().values():
-            data = np.ascontiguousarray(block, dtype="<f8")
-            fh.write(struct.pack("<Q", data.size))
-            fh.write(data.tobytes())
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        ),
+    ]
+    for block in model.blocks().values():
+        data = np.ascontiguousarray(block, dtype="<f8")
+        parts += [struct.pack("<Q", data.size), data.tobytes()]
+    parts += [struct.pack("<Q", len(blob)), blob]
+    body = b"".join(parts)
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def _take(buf: bytes, offset: int, size: int, path, what: str) -> tuple[bytes, int]:
@@ -371,6 +365,11 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
     version = struct.unpack("<I", chunk)[0]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
+    # Every byte after the version is parsed only once the trailer vouches for it.
+    _take(buf, offset, 4, path, "checksum")
+    buf, (crc,) = buf[:-4], struct.unpack("<I", buf[-4:])
+    if crc != zlib.crc32(buf):
+        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupted")
     chunk, offset = _take(buf, offset, 1, path, "scorer kind")
     code = chunk[0]
     if code not in _SCORER_NAMES:

@@ -1,14 +1,14 @@
-"""Shared builders and per-item reference implementations for the test suite."""
+"""Shared builders, oracles and per-item reference implementations for the test suite."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from radkg import (
-    AnnotationTable, EntityId, FeatureTable, PredictionRow, RelationKind, kernel, scoring,
-)
+from radkg import AnnotationTable, EntityId, RelationKind, kernel, scoring
+from radkg.encoders import FeatureTable
 from radkg.kg import EntityKind
-from radkg.training import _item_loss, resolve_relations
+from radkg.training import PROB_CLAMP, _item_loss, resolve_relations
 
 
 def make_table(labels, groups=None, names=None, ids=None):
@@ -34,9 +34,54 @@ def random_table(rng, m, n, uncertain=False, unmentioned=False):
     return make_table(labels)
 
 
-def select_features(features: FeatureTable, ids) -> FeatureTable:
-    index = {image_id: i for i, image_id in enumerate(features.image_ids)}
-    return FeatureTable(list(ids), features.codes[[index[i] for i in ids]])
+#: ``select_features(features, ids)``: the name the acceptance tests call.
+select_features = FeatureTable.select
+
+
+# ---------------------------------------------------------------------------
+# Oracles: a pairwise AUC, a scalar cross entropy and a relative error.
+# ---------------------------------------------------------------------------
+
+
+def auc_bruteforce(scores, labels) -> float | None:
+    """Pairwise AUC oracle: wins plus half-ties over all pos/neg pairs."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos_scores = scores[labels == 1]
+    neg_scores = scores[labels == 0]
+    if len(pos_scores) == 0 or len(neg_scores) == 0:
+        return None
+    count = 0.0
+    for sp in pos_scores:
+        for sn in neg_scores:
+            if sp > sn:
+                count += 1.0
+            elif sp == sn:
+                count += 0.5
+    return count / (len(pos_scores) * len(neg_scores))
+
+
+def bce_loss(p: float, y: int) -> float:
+    """Binary cross entropy -y*log(p) - (1-y)*log(1-p), with p clamped away
+    from exact 0/1 so the loss stays finite."""
+    if y not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {y!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of range: {p}")
+    p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    return -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
+
+
+def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
+    """Largest elementwise relative difference, floored to dodge 0/0 noise."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        return 0.0
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float(np.max(np.abs(a - b) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +193,26 @@ def score_all_objects_finding(model, i, relation):
     return _scores_from_embedding(model, model.ef[i], relation)
 
 
-def predict(model, c_x, image_id=""):
-    """One ``predict_table`` row, scored by the per-finding loop."""
+def predict(model, c_x):
+    """One row of ``predict_table``'s (psi, p) grids, scored by the per-finding loop."""
     psi = score_all_objects(model, c_x, RelationKind.HAS_FINDING)
-    return PredictionRow(image_id=image_id, psi=psi, p=kernel.sigmoid(psi))
+    return psi, kernel.sigmoid(psi)
+
+
+def reference_write_predictions(rows, finding_names, path, tau=None, comments=()):
+    """``write_predictions`` one (image_id, p) row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        header = ["id", *finding_names]
+        if tau is not None:
+            header += [f"{name}_label" for name in finding_names]
+        fh.write(",".join(header) + "\n")
+        for image_id, p in rows:
+            cells = [image_id] + [f"{v:.6f}" for v in p]
+            if tau is not None:
+                cells += ["1" if v > tau else "0" for v in p]
+            fh.write(",".join(cells) + "\n")
 
 
 def zero_grads(model):

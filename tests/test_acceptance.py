@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import select_features
+from helpers import auc_bruteforce, select_features
 
 from radkg import (
     RelationKind,
@@ -20,8 +20,6 @@ from radkg import (
     TrainConfig,
     UncertainPolicy,
     add_cooccurrence,
-    auc_bruteforce,
-    auc_roc,
     build_radkg,
     conve_pipeline,
     cooccurrence_matrix,
@@ -42,6 +40,7 @@ from radkg import (
     train,
 )
 from radkg.cli import main as cli_main
+from radkg.evaluate import auc_roc
 from radkg.kg import KnowledgeGraph
 
 

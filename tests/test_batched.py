@@ -12,13 +12,13 @@ from helpers import (
     TextbookAdam,
     batch_items,
     make_table,
+    max_relative_error,
     predict,
     reference_batch_grads,
     reference_train_epoch,
 )
 
 from radkg import (
-    FeatureTable,
     RelationKind,
     TrainConfig,
     UncertainPolicy,
@@ -28,16 +28,15 @@ from radkg import (
     evaluate,
     init_model,
     load_checkpoint,
-    make_batches,
     predict_table,
     save_checkpoint,
     score_conve,
     score_distmult,
-    train_epoch,
 )
-from radkg.kernel import conv2d_bwd, conv2d_fwd, max_relative_error
+from radkg.encoders import FeatureTable
+from radkg.kernel import conv2d_bwd, conv2d_fwd
 from radkg.scoring import backward, forward
-from radkg.training import Adam, _batch_gradients
+from radkg.training import Adam, _batch_gradients, make_batches, train_epoch
 
 RELATIONS = (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING,
              RelationKind.CO_OCCURS)
@@ -156,13 +155,15 @@ def test_predict_table_matches_per_row_predict(monkeypatch, scorer, channels):
     model, _, features, _ = random_problem(scorer, channels, 5)
     monkeypatch.setattr(evaluate, "PREDICT_CHUNK", 4)  # several chunks, a short last one
     assert features.m % evaluate.PREDICT_CHUNK
-    rows = predict_table(model, features)
-    assert [row.image_id for row in rows] == features.image_ids
-    for i, row in enumerate(rows):
-        single = predict(model, features.codes[i], features.image_ids[i])
-        assert max_relative_error(row.psi, single.psi, floor=1e-12) < 1e-12
-        assert max_relative_error(row.p, single.p, floor=1e-12) < 1e-12
-    assert predict_table(model, FeatureTable([], np.zeros((0, features.dim)))) == []
+    predictions = predict_table(model, features)
+    assert predictions.image_ids == features.image_ids
+    assert predictions.psi.shape == predictions.p.shape == (features.m, model.n_findings)
+    for i in range(features.m):
+        psi, p = predict(model, features.codes[i])
+        assert max_relative_error(predictions.psi[i], psi, floor=1e-12) < 1e-12
+        assert max_relative_error(predictions.p[i], p, floor=1e-12) < 1e-12
+    empty = predict_table(model, FeatureTable([], np.zeros((0, features.dim))))
+    assert len(empty) == 0 and empty.p.shape == (0, model.n_findings)
 
 
 def test_batched_conv_matches_per_plane_loop():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from radkg import load_annotations, load_checkpoint, load_features, load_kg
+from radkg import load_checkpoint, scoring
 from radkg.cli import main as cli_main
-from radkg import scoring
+from radkg.encoders import load_features
+from radkg.kg import load_annotations, load_kg
 
 
 def run_cli(args):

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from radkg import (
-    FeatureTable,
-    ParseError,
-    SyntheticSpec,
-    load_features,
-    synth_dataset,
-    write_features,
-)
+from radkg import ParseError, SyntheticSpec, synth_dataset
+from radkg.encoders import FeatureTable, load_features, write_features
 from radkg.evaluate import auc_roc
 
 
@@ -23,11 +17,20 @@ def test_feature_table_validation():
         FeatureTable(["a", "b"], np.zeros((1, 3)))
 
 
-def test_feature_table_row_lookup():
-    table = FeatureTable(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(table.row_for("b"), np.array([3.0, 4.0]))
-    with pytest.raises(KeyError):
-        table.row_for("c")
+def test_feature_table_select():
+    table = FeatureTable(["a", "b", "c"], np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    picked = table.select(["c", "a"])
+    assert picked.image_ids == ["c", "a"]
+    assert np.array_equal(picked.codes, np.array([[5.0, 6.0], [1.0, 2.0]]))
+    empty = table.select([])
+    assert empty.image_ids == [] and empty.codes.shape == (0, 2)
+    with pytest.raises(ValueError) as caught:
+        table.select(["b", "x", "y"])
+    assert str(caught.value) == (
+        "2 image ids lack feature rows:\n  missing features for 'x'\n  missing features for 'y'"
+    )
+    with pytest.raises(ValueError):
+        table.select(["a", "a"])
 
 
 def test_features_round_trip_bit_exact(tmp_path, rng):

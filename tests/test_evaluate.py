@@ -3,32 +3,30 @@
 import numpy as np
 import pytest
 
-from helpers import make_table
+from helpers import auc_bruteforce, make_table, reference_write_predictions
 
-from radkg import (
-    PredictionRow,
-    RelationKind,
-    UncertainPolicy,
-    auc_bruteforce,
+from radkg import RelationKind, UncertainPolicy, init_model, macro_auc, param_count, predict_table
+from radkg.encoders import FeatureTable
+from radkg.evaluate import (
+    EvalReport,
+    Predictions,
     auc_roc,
     classify,
     format_report,
-    init_model,
-    macro_auc,
-    param_count,
-    predict_table,
-    relation_grid,
     write_predictions,
 )
-from radkg.encoders import FeatureTable
-from radkg.evaluate import EvalReport
+from radkg.kg import relation_grid
 
 
 def row(image_id, p, psi=None):
-    p = np.asarray(p, dtype=np.float64)
-    return PredictionRow(image_id=image_id,
-                         psi=p if psi is None else np.asarray(psi, float),
-                         p=p)
+    """One (image_id, p, psi) row; psi defaults to p."""
+    return image_id, p, p if psi is None else psi
+
+
+def grid(*rows):
+    """``Predictions`` stacked from ``row``s."""
+    ids, p, psi = zip(*rows)
+    return Predictions(list(ids), np.array(psi, dtype=np.float64), np.array(p, dtype=np.float64))
 
 
 # ---------------------------------------------------------------- auc
@@ -99,17 +97,19 @@ def test_auc_label_flip_complements(rng):
 def test_predict_table_aligns_ids(rng):
     model = init_model("distmult", 6, 9, 4, seed=3)
     features = FeatureTable(["a", "b"], rng.normal(size=(2, 6)))
-    rows = predict_table(model, features)
-    assert [r.image_id for r in rows] == ["a", "b"]
+    predictions = predict_table(model, features)
+    assert predictions.image_ids == ["a", "b"]
+    assert len(predictions) == 2
+    assert predictions.psi.shape == predictions.p.shape == (2, 4)
 
 
 def test_classify_strict_threshold():
-    r = row("x", [0.2, 0.5, 0.8])
-    assert classify(r, 0.5).tolist() == [0, 0, 1]
+    p = np.array([[0.2, 0.5, 0.8]])
+    assert classify(p, 0.5).tolist() == [[0, 0, 1]]
     with pytest.raises(ValueError):
-        classify(r, 1.0)
+        classify(p, 1.0)
     with pytest.raises(ValueError):
-        classify(r, 0.0)
+        classify(p, 0.0)
 
 
 # ---------------------------------------------------------------- macro
@@ -117,12 +117,12 @@ def test_classify_strict_threshold():
 
 def test_macro_auc_simple_mean():
     truth = make_table([[1, 0], [0, 1], [1, 1], [0, 0]])
-    rows = [
+    rows = grid(
         row("img0", [0.9, 0.1]),
         row("img1", [0.2, 0.8]),
         row("img2", [0.8, 0.7]),
         row("img3", [0.1, 0.2]),
-    ]
+    )
     report = macro_auc(rows, truth)
     assert report.auc == [1.0, 1.0]
     assert report.macro == 1.0
@@ -131,7 +131,7 @@ def test_macro_auc_simple_mean():
 
 def test_macro_auc_skips_undefined_findings():
     truth = make_table([[1, 1], [0, 1]])  # second finding: all positive
-    rows = [row("img0", [0.9, 0.5]), row("img1", [0.1, 0.5])]
+    rows = grid(row("img0", [0.9, 0.5]), row("img1", [0.1, 0.5]))
     report = macro_auc(rows, truth)
     assert report.auc == [1.0, None]
     assert report.macro == 1.0
@@ -139,13 +139,13 @@ def test_macro_auc_skips_undefined_findings():
 
 def test_macro_auc_all_undefined_is_none():
     truth = make_table([[1, 1]])
-    report = macro_auc([row("img0", [0.9, 0.5])], truth)
+    report = macro_auc(grid(row("img0", [0.9, 0.5])), truth)
     assert report.macro is None
 
 
 def test_macro_auc_policy_changes_truth():
     truth = make_table([[-1, 0], [0, 1]])
-    rows = [row("img0", [0.9, 0.1]), row("img1", [0.1, 0.9])]
+    rows = grid(row("img0", [0.9, 0.1]), row("img1", [0.1, 0.9]))
     as_pos = macro_auc(rows, truth, UncertainPolicy.AS_POSITIVE)
     as_neg = macro_auc(rows, truth, UncertainPolicy.AS_NEGATIVE)
     assert as_pos.auc[0] == 1.0      # uncertain counts as positive
@@ -157,16 +157,13 @@ def test_macro_auc_policy_changes_truth():
 def test_macro_auc_uses_raw_scores_not_probabilities():
     # identical probabilities but distinct psi: ranking comes from psi
     truth = make_table([[1], [0]])
-    rows = [
-        PredictionRow("img0", psi=np.array([2.0]), p=np.array([0.5])),
-        PredictionRow("img1", psi=np.array([1.0]), p=np.array([0.5])),
-    ]
+    rows = grid(row("img0", [0.5], psi=[2.0]), row("img1", [0.5], psi=[1.0]))
     assert macro_auc(rows, truth).auc == [1.0]
 
 
 def test_macro_auc_finding_subset():
     truth = make_table([[1, 0, 1], [0, 1, 0]])
-    rows = [row("img0", [0.9, 0.1, 0.9]), row("img1", [0.1, 0.9, 0.2])]
+    rows = grid(row("img0", [0.9, 0.1, 0.9]), row("img1", [0.1, 0.9, 0.2]))
     report = macro_auc(rows, truth, findings=["f2", "f0"])
     assert report.finding_names == ["f2", "f0"]
     assert report.auc == [1.0, 1.0]
@@ -174,23 +171,38 @@ def test_macro_auc_finding_subset():
         macro_auc(rows, truth, findings=["nope"])
 
 
+def test_macro_auc_matches_rows_by_id():
+    """Prediction rows in another order, plus rows truth does not list."""
+    truth = make_table([[1, 0], [0, 1], [1, 1], [0, 0]])
+    rows = grid(
+        row("extra", [0.0, 1.0]),
+        row("img3", [0.1, 0.2]),
+        row("img2", [0.8, 0.7]),
+        row("img1", [0.2, 0.8]),
+        row("img0", [0.9, 0.1]),
+    )
+    report = macro_auc(rows, truth, tau=0.5)
+    assert report.auc == [1.0, 1.0]
+    assert report.sensitivity == [1.0, 1.0] and report.specificity == [1.0, 1.0]
+
+
 def test_macro_auc_id_matching_errors():
     truth = make_table([[1], [0]])
     with pytest.raises(ValueError):
-        macro_auc([row("img0", [0.9])], truth)  # img1 missing
-    rows = [row("img0", [0.9]), row("img0", [0.8])]
+        macro_auc(grid(row("img0", [0.9])), truth)  # img1 missing
+    rows = grid(row("img0", [0.9]), row("img0", [0.8]))
     with pytest.raises(ValueError):
         macro_auc(rows, truth)
 
 
 def test_macro_auc_threshold_metrics():
     truth = make_table([[1], [1], [0], [0]])
-    rows = [
+    rows = grid(
         row("img0", [0.9]),
         row("img1", [0.4]),
         row("img2", [0.6]),
         row("img3", [0.1]),
-    ]
+    )
     report = macro_auc(rows, truth, tau=0.5)
     assert report.sensitivity == [0.5]   # one of two positives above tau
     assert report.specificity == [0.5]   # one of two negatives at or below
@@ -253,7 +265,7 @@ def test_format_report_with_threshold_columns():
 
 
 def test_write_predictions_round_trip(tmp_path):
-    rows = [row("img0", [0.25, 0.75]), row("img1", [0.6, 0.4])]
+    rows = grid(row("img0", [0.25, 0.75]), row("img1", [0.6, 0.4]))
     path = tmp_path / "pred.csv"
     write_predictions(rows, ["a", "b"], path, tau=0.5,
                       comments=["command = predict"])
@@ -266,8 +278,28 @@ def test_write_predictions_round_trip(tmp_path):
 
 def test_write_predictions_without_threshold(tmp_path):
     path = tmp_path / "pred.csv"
-    write_predictions([row("img0", [0.5])], ["a"], path)
+    write_predictions(grid(row("img0", [0.5])), ["a"], path)
     assert path.read_text().splitlines()[0] == "id,a"
+
+
+@pytest.mark.parametrize("tau", [None, 0.5, 0.25])
+def test_write_predictions_matches_per_row_writer(tmp_path, rng, tau):
+    p = rng.random((23, 5))
+    p[3, 1] = p[7, 4] = 0.5                      # at the threshold: label 0
+    p[5, 2], p[9, 0] = 0.1234565, 0.9999996      # six-decimal rounding edges
+    p[11] = [0.0, 1.0, 0.25, 1e-12, 1.0 - 1e-12]
+    predictions = Predictions([f"img{i:03d}" for i in range(23)], p.copy(), p)
+    names = [f"f{j}" for j in range(5)]
+    comments = ["command = predict", "tau = x"]
+    write_predictions(predictions, names, tmp_path / "grid.csv", tau=tau, comments=comments)
+    reference_write_predictions(zip(predictions.image_ids, p), names, tmp_path / "rows.csv",
+                                tau=tau, comments=comments)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_predictions_rejects_width_mismatch(tmp_path):
+    with pytest.raises(ValueError):
+        write_predictions(grid(row("img0", [0.5, 0.5])), ["a"], tmp_path / "pred.csv")
 
 
 def test_binary_truth_policies():

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import linear_bwd
+from helpers import linear_bwd, max_relative_error
 
 from radkg.kernel import (
-    ConvSpec,
     conv2d_bwd,
     conv2d_fwd,
     finite_diff_grad,
     linear_fwd,
-    max_relative_error,
     relu,
     relu_bwd,
     sigmoid,
@@ -69,7 +67,26 @@ def test_conv2d_fwd_delta_kernel_crops_input(rng):
 def test_conv2d_fwd_output_shape():
     out = conv2d_fwd(np.zeros((20, 10)), np.zeros((8, 5, 5)))
     assert out.shape == (8, 16, 6)
-    assert ConvSpec(channels=8).output_shape(20, 10) == (8, 16, 6)
+
+
+@pytest.mark.parametrize("inp_shape,kernel_shape", [
+    ((8, 8), (2, 5, 4)),
+    ((8, 8), (5, 5)),
+    ((8, 8), (1, 2, 5, 5)),
+    ((8, 8), (0, 5, 5)),
+    ((4, 8), (2, 5, 5)),
+    ((8, 4), (2, 5, 5)),
+    ((3, 4, 8), (2, 5, 5)),
+    ((8,), (2, 5, 5)),
+], ids=["non-square", "2-D kernels", "4-D kernels", "no channels", "input too short",
+        "input too narrow", "batched planes too short", "1-D input"])
+def test_conv2d_rejects_kernels_that_do_not_fit(inp_shape, kernel_shape):
+    inp, kernels = np.zeros(inp_shape), np.zeros(kernel_shape)
+    shape_error = r"^kernels must have shape|smaller than .* kernel$|^input must be"
+    with pytest.raises(ValueError, match=shape_error):
+        conv2d_fwd(inp, kernels)
+    with pytest.raises(ValueError, match=shape_error):
+        conv2d_bwd(inp, kernels, np.zeros((2, 4, 4)))
 
 
 def test_conv2d_fwd_is_linear_in_input(rng):

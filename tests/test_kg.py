@@ -8,20 +8,22 @@ from helpers import make_table, random_table, reference_write_kg
 from radkg import (
     AnnotationTable,
     EntityId,
-    EntityKind,
-    KnowledgeGraph,
-    LabelValue,
     ParseError,
     RelationKind,
-    Triple,
     UncertainPolicy,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
-    load_annotations,
-    load_kg,
     negatives_for,
     split,
+)
+from radkg.kg import (
+    EntityKind,
+    KnowledgeGraph,
+    LabelValue,
+    Triple,
+    load_annotations,
+    load_kg,
     write_annotations,
     write_kg,
 )

@@ -1,0 +1,58 @@
+"""The package exports what the demos and the README quick start import, plus the error types."""
+
+import ast
+import re
+from pathlib import Path
+
+import radkg
+from radkg import errors
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def radkg_imports(source: str) -> set[str]:
+    """Names a script imports with ``from radkg import ...``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "radkg" and node.level == 0
+        for alias in node.names
+    }
+
+
+def quick_start() -> str:
+    """The first python block after the README's quick start heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Quick start"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def used_names() -> set[str]:
+    names = radkg_imports(quick_start())
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        names |= radkg_imports(demo.read_text(encoding="utf-8"))
+    return names
+
+
+ERROR_TYPES = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == errors.__name__
+}
+
+
+def test_every_export_is_used_by_a_demo_or_the_quick_start_or_is_an_error():
+    unused = set(radkg.__all__) - used_names() - ERROR_TYPES
+    assert not unused, sorted(unused)
+
+
+def test_every_name_the_demos_and_quick_start_import_is_exported():
+    missing = used_names() - set(radkg.__all__)
+    assert not missing, sorted(missing)
+
+
+def test_all_lists_each_name_once_and_every_error_type():
+    assert len(radkg.__all__) == len(set(radkg.__all__))
+    assert ERROR_TYPES == {"RadkgError", "ParseError", "CheckpointError", "TrainingDivergedError"}
+    assert ERROR_TYPES <= set(radkg.__all__)
+    for name in radkg.__all__:
+        assert hasattr(radkg, name), name

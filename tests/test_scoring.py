@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import finding_grads, image_grads, score_all_objects, score_all_objects_finding
+from helpers import (
+    finding_grads, image_grads, max_relative_error, score_all_objects, score_all_objects_finding,
+)
 
 from radkg import (
-    EmbeddingModel,
     RelationKind,
     conve_pipeline,
     embed_subject,
@@ -14,7 +15,8 @@ from radkg import (
     score_conve,
     score_distmult,
 )
-from radkg.kernel import finite_diff_grad, max_relative_error
+from radkg.kernel import finite_diff_grad
+from radkg.scoring import EmbeddingModel
 
 HAS = RelationKind.HAS_FINDING
 CO = RelationKind.CO_OCCURS

@@ -3,40 +3,41 @@
 import math
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from helpers import (
-    TextbookAdam, batch_items, make_table, predict, reference_batches, score_all_objects,
-    select_features,
+    TextbookAdam, batch_items, bce_loss, make_table, max_relative_error, predict,
+    reference_batches, score_all_objects,
 )
 
 from radkg import (
     CheckpointError,
-    EntityKind,
-    FeatureTable,
     RelationKind,
     SyntheticSpec,
     TrainConfig,
     TrainingDivergedError,
     UncertainPolicy,
     add_cooccurrence,
-    bce_loss,
     build_radkg,
     cooccurrence_matrix,
     init_model,
     load_checkpoint,
-    make_batches,
     resolve_relations,
     save_checkpoint,
     split,
     synth_dataset,
     train,
-    train_epoch,
 )
-from radkg.kernel import finite_diff_grad, max_relative_error, sigmoid
-from radkg.training import Adam, Sgd, _batch_gradients, _item_loss, make_optimizer
+from radkg.encoders import FeatureTable
+from radkg.evaluate import Predictions
+from radkg.kernel import finite_diff_grad, sigmoid
+from radkg.kg import EntityKind
+from radkg.training import (
+    Adam, Sgd, _batch_gradients, _item_loss, make_batches, make_optimizer, train_epoch,
+)
 
 HAS = RelationKind.HAS_FINDING
 PROB = RelationKind.PROBABLY_HAS_FINDING
@@ -328,8 +329,8 @@ def synth_folds(seed=0, m=80, uncertain=0.0):
                       uncertain_fraction=uncertain))
     train_ann, val_ann, _ = split(annotations, (0.6, 0.2, 0.2), seed=1)
     return (
-        select_features(features, train_ann.image_ids), train_ann,
-        select_features(features, val_ann.image_ids), val_ann,
+        features.select(train_ann.image_ids), train_ann,
+        features.select(val_ann.image_ids), val_ann,
     )
 
 
@@ -342,8 +343,8 @@ def test_train_returns_best_validation_model():
     best, history = train(model, kg, tr_feat, (va_feat, va_ann), config)
     assert 1 <= len(history) <= 8
     from radkg.evaluate import macro_auc
-    rows = [predict(best, va_feat.codes[i], va_feat.image_ids[i])
-            for i in range(va_feat.m)]
+    psi = np.array([predict(best, code)[0] for code in va_feat.codes])
+    rows = Predictions(va_feat.image_ids, psi, sigmoid(psi))
     recomputed = macro_auc(rows, va_ann, UncertainPolicy.AS_POSITIVE).macro
     assert recomputed == max(h["val_auc"] for h in history)
 
@@ -453,14 +454,67 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
         load_checkpoint(tmp_path / "long.rkg")
 
 
+def reseal(blob):
+    """The checkpoint bytes with the CRC trailer recomputed over the rest."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_checkpoint_rejects_unknown_scorer_code(tmp_path):
     model = init_model("distmult", 4, 9, 3, seed=0)
     path = tmp_path / "model.rkg"
     save_checkpoint(model, path)
     blob = bytearray(path.read_bytes())
     blob[8] = 9  # scorer code byte
+    path.write_bytes(reseal(blob))
+    with pytest.raises(CheckpointError, match="unknown scorer code 9"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailer_is_crc32_of_the_rest(tmp_path):
+    model = init_model("conve", 4, 25, 3, channels=2, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    assert blob[4:8] == struct.pack("<I", 2)  # format version
+    assert reseal(blob) == blob
+
+
+def test_checkpoint_changed_float_byte_is_checkpoint_error(tmp_path):
+    model = init_model("conve", 4, 25, 3, channels=2, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    blob[37 + 8 * 7 + 3] ^= 0x40  # a byte of wx[0, 7]; wx data starts at byte 37
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: checksum mismatch")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_random_mutations_never_load_a_different_model(tmp_path):
+    model = init_model("conve", 4, 25, 3, channels=2, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(99)
+    bad = tmp_path / "bad.rkg"
+    for _ in range(300):
+        mutated = bytearray(blob)
+        for at in rng.choice(len(blob), size=int(rng.integers(1, 4)), replace=False):
+            mutated[at] = (mutated[at] + int(rng.integers(1, 256))) % 256
+        bad.write_bytes(bytes(mutated))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_version_1_is_unsupported(tmp_path):
+    model = init_model("distmult", 4, 9, 3, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(blob[:-4]))  # version 1 had no trailer
+    with pytest.raises(CheckpointError, match="unsupported format version 1"):
         load_checkpoint(path)
 
 
@@ -473,8 +527,8 @@ def test_checkpoint_corruption_is_checkpoint_error(tmp_path, corruption):
     if corruption == "non-square embed_dim":
         blob[13:17] = struct.pack("<I", 24)  # header dims start at byte 9
     else:
-        blob[-2] = 0xFF  # inside the last metadata line
-    path.write_bytes(bytes(blob))
+        blob[-6] = 0xFF  # inside the last metadata line, before the CRC trailer
+    path.write_bytes(reseal(blob))
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
