@@ -2,7 +2,8 @@
 
 Images arrive as precomputed fixed-length feature vectors, either loaded from
 a CSV produced by an external encoder or synthesized with planted structure
-for end-to-end testing.
+for end-to-end testing. The CSV reader parses each row straight into one
+float64 grid, so a table costs 8 bytes per cell while it is read.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 
 from .errors import ParseError
 from .kg import AnnotationTable, LabelValue, _data_lines, _split_csv_line
+
+#: Rows of the grid ``load_features`` starts with; it doubles when full.
+#: ``np.empty`` writes nothing, so the rows no line reaches stay untouched.
+INITIAL_ROWS = 1024
 
 
 @dataclass
@@ -59,6 +64,12 @@ def load_features(path) -> FeatureTable:
 
     Rejects ragged rows, non-numeric or non-finite cells, and duplicate ids,
     reporting the offending line. A header-only file is a valid empty table.
+
+    Each row's cells go straight into a preallocated float64 grid, which
+    doubles when it fills: 8 bytes per cell plus growth slack. numpy converts
+    each cell with Python's ``float``, so a cell parses exactly as ``float``
+    parses it. A row that fails the assignment or the finiteness check is
+    scanned again, cell by cell, to name its first bad cell.
     """
     lines = _data_lines(path)
     try:
@@ -75,7 +86,7 @@ def load_features(path) -> FeatureTable:
 
     ids: list[str] = []
     seen: set[str] = set()
-    rows: list[list[float]] = []
+    codes = np.empty((INITIAL_ROWS, dim))
     for lineno, text in lines:
         cells = _split_csv_line(text)
         if len(cells) != dim + 1:
@@ -84,19 +95,33 @@ def load_features(path) -> FeatureTable:
         if image_id in seen:
             raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
         seen.add(image_id)
-        row = []
-        for col, token in enumerate(cells[1:]):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(path, lineno, f"non-numeric cell {token!r} in column {col + 2}") from None
-            if not math.isfinite(value):
-                raise ParseError(path, lineno, f"non-finite cell {token!r} in column {col + 2}")
-            row.append(value)
+        m = len(ids)
+        if m == len(codes):
+            grown = np.empty((2 * m, dim))
+            grown[:m] = codes
+            codes = grown
+        row = codes[m]
+        try:
+            row[:] = cells[1:]
+        except ValueError:
+            _bad_cell(path, lineno, cells)
+            raise
+        if not np.isfinite(row).all():
+            _bad_cell(path, lineno, cells)
         ids.append(image_id)
-        rows.append(row)
-    codes = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
-    return FeatureTable(ids, codes)
+    return FeatureTable(ids, codes[:len(ids)])
+
+
+def _bad_cell(path, lineno, cells) -> None:
+    """Raise ParseError naming the first non-numeric or non-finite cell of a
+    row, scanning its cells in column order."""
+    for col, token in enumerate(cells[1:]):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(path, lineno, f"non-numeric cell {token!r} in column {col + 2}") from None
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, f"non-finite cell {token!r} in column {col + 2}")
 
 
 def write_features(table: FeatureTable, path, comments=()) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import kernel, scoring
 from .kg import AnnotationTable, RelationKind, UncertainPolicy, relation_grid
@@ -49,17 +48,34 @@ def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     return Predictions(list(features.image_ids), psi, kernel.sigmoid(psi))
 
 
-def classify(p: np.ndarray, tau: float) -> np.ndarray:
-    """Binary labels: 1 where p strictly exceeds tau."""
+def _check_threshold(tau: float) -> None:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"threshold must be inside (0, 1), got {tau}")
+
+
+def classify(p: np.ndarray, tau: float) -> np.ndarray:
+    """Binary labels: 1 where p strictly exceeds tau."""
+    _check_threshold(tau)
     return (p > tau).astype(np.int8)
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D float array, each run of tied values given the
+    mean of the ranks it spans."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auc_roc(scores, labels) -> float | None:
     """AUC-ROC via the rank-sum statistic with midrank tie handling.
 
     Returns None when either class is empty; that case is undefined, not 0.
+    A NaN score makes the AUC NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -72,7 +88,9 @@ def auc_roc(scores, labels) -> float | None:
     n = int(len(labels) - p)
     if p == 0 or n == 0:
         return None
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _midranks(scores)
     return (float(ranks[pos].sum()) - p * (p + 1) / 2.0) / (p * n)
 
 
@@ -101,8 +119,10 @@ def macro_auc(
 
     Rows are matched to truth by image id. ``findings`` restricts the report
     to a subset of finding names; ``tau`` adds sensitivity/specificity at that
-    threshold.
+    threshold, which must lie inside (0, 1).
     """
+    if tau is not None:
+        _check_threshold(tau)
     index = {image_id: i for i, image_id in enumerate(predictions.image_ids)}
     if len(index) != len(predictions):
         raise ValueError("duplicate image ids among predictions")

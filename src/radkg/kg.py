@@ -382,16 +382,36 @@ def split(
 # ---------------------------------------------------------------------------
 
 def _data_lines(path):
-    """Yield (1-based line number, text) for non-blank, non-comment lines."""
+    """Yield (1-based line number, text) for non-blank, non-comment lines.
+
+    Bytes that are not UTF-8 raise ParseError at the line that holds them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.rstrip("\n").rstrip("\r")
-            if not text.strip() or text.lstrip().startswith("#"):
-                continue
-            yield lineno, text
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.rstrip("\n").rstrip("\r")
+                if not text.strip() or text.lstrip().startswith("#"):
+                    continue
+                yield lineno, text
+            return
+        except UnicodeDecodeError:
+            pass
+    # The decoder reads ahead of the lines it hands out, so find the line of
+    # the first bad byte from the raw bytes.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ParseError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def _split_csv_line(text: str) -> list[str]:
+    """The cells of one CSV line, as ``csv.reader`` splits them."""
+    if '"' not in text:
+        return text.split(",")
     return next(csv.reader(io.StringIO(text)))
 
 
@@ -414,6 +434,8 @@ def load_annotations(path) -> AnnotationTable:
     finding_names = header[1:-1] if has_group else header[1:]
     if not finding_names:
         raise ParseError(path, header_line, "annotation header lists no findings")
+    if len(set(finding_names)) != len(finding_names):
+        raise ParseError(path, header_line, "finding names must be unique")
     width = 1 + len(finding_names) + (1 if has_group else 0)
 
     ids: list[str] = []

@@ -1,13 +1,15 @@
 """Shared builders, oracles and per-item reference implementations for the test suite."""
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from radkg import AnnotationTable, EntityId, RelationKind, kernel, scoring
+from radkg import AnnotationTable, EntityId, ParseError, RelationKind, kernel, scoring
 from radkg.encoders import FeatureTable
-from radkg.kg import EntityKind
+from radkg.kg import EntityKind, _data_lines
 from radkg.training import PROB_CLAMP, _item_loss, resolve_relations
 
 
@@ -61,6 +63,18 @@ def auc_bruteforce(scores, labels) -> float | None:
     return count / (len(pos_scores) * len(neg_scores))
 
 
+def reference_midranks(values) -> list[float]:
+    """1-based ranks, each group of equal values given the mean of the ranks
+    it spans, by comparing every pair."""
+    values = list(values)
+    ranks = []
+    for v in values:
+        below = sum(1 for u in values if u < v)
+        equal = sum(1 for u in values if u == v)
+        ranks.append(below + (equal + 1) / 2.0)
+    return ranks
+
+
 def bce_loss(p: float, y: int) -> float:
     """Binary cross entropy -y*log(p) - (1-y)*log(1-p), with p clamped away
     from exact 0/1 so the loss stays finite."""
@@ -82,6 +96,82 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> flo
         return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# ---------------------------------------------------------------------------
+# File readers: the per-cell feature reader and seeded byte mutations.
+# ---------------------------------------------------------------------------
+
+
+def reference_split_csv_line(text: str) -> list[str]:
+    return next(csv.reader(io.StringIO(text)))
+
+
+def reference_load_features(path) -> FeatureTable:
+    """The per-cell feature reader ``load_features`` is compared with: each
+    cell through ``float`` and ``math.isfinite``, rows as lists of floats,
+    every line split by ``csv.reader``."""
+    lines = _data_lines(path)
+    try:
+        header_line, header_text = next(lines)
+    except StopIteration:
+        raise ParseError(path, 1, "empty feature file") from None
+    header = reference_split_csv_line(header_text)
+    if not header or header[0] != "id":
+        raise ParseError(path, header_line, f"first header column must be 'id', got {header[:1]}")
+    dim = len(header) - 1
+    expected = [f"f{k}" for k in range(dim)]
+    if header[1:] != expected:
+        raise ParseError(path, header_line, f"feature columns must be f0..f{dim - 1}")
+
+    ids: list[str] = []
+    seen: set[str] = set()
+    rows: list[list[float]] = []
+    for lineno, text in lines:
+        cells = reference_split_csv_line(text)
+        if len(cells) != dim + 1:
+            raise ParseError(path, lineno, f"expected {dim + 1} columns, got {len(cells)}")
+        image_id = cells[0]
+        if image_id in seen:
+            raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
+        seen.add(image_id)
+        row = []
+        for col, token in enumerate(cells[1:]):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(path, lineno, f"non-numeric cell {token!r} in column {col + 2}") from None
+            if not math.isfinite(value):
+                raise ParseError(path, lineno, f"non-finite cell {token!r} in column {col + 2}")
+            row.append(value)
+        ids.append(image_id)
+        rows.append(row)
+    codes = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
+    return FeatureTable(ids, codes)
+
+
+#: Bytes a mutation draws from most of the time: the ones CSV parsing and
+#: float parsing react to. The rest of the time it draws any byte.
+MUTATION_BYTES = b',"#\n\r .+-_e0123456789abfinx\x00'
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """``data`` with 1-3 bytes replaced, inserted or deleted at random."""
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(out) + 1))
+        if rng.random() < 0.7:
+            byte = MUTATION_BYTES[int(rng.integers(0, len(MUTATION_BYTES)))]
+        else:
+            byte = int(rng.integers(0, 256))
+        op = int(rng.integers(0, 3)) if at < len(out) else 1
+        if op == 0:
+            out[at] = byte
+        elif op == 1:
+            out.insert(at, byte)
+        else:
+            del out[at]
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

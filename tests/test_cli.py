@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import mutate
+
 from radkg import load_checkpoint, scoring
 from radkg.cli import main as cli_main
 from radkg.encoders import load_features
@@ -272,6 +274,46 @@ def test_eval_findings_subset_and_tau(workspace, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert lines[0] == "finding,positives,negatives,auc,sensitivity,specificity"
     assert [l.split(",")[0] for l in lines[1:-1]] == ["finding_01", "finding_00"]
+
+
+@pytest.mark.parametrize("tau", ["1.5", "0", "1", "-0.1", "nan"])
+def test_eval_rejects_threshold_outside_unit_interval(workspace, capsys, tau):
+    rc = run_cli([
+        "eval",
+        "--checkpoint", str(workspace / "model.rkg"),
+        "--features", str(workspace / "features.csv"),
+        "--annotations", str(workspace / "annotations.csv"),
+        f"--tau={tau}",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "threshold must be inside (0, 1)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["features.csv", "annotations.csv"])
+def test_eval_on_mutated_inputs_exits_0_or_2(workspace, tmp_path, capsys, name):
+    """Seeded 1-3 byte mutations of one input file: the CLI either succeeds
+    or exits 2 with a message, never with a traceback."""
+    rng = np.random.default_rng(6)
+    data = (workspace / name).read_bytes()
+    paths = {n: workspace / n for n in ("features.csv", "annotations.csv")}
+    paths[name] = tmp_path / name
+    codes = set()
+    for _ in range(80):
+        paths[name].write_bytes(mutate(data, rng))
+        rc = run_cli([
+            "eval",
+            "--checkpoint", str(workspace / "model.rkg"),
+            "--features", str(paths["features.csv"]),
+            "--annotations", str(paths["annotations.csv"]),
+        ])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("radkg: ")
+        codes.add(rc)
+    assert codes == {0, 2}
 
 
 def test_eval_rejects_mismatched_dims(workspace, tmp_path, capsys):

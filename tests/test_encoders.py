@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from radkg import ParseError, SyntheticSpec, synth_dataset
-from radkg.encoders import FeatureTable, load_features, write_features
+from radkg.encoders import INITIAL_ROWS, FeatureTable, load_features, write_features
 from radkg.evaluate import auc_roc
+
+from helpers import mutate, reference_load_features
 
 
 def test_feature_table_validation():
@@ -70,6 +72,114 @@ def test_features_reject_non_finite(tmp_path):
     path.write_text("id,f0\nimg0,inf\n")
     with pytest.raises(ParseError):
         load_features(path)
+
+
+# ------------------------------------------- grid reader vs per-cell reader
+
+
+def read_outcome(loader, path):
+    """What a feature reader makes of a file: the ids and the exact bytes of
+    the codes, or the line and message of its ParseError."""
+    try:
+        table = loader(path)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    return ("table", table.image_ids, table.codes.shape, table.codes.tobytes())
+
+
+def assert_readers_agree(path):
+    outcome = read_outcome(load_features, path)
+    assert outcome == read_outcome(reference_load_features, path)
+    return outcome
+
+
+@pytest.mark.parametrize("m", [0, 1, INITIAL_ROWS - 1, INITIAL_ROWS, INITIAL_ROWS + 1,
+                               2 * INITIAL_ROWS + 1])
+def test_grid_reader_matches_per_cell_reader_across_growth(tmp_path, m):
+    rng = np.random.default_rng(m)
+    codes = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
+    path = tmp_path / "feat.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(m)], codes), path)
+    outcome = assert_readers_agree(path)
+    assert outcome[0] == "table" and outcome[3] == codes.tobytes()
+
+
+def test_grid_reader_matches_per_cell_reader_on_layouts(tmp_path):
+    path = tmp_path / "feat.csv"
+    layouts = [
+        "id\nimg0\nimg1\n",                                    # dim = 0
+        "id\n",
+        "# a comment\n\nid,f0\n  # indented comment\nimg0,1.0\n\n\t\nimg1,2\n",
+        'id,f0,f1\n"a,b",1,2\n"x""y",3,4\n"plain",5,6\n',      # quoted ids
+        'id,f0\n"1,2",3\n1,"2"\n',                              # a quoted cell
+        "id,f0\r\nimg0,1.5\r\nimg1,2.5\r\n",
+        "id,f0\nimg0,1.0\nimg0,2.0\n",
+        "id,f0\nimg0,1.0,2.0\n",
+        "id,f0,f1\nimg0,1.0\n",
+        "",
+        "# only a comment\n",
+        "name,f0\nimg0,1\n",
+        "id,f1\nimg0,1\n",
+    ]
+    for text in layouts:
+        path.write_text(text, encoding="utf-8")
+        assert_readers_agree(path)
+
+
+EDGE_TOKENS = [" 1.5", "1.5 ", "1_0", "\u0661\u0662", "1e999", "-1e999", "1e-400", "-0.0",
+               "+.5", "5.", "0x10", "", " ", "nan", "-NaN", "inf", "Infinity", "-inf",
+               "1__0", "_1", "1e", "e1", "\u00a01", "1\x00", "1.7976931348623157e308",
+               "4.9e-324", "2.2250738585072011e-308", "0.1000000000000000055511151231257827"]
+
+
+def test_grid_reader_matches_per_cell_reader_on_edge_tokens(tmp_path):
+    path = tmp_path / "feat.csv"
+    for token in EDGE_TOKENS:
+        for row in ([token, "1.0"], ["1.0", token]):
+            path.write_text("id,f0,f1\nimg0,2.0,3.0\nimg1," + ",".join(row) + "\n",
+                            encoding="utf-8")
+            assert_readers_agree(path)
+
+
+def test_first_bad_cell_in_column_order_names_the_error(tmp_path):
+    path = tmp_path / "feat.csv"
+    rows = {
+        "inf,oops": "non-finite cell 'inf' in column 2",
+        "oops,inf": "non-numeric cell 'oops' in column 2",
+        "1,nan,oops": "non-finite cell 'nan' in column 3",
+        "1,oops,-inf": "non-numeric cell 'oops' in column 3",
+    }
+    for cells, message in rows.items():
+        dim = cells.count(",") + 1
+        header = ",".join(["id"] + [f"f{k}" for k in range(dim)])
+        path.write_text(f"{header}\nimg0,{','.join(['0'] * dim)}\nimg1,{cells}\n")
+        outcome = assert_readers_agree(path)
+        assert outcome == ("error", 3, f"{path}:3: {message}")
+
+
+def test_grid_reader_matches_per_cell_reader_on_mutated_files(tmp_path):
+    """Seeded 1-3 byte mutations: both readers load the same table or raise
+    the same ParseError, and no other exception escapes either of them."""
+    rng = np.random.default_rng(6)
+    codes = rng.normal(size=(8, 4)) * np.pi
+    clean = tmp_path / "feat.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(8)], codes), clean, comments=["x"])
+    data = clean.read_bytes()
+    path = tmp_path / "mutated.csv"
+    kinds = set()
+    for _ in range(600):
+        path.write_bytes(mutate(data, rng))
+        kinds.add(assert_readers_agree(path)[0])
+    assert kinds == {"table", "error"}
+
+
+def test_features_reject_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "feat.csv"
+    path.write_bytes(b"id,f0\r\nimg0,1\rimg1,2\nimg\xff2,3\n")
+    with pytest.raises(ParseError) as err:
+        load_features(path)
+    assert err.value.line == 4
+    assert str(err.value).endswith("byte 0xff is not UTF-8")
 
 
 # ---------------------------------------------------------------- synthetic

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import auc_bruteforce, make_table, reference_write_predictions
+from helpers import auc_bruteforce, make_table, reference_midranks, reference_write_predictions
 
 from radkg import RelationKind, UncertainPolicy, init_model, macro_auc, param_count, predict_table
 from radkg.encoders import FeatureTable
 from radkg.evaluate import (
     EvalReport,
     Predictions,
+    _midranks,
     auc_roc,
     classify,
     format_report,
@@ -51,6 +52,23 @@ def test_auc_undefined_single_class():
 def test_auc_tie_uses_midranks():
     # one positive tied with one negative: the tied pair contributes 1/2
     assert auc_roc([0.5, 0.5, 0.1], [1, 0, 0]) == 0.75
+
+
+def test_midranks_match_pairwise_tie_averaging(rng):
+    for trial in range(2000):
+        size = int(rng.integers(1, 30))
+        if trial % 2:
+            values = rng.integers(-3, 4, size=size).astype(np.float64)  # many ties
+        else:
+            values = rng.normal(size=size)
+        if trial % 5 == 0:
+            values[rng.integers(0, size)] = rng.choice([np.inf, -np.inf, -0.0])
+        assert _midranks(values).tolist() == reference_midranks(values)
+    assert _midranks(np.array([])).shape == (0,)
+
+
+def test_auc_nan_score_gives_nan():
+    assert np.isnan(auc_roc([0.2, np.nan, 0.7], [0, 1, 1]))
 
 
 def test_auc_validation():
@@ -207,6 +225,14 @@ def test_macro_auc_threshold_metrics():
     assert report.sensitivity == [0.5]   # one of two positives above tau
     assert report.specificity == [0.5]   # one of two negatives at or below
     assert report.tau == 0.5
+
+
+@pytest.mark.parametrize("tau", [1.5, 0.0, 1.0, -0.1, float("nan")])
+def test_macro_auc_rejects_threshold_outside_unit_interval(tau):
+    truth = make_table([[1], [0]])
+    rows = grid(row("img0", [0.9]), row("img1", [0.1]))
+    with pytest.raises(ValueError, match=r"threshold must be inside \(0, 1\)"):
+        macro_auc(rows, truth, tau=tau)
 
 
 # ---------------------------------------------------------------- params

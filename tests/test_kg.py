@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import make_table, random_table, reference_write_kg
+from helpers import (
+    make_table,
+    mutate,
+    random_table,
+    reference_split_csv_line,
+    reference_write_kg,
+)
 
 from radkg import (
     AnnotationTable,
@@ -22,6 +28,7 @@ from radkg.kg import (
     KnowledgeGraph,
     LabelValue,
     Triple,
+    _split_csv_line,
     load_annotations,
     load_kg,
     write_annotations,
@@ -334,6 +341,44 @@ def test_annotation_duplicate_ids_rejected(tmp_path):
     path.write_text("id,f0\na,1\na,0\n")
     with pytest.raises(ParseError):
         load_annotations(path)
+
+
+def test_annotation_duplicate_finding_names_rejected(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("# c\nid,f0,f1,f0\na,1,0,1\n")
+    with pytest.raises(ParseError) as err:
+        load_annotations(path)
+    assert str(err.value) == f"{path}:2: finding names must be unique"
+
+
+def test_annotation_file_mutations_raise_only_parse_error(tmp_path, rng):
+    table = random_table(rng, m=8, n=4, uncertain=True, unmentioned=True)
+    table = AnnotationTable(table.image_ids, table.finding_names, table.labels,
+                            groups=list("aabbccdd"))
+    clean = tmp_path / "ann.csv"
+    write_annotations(table, clean, comments=["policy = positive"])
+    data = clean.read_bytes()
+    path = tmp_path / "mutated.csv"
+    outcomes = set()
+    for _ in range(600):
+        path.write_bytes(mutate(data, rng))
+        try:
+            loaded = load_annotations(path)
+        except ParseError:
+            outcomes.add("error")
+        else:
+            assert isinstance(loaded, AnnotationTable)
+            outcomes.add("table")
+    assert outcomes == {"table", "error"}
+
+
+def test_split_csv_line_matches_csv_reader():
+    rng = np.random.default_rng(7)
+    alphabet = list(',"a \x00\x850123456789')
+    for _ in range(5000):
+        picks = rng.integers(0, len(alphabet), size=int(rng.integers(1, 24)))
+        text = "".join(alphabet[k] for k in picks)
+        assert _split_csv_line(text) == reference_split_csv_line(text), repr(text)
 
 
 def test_kg_file_round_trip(tmp_path, rng):

@@ -1,7 +1,10 @@
 """The package exports what the demos and the README quick start import, plus the error types."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import radkg
@@ -56,3 +59,13 @@ def test_all_lists_each_name_once_and_every_error_type():
     assert ERROR_TYPES <= set(radkg.__all__)
     for name in radkg.__all__:
         assert hasattr(radkg, name), name
+
+
+def test_import_leaves_scipy_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, radkg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
