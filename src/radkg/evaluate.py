@@ -216,16 +216,20 @@ def write_predictions(
     width = predictions.p.shape[1]
     if width != len(finding_names):
         raise ValueError(f"predictions have {width} findings, expected {len(finding_names)}")
-    labels = None if tau is None else classify(predictions.p, tau)
+    row_format = "%s" + ",%.6f" * width
+    p_rows = predictions.p.tolist()
+    label_rows = [()] * len(p_rows)
+    header = ["id", *finding_names]
+    if tau is not None:
+        row_format += ",%d" * width
+        label_rows = classify(predictions.p, tau).tolist()
+        header += [f"{name}_label" for name in finding_names]
+    row_format += "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        header = ["id", *finding_names]
-        if tau is not None:
-            header += [f"{name}_label" for name in finding_names]
         fh.write(",".join(header) + "\n")
-        for i, image_id in enumerate(predictions.image_ids):
-            cells = [image_id] + [f"{v:.6f}" for v in predictions.p[i]]
-            if labels is not None:
-                cells += [str(v) for v in labels[i]]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(
+            row_format % (image_id, *p, *labels)
+            for image_id, p, labels in zip(predictions.image_ids, p_rows, label_rows)
+        )

@@ -4,12 +4,20 @@ Convolution and ReLU come with exact analytic backward passes, and
 ``finite_diff_grad`` provides the central-difference oracle used to verify
 them.  Arrays are float64 throughout; there is no autodiff graph, no
 broadcasting magic, and no padding semantics beyond "valid".
+
+The convolution is im2col: one ``take`` through a cached flat-offset index
+gathers every k x k window of B planes into a (B * Ho * Wo, k * k) grid, and
+the forward is that grid times the (k * k, C) kernel matrix. The backward is
+two more matrix products, one for the kernel gradient and one for the
+gradient of each window, and a ``bincount`` that adds each window's gradient
+onto the input cells it read. A single plane is a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def linear_fwd(x: np.ndarray, wm: np.ndarray) -> np.ndarray:
@@ -34,6 +42,27 @@ def _kernel_side(inp: np.ndarray, kernels: np.ndarray) -> int:
     return k
 
 
+# A model convolves one plane shape; gradcheck and the tests walk through a
+# few dozen. The index is read-only because every caller shares it.
+@functools.lru_cache(maxsize=64)
+def _window_index(height: int, width: int, k: int) -> np.ndarray:
+    """Flat offsets into an (height, width) plane of the cells each k x k
+    window reads: a read-only (Ho * Wo, k * k) array, one row per window in
+    row-major order of its corner, one column per tap in row-major order."""
+    corners = np.arange(height - k + 1)[:, None] * width + np.arange(width - k + 1)
+    taps = np.arange(k)[:, None] * width + np.arange(k)
+    index = corners.reshape(-1, 1) + taps.reshape(1, -1)
+    index.flags.writeable = False
+    return index
+
+
+def _windows(planes: np.ndarray, k: int) -> np.ndarray:
+    """im2col: the (B * Ho * Wo, k * k) grid of every window of B planes."""
+    b, height, width = planes.shape
+    index = _window_index(height, width, k)
+    return np.take(planes.reshape(b, height * width), index, axis=1).reshape(-1, k * k)
+
+
 def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of a single-channel 2D input with C kernels.
 
@@ -48,9 +77,12 @@ def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     k = _kernel_side(inp, kernels)
-    windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
-    # A batch goes through BLAS; a single plane keeps the direct sum.
-    return np.einsum("...ijuv,cuv->...cij", windows, kernels, optimize=inp.ndim == 3)
+    planes = inp.reshape((-1,) + inp.shape[-2:])
+    b, height, width = planes.shape
+    c = len(kernels)
+    out = _windows(planes, k) @ kernels.reshape(c, k * k).T
+    out = out.reshape(b, height - k + 1, width - k + 1, c).transpose(0, 3, 1, 2)
+    return out if inp.ndim == 3 else out[0]
 
 
 def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
@@ -68,19 +100,18 @@ def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
     out_shape = inp.shape[:-2] + (len(kernels), ho, wo)
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {out_shape}")
-    batched = inp.ndim == 3
+    planes = inp.reshape((-1,) + inp.shape[-2:])
+    b, height, width = planes.shape
+    c = len(kernels)
+    up = upstream.reshape(b, c, ho * wo).transpose(0, 2, 1).reshape(-1, c)
+    grad_kernels = (up.T @ _windows(planes, k)).reshape(kernels.shape)
 
-    windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
-    if not batched:
-        windows, upstream = windows[None], upstream[None]
-    grad_kernels = np.einsum("bijuv,bcij->cuv", windows, upstream, optimize=batched)
-
-    # Scatter each kernel tap back onto the input patch it touched.
-    grad_inp = np.zeros((len(upstream),) + inp.shape[-2:])
-    for u in range(k):
-        for v in range(k):
-            grad_inp[:, u:u + ho, v:v + wo] += np.einsum("c,bcij->bij", kernels[:, u, v], upstream)
-    return (grad_inp if batched else grad_inp[0]), grad_kernels
+    # Each window's gradient lands on the cells of its plane that it read.
+    cells = _window_index(height, width, k) + (np.arange(b) * (height * width))[:, None, None]
+    grad_windows = up @ kernels.reshape(c, k * k)
+    grad_inp = np.bincount(cells.reshape(-1), weights=grad_windows.reshape(-1), minlength=planes.size)
+    # An empty batch makes bincount return int64.
+    return grad_inp.astype(np.float64, copy=False).reshape(inp.shape), grad_kernels
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -381,18 +381,15 @@ def split(
 # File formats
 # ---------------------------------------------------------------------------
 
-def _data_lines(path):
-    """Yield (1-based line number, text) for non-blank, non-comment lines.
+def _lines(path):
+    """Yield (1-based line number, text without its line end) for every line.
 
     Bytes that are not UTF-8 raise ParseError at the line that holds them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
-                text = raw.rstrip("\n").rstrip("\r")
-                if not text.strip() or text.lstrip().startswith("#"):
-                    continue
-                yield lineno, text
+                yield lineno, raw.rstrip("\n").rstrip("\r")
             return
         except UnicodeDecodeError:
             pass
@@ -406,6 +403,14 @@ def _data_lines(path):
         head = data[:exc.start].decode("utf-8")
         lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         raise ParseError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
+def _data_lines(path):
+    """Yield (1-based line number, text) for non-blank, non-comment lines,
+    with ``_lines``'s ParseError for bytes that are not UTF-8."""
+    for lineno, text in _lines(path):
+        if text.strip() and not text.lstrip().startswith("#"):
+            yield lineno, text
 
 
 def _split_csv_line(text: str) -> list[str]:
@@ -507,30 +512,29 @@ def load_kg(path) -> KnowledgeGraph:
     """
     m = n = None
     triples: list[tuple[int, Triple]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text[1:].strip()
-                key, sep, value = body.partition("=")
-                if sep and key.strip() in ("m", "n") and value.strip().isdigit():
-                    if key.strip() == "m":
-                        m = int(value.strip())
-                    else:
-                        n = int(value.strip())
-                continue
-            parts = text.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            try:
-                subject = EntityId.parse(parts[0])
-                relation = RelationKind(parts[1])
-                obj = EntityId.parse(parts[2])
-                triples.append((lineno, Triple(subject, relation, obj)))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
+    for lineno, raw in _lines(path):
+        text = raw.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text[1:].strip()
+            key, sep, value = body.partition("=")
+            if sep and key.strip() in ("m", "n") and value.strip().isdigit():
+                if key.strip() == "m":
+                    m = int(value.strip())
+                else:
+                    n = int(value.strip())
+            continue
+        parts = text.split("\t")
+        if len(parts) != 3:
+            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
+        try:
+            subject = EntityId.parse(parts[0])
+            relation = RelationKind(parts[1])
+            obj = EntityId.parse(parts[2])
+            triples.append((lineno, Triple(subject, relation, obj)))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
 
     def largest(kind: EntityKind) -> int:
         return max((ent.index for _, t in triples for ent in (t.subject, t.obj)

@@ -6,9 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from radkg import AnnotationTable, EntityId, ParseError, RelationKind, kernel, scoring
 from radkg.encoders import FeatureTable
+from radkg.kernel import _kernel_side
 from radkg.kg import EntityKind, _data_lines
 from radkg.training import PROB_CLAMP, _item_loss, resolve_relations
 
@@ -259,6 +261,65 @@ def linear_bwd(x, wm, upstream):
     return grad_x, grad_wm
 
 
+def reference_conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of a single-channel 2D input with C kernels.
+
+    Args:
+        inp: (H, W) input plane, or (B, H, W) for a batch of B planes.
+        kernels: (C, k, k) square kernels, applied without flipping.
+
+    Returns:
+        (C, H - k + 1, W - k + 1) output, one plane per kernel, with the
+        leading batch axis kept when the input has one.
+    """
+    inp = np.asarray(inp, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    k = _kernel_side(inp, kernels)
+    windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
+    # A batch goes through BLAS; a single plane keeps the direct sum.
+    return np.einsum("...ijuv,cuv->...cij", windows, kernels, optimize=inp.ndim == 3)
+
+
+def reference_conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
+    """Gradients of ``sum(upstream * conv2d_fwd(inp, kernels))``.
+
+    Returns:
+        (grad_inp, grad_kernels) with the shapes of inp and kernels; for a
+        batched input the kernel gradient is summed over the batch.
+    """
+    inp = np.asarray(inp, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    k = _kernel_side(inp, kernels)
+    ho, wo = inp.shape[-2] - k + 1, inp.shape[-1] - k + 1
+    out_shape = inp.shape[:-2] + (len(kernels), ho, wo)
+    if upstream.shape != out_shape:
+        raise ValueError(f"upstream shape {upstream.shape} does not match output {out_shape}")
+    batched = inp.ndim == 3
+
+    windows = sliding_window_view(inp, (k, k), axis=(-2, -1))
+    if not batched:
+        windows, upstream = windows[None], upstream[None]
+    grad_kernels = np.einsum("bijuv,bcij->cuv", windows, upstream, optimize=batched)
+
+    # Scatter each kernel tap back onto the input patch it touched.
+    grad_inp = np.zeros((len(upstream),) + inp.shape[-2:])
+    for u in range(k):
+        for v in range(k):
+            grad_inp[:, u:u + ho, v:v + wo] += np.einsum("c,bcij->bij", kernels[:, u, v], upstream)
+    return (grad_inp if batched else grad_inp[0]), grad_kernels
+
+
+def reference_conve_pipeline(model, e_s, r_r):
+    """``scoring.conve_pipeline`` with the convolution of ``reference_conv2d_fwd``."""
+    k = model.reshape_side
+    stacked = np.concatenate([e_s.reshape(k, k), r_r.reshape(k, k)], axis=0)
+    conv_out = reference_conv2d_fwd(stacked, model.kernels)
+    flat = kernel.relu(conv_out).reshape(-1)
+    z2 = kernel.linear_fwd(flat, model.wc)
+    return scoring.ConvePipeline(stacked, conv_out, flat, z2, kernel.relu(z2))
+
+
 def _scores_from_embedding(model, e_s, relation):
     r_r = model.er[model.relation_index(relation)]
     psi = np.empty(model.n_findings, dtype=np.float64)
@@ -266,7 +327,7 @@ def _scores_from_embedding(model, e_s, relation):
         for j in range(model.n_findings):
             psi[j] = scoring.score_distmult(e_s, r_r, model.ef[j])
     else:
-        pipe = scoring.conve_pipeline(model, e_s, r_r)
+        pipe = reference_conve_pipeline(model, e_s, r_r)
         for j in range(model.n_findings):
             psi[j] = float(np.dot(pipe.a2, model.ef[j]))
     return psi
@@ -347,14 +408,14 @@ def reference_grads_from_embedding(model, e_s, relation, upstream):
         grads["er"][ridx] += e_s * pooled
         d_es = r_r * pooled
     else:
-        pipe = scoring.conve_pipeline(model, e_s, r_r)
+        pipe = reference_conve_pipeline(model, e_s, r_r)
         grads["ef"] += np.outer(upstream, pipe.a2)
         d_a2 = upstream @ model.ef
         d_z2 = kernel.relu_bwd(pipe.z2, d_a2)
         d_flat, d_wc = linear_bwd(pipe.flat, model.wc, d_z2)
         grads["wc"] += d_wc
         d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape))
-        d_stacked, d_kernels = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv)
+        d_stacked, d_kernels = reference_conv2d_bwd(pipe.stacked, model.kernels, d_conv)
         grads["kernels"] += d_kernels
         k = model.reshape_side
         d_es = d_stacked[:k].reshape(model.embed_dim)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import linear_bwd, max_relative_error
+from helpers import linear_bwd, max_relative_error, reference_conv2d_bwd, reference_conv2d_fwd
 
 from radkg.kernel import (
+    _window_index,
     conv2d_bwd,
     conv2d_fwd,
     finite_diff_grad,
@@ -112,6 +113,59 @@ def test_conv2d_bwd_matches_finite_differences(rng):
     d_image, d_kernels = conv2d_bwd(image, kernels, d_out)
     assert max_relative_error(d_image, finite_diff_grad(loss_image, image)) < 1e-6
     assert max_relative_error(d_kernels, finite_diff_grad(loss_kernels, kernels)) < 1e-6
+
+
+def conv_configs(rng):
+    """Seeded (inp, kernels, upstream) triples: a 2-D plane or B planes,
+    k = 1..5 with some planes exactly k high or k wide, C = 1..8, and some
+    inputs and upstreams that are not C-contiguous."""
+    for batch in (None, 1, 2, 7, 32, 64):
+        for k in range(1, 6):
+            for channels in range(1, 9):
+                for shape in ((k, k), (k, k + 3), (k + 4, k)) + tuple(
+                        tuple(int(s) for s in rng.integers(k, k + 7, size=2)) for _ in range(2)):
+                    lead = () if batch is None else (batch,)
+                    inp = rng.normal(size=lead + shape)
+                    kernels = rng.normal(size=(channels, k, k))
+                    out_shape = lead + (channels, shape[0] - k + 1, shape[1] - k + 1)
+                    upstream = rng.normal(size=out_shape)
+                    if rng.random() < 0.2:
+                        inp, upstream = np.asfortranarray(inp), np.asfortranarray(upstream)
+                    yield inp, kernels, upstream
+
+
+def test_conv2d_matches_reference_conv():
+    """The im2col convolution against the kept einsum one, on 1200 seeded
+    configs, within 1e-12 of the reference's largest magnitude."""
+    def close(new, ref):
+        assert new.shape == ref.shape
+        return np.max(np.abs(new - ref), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
+
+    configs = list(conv_configs(np.random.default_rng(2018)))
+    assert len(configs) == 1200
+    for inp, kernels, upstream in configs:
+        assert close(conv2d_fwd(inp, kernels), reference_conv2d_fwd(inp, kernels))
+        grad_inp, grad_kernels = conv2d_bwd(inp, kernels, upstream)
+        ref_inp, ref_kernels = reference_conv2d_bwd(inp, kernels, upstream)
+        assert close(grad_inp, ref_inp) and close(grad_kernels, ref_kernels)
+
+
+def test_window_index_is_cached_read_only_and_bounded():
+    index = _window_index(6, 4, 3)
+    assert index is _window_index(6, 4, 3)
+    assert index.shape == (4 * 2, 9)
+    assert list(index[1]) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+    with pytest.raises(ValueError, match="read-only"):
+        index[0, 0] = 5
+    assert _window_index.cache_info().maxsize is not None
+
+
+def test_conv2d_of_an_empty_batch_is_float_and_empty():
+    kernels = np.ones((3, 2, 2))
+    assert conv2d_fwd(np.zeros((0, 6, 5)), kernels).shape == (0, 3, 5, 4)
+    grad_inp, grad_kernels = conv2d_bwd(np.zeros((0, 6, 5)), kernels, np.zeros((0, 3, 5, 4)))
+    assert grad_inp.shape == (0, 6, 5) and grad_inp.dtype == np.float64
+    assert np.array_equal(grad_kernels, np.zeros((3, 2, 2)))
 
 
 def test_relu_and_subgradient():

@@ -411,6 +411,15 @@ def test_kg_parse_error_location(tmp_path):
     assert ":1:" in str(err.value)
 
 
+def test_kg_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(b"# m = 1\n# n = 2\nImage:0\thasFinding\tFinding:\xff0\n")
+    with pytest.raises(ParseError) as err:
+        load_kg(path)
+    assert err.value.line == 3
+    assert str(err.value).endswith("byte 0xff is not UTF-8")
+
+
 @pytest.mark.parametrize("body,lineno", [
     ("# m = 1\nImage:5\thasFinding\tFinding:0\n", 2),
     ("# m = 2\n# n = 3\nImage:1\thasFinding\tFinding:2\nImage:0\thasFinding\tFinding:3\n", 4),
