@@ -22,6 +22,7 @@ from .evaluate import format_report, macro_auc, predict_table, write_predictions
 from .kg import (
     RelationKind,
     UncertainPolicy,
+    _atomic_open,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
@@ -421,7 +422,7 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
     })
     save_checkpoint(best, cfg["out_checkpoint"], metadata)
     if cfg["out_history"]:
-        with open(cfg["out_history"], "w", encoding="utf-8") as fh:
+        with _atomic_open(cfg["out_history"], "w", encoding="utf-8") as fh:
             for line in echo:
                 fh.write(f"# {line}\n")
             fh.write("epoch,loss,val_auc\n")
@@ -455,7 +456,7 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
     text = format_report(report, echo=echo)
     sys.stdout.write(text)
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
+        with _atomic_open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
     return EXIT_OK
 

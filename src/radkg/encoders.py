@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .kg import AnnotationTable, LabelValue, _data_lines, _split_csv_line
+from .kg import AnnotationTable, LabelValue, _atomic_open, _data_lines, _split_csv_line
 
 #: Rows of the grid ``load_features`` starts with; it doubles when full.
 #: ``np.empty`` writes nothing, so the rows no line reaches stay untouched.
@@ -129,7 +129,7 @@ def write_features(table: FeatureTable, path, comments=()) -> None:
 
     Cells are written with ``repr``, which round-trips doubles through text.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         header = ",".join(["id"] + [f"f{k}" for k in range(table.dim)])

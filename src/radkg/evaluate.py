@@ -2,9 +2,11 @@
 
 Labels are inferred by scoring the completion (image, hasFinding, F_j) for
 every finding; ``predict_table`` returns the (m, n) grid of scores for m
-images. Quality is measured per finding by AUC-ROC in the rank-sum
-formulation and summarized as an unweighted macro mean over the findings
-where AUC is defined.
+images. The distmult score is linear in the image's feature code, so a
+whole table is one product with a folded (D, n) map; the conv scorer runs
+``scoring.forward`` over chunks of rows. Quality is measured per finding by
+AUC-ROC in the rank-sum formulation and summarized as an unweighted macro
+mean over the findings where AUC is defined.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, scoring
-from .kg import AnnotationTable, RelationKind, UncertainPolicy, relation_grid
+from .kg import AnnotationTable, RelationKind, UncertainPolicy, _atomic_open, relation_grid
 
-#: Rows ``predict_table`` scores per batched forward. Larger chunks score no
-#: faster, and their transients (the conv scorer's im2col copy alone is
-#: 4.9 MB at 256 rows) raise the peak memory of a scoring run; at 64 a
-#: chunk's transients stay near 1 MB.
+#: Rows ``predict_table`` scores per batched conv-scorer forward (distmult
+#: tables are not chunked). Larger chunks score no faster, and their
+#: transients (the im2col copy alone is 4.9 MB at 256 rows) raise the peak
+#: memory of a scoring run; at 64 a chunk's transients stay near 1 MB.
 PREDICT_CHUNK = 64
 
 
@@ -38,13 +40,23 @@ class Predictions:
 
 def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     """Score (image, hasFinding, F_j) for every row of a feature table and
-    apply the sigmoid, PREDICT_CHUNK rows per batched ``scoring.forward`` call."""
+    apply the sigmoid.
+
+    distmult's psi = ((c @ wx) * r) @ ef.T equals c @ ((wx * r) @ ef.T) up
+    to rounding. Folding that (D, n) map once costs less than scoring n
+    images one by one, and the table is then one product with it, whose
+    only transient is the (m, n) output. The conv scorer is not linear in
+    c; it runs PREDICT_CHUNK rows per batched ``scoring.forward`` call.
+    """
     ridx = model.relation_index(RelationKind.HAS_FINDING)
-    psi = np.empty((features.m, model.n_findings))
-    for start in range(0, features.m, PREDICT_CHUNK):
-        codes = features.codes[start:start + PREDICT_CHUNK]
-        psi[start:start + len(codes)], _ = scoring.forward(
-            model, codes @ model.wx, np.full(len(codes), ridx))
+    if model.scorer == "distmult":
+        psi = features.codes @ ((model.wx * model.er[ridx]) @ model.ef.T)
+    else:
+        psi = np.empty((features.m, model.n_findings))
+        for start in range(0, features.m, PREDICT_CHUNK):
+            codes = features.codes[start:start + PREDICT_CHUNK]
+            psi[start:start + len(codes)], _ = scoring.forward(
+                model, codes @ model.wx, np.full(len(codes), ridx))
     return Predictions(list(features.image_ids), psi, kernel.sigmoid(psi))
 
 
@@ -225,7 +237,7 @@ def write_predictions(
         label_rows = classify(predictions.p, tau).tolist()
         header += [f"{name}_label" for name in finding_names]
     row_format += "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")

@@ -131,18 +131,15 @@ def relu_bwd(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 def sigmoid(x):
     """Numerically stable logistic function, elementwise.
 
-    Never overflows or produces NaN; saturates to exactly 0.0 or 1.0 in
-    float64 for very large |x|.  Scalars in, scalar out.
+    ``exp`` only sees -|x|, so it never overflows: 1 / (1 + e^-x) for x >= 0
+    and e^x / (1 + e^x) below, one formula per element with no masking.
+    Saturates to exactly 0.0 or 1.0 in float64 for very large |x|; NaN stays
+    NaN.  Scalars in, scalar out.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expx = np.exp(arr[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
+    return float(out) if arr.ndim == 0 else out
 
 
 def finite_diff_grad(scalar_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -7,8 +7,12 @@ finding-to-finding co-occurrence edges, and split into train/val/test folds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
+import secrets
+import stat
 import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -381,6 +385,36 @@ def split(
 # File formats
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str, **kwargs):
+    """Open a new file beside ``path`` for writing and move it onto ``path``
+    when the block ends; if the block raises, remove it and leave ``path``
+    as it was. Every writer of radkg goes through this, so no reader ever
+    sees a half-written artifact.
+
+    The mode bits are those ``open(path, "w")`` gives: a new file gets 0o666
+    less the umask, an existing file keeps its own. A symlink at ``path`` is
+    written through, to the file it names.
+    """
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, mode, **kwargs) as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _lines(path):
     """Yield (1-based line number, text without its line end) for every line.
 
@@ -473,7 +507,7 @@ def load_annotations(path) -> AnnotationTable:
 
 def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str] = ()) -> None:
     """Write an annotation table in the CSV format ``load_annotations`` reads."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         header = ["id", *annotations.finding_names]
@@ -491,7 +525,7 @@ def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str
 def write_kg(kg: KnowledgeGraph, path, comments: Sequence[str] = ()) -> None:
     """Serialize a graph as tab-separated ``Kind:index`` triple lines, sorted
     by relation name, then subject index, then object index."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# m = {kg.m}\n")
         fh.write(f"# n = {kg.n}\n")
         for line in comments:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernel, scoring
 from .errors import CheckpointError, TrainingDivergedError
-from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy
+from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy, _atomic_open
 from .encoders import FeatureTable
 
 PROB_CLAMP = 1e-12
@@ -343,7 +343,7 @@ def save_checkpoint(model: scoring.EmbeddingModel, path, metadata: dict | None =
         parts += [struct.pack("<Q", data.size), data.tobytes()]
     parts += [struct.pack("<Q", len(blob)), blob]
     body = b"".join(parts)
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
 

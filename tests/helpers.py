@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from radkg import AnnotationTable, EntityId, ParseError, RelationKind, kernel, scoring
+from radkg import AnnotationTable, EntityId, ParseError, RelationKind, evaluate, kernel, scoring
 from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
 from radkg.kg import EntityKind, _data_lines
@@ -348,6 +348,35 @@ def predict(model, c_x):
     """One row of ``predict_table``'s (psi, p) grids, scored by the per-finding loop."""
     psi = score_all_objects(model, c_x, RelationKind.HAS_FINDING)
     return psi, kernel.sigmoid(psi)
+
+
+def reference_sigmoid(x):
+    """``kernel.sigmoid`` by boolean masks: one exp per half of the input.
+
+    Never overflows or produces NaN; saturates to exactly 0.0 or 1.0 in
+    float64 for very large |x|.  Scalars in, scalar out.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = np.empty_like(arr)
+    pos = arr >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    expx = np.exp(arr[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return float(out[0]) if scalar else out
+
+
+def reference_predict_table(model, features):
+    """``predict_table`` for both scorers: PREDICT_CHUNK rows per batched
+    ``scoring.forward`` call, then ``reference_sigmoid``."""
+    ridx = model.relation_index(RelationKind.HAS_FINDING)
+    psi = np.empty((features.m, model.n_findings))
+    for start in range(0, features.m, evaluate.PREDICT_CHUNK):
+        codes = features.codes[start:start + evaluate.PREDICT_CHUNK]
+        psi[start:start + len(codes)], _ = scoring.forward(
+            model, codes @ model.wx, np.full(len(codes), ridx))
+    return evaluate.Predictions(list(features.image_ids), psi, reference_sigmoid(psi))
 
 
 def reference_write_predictions(rows, finding_names, path, tau=None, comments=()):

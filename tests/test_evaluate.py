@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import auc_bruteforce, make_table, reference_midranks, reference_write_predictions
+from helpers import (
+    auc_bruteforce,
+    make_table,
+    reference_midranks,
+    reference_predict_table,
+    reference_sigmoid,
+    reference_write_predictions,
+)
 
 from radkg import RelationKind, UncertainPolicy, init_model, macro_auc, param_count, predict_table
 from radkg.encoders import FeatureTable
@@ -119,6 +126,51 @@ def test_predict_table_aligns_ids(rng):
     assert predictions.image_ids == ["a", "b"]
     assert len(predictions) == 2
     assert predictions.psi.shape == predictions.p.shape == (2, 4)
+
+
+#: Relation lists in which hasFinding is not row 0 of ``er``.
+SHUFFLED_RELATIONS = [
+    (RelationKind.PROBABLY_HAS_FINDING, RelationKind.HAS_FINDING),
+    (RelationKind.CO_OCCURS, RelationKind.PROBABLY_HAS_FINDING, RelationKind.HAS_FINDING),
+    (RelationKind.CO_OCCURS, RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING),
+]
+
+
+def test_distmult_predict_table_matches_the_chunked_forward():
+    """The folded (D, n) map sums in another order than ``scoring.forward``,
+    so each psi is held to the error bound of a re-associated sum: 1e-12
+    times the same sum taken over absolute values (worst seen 4.7e-16).
+    p is the sigmoid of that psi, bit for bit."""
+    rng = np.random.default_rng(88)
+    for case in range(400):
+        m = 0 if case % 20 == 0 else int(rng.integers(1, 301))
+        dim, embed_dim = int(rng.choice([3, 17, 128, 1024])), int(rng.choice([2, 16, 100]))
+        relations = SHUFFLED_RELATIONS[case % len(SHUFFLED_RELATIONS)]
+        model = init_model("distmult", dim, embed_dim, int(rng.integers(1, 15)),
+                           relations=relations, seed=case)
+        scale = 10.0 ** rng.uniform(-2, 2)
+        features = FeatureTable([f"i{i}" for i in range(m)], scale * rng.normal(size=(m, dim)))
+        got, want = predict_table(model, features), reference_predict_table(model, features)
+        r = model.er[model.relation_index(RelationKind.HAS_FINDING)]
+        bound = 1e-12 * (np.abs(features.codes) @ (np.abs(model.wx) * np.abs(r)) @ np.abs(model.ef).T)
+        assert got.image_ids == want.image_ids
+        assert got.psi.shape == want.psi.shape == (m, model.n_findings)
+        assert np.all(np.abs(got.psi - want.psi) <= bound), case
+        assert np.array_equal(got.p, reference_sigmoid(got.psi))
+
+
+def test_conve_predict_table_is_the_chunked_forward_bit_for_bit():
+    rng = np.random.default_rng(89)
+    for case in range(24):
+        m = 0 if case % 8 == 0 else int(rng.integers(1, 200))
+        dim = int(rng.choice([3, 17, 128]))
+        relations = SHUFFLED_RELATIONS[case % len(SHUFFLED_RELATIONS)]
+        model = init_model("conve", dim, int(rng.choice([25, 36, 100])), int(rng.integers(1, 15)),
+                           relations=relations, channels=int(rng.integers(1, 9)), seed=case)
+        features = FeatureTable([f"i{i}" for i in range(m)], rng.normal(size=(m, dim)))
+        got, want = predict_table(model, features), reference_predict_table(model, features)
+        assert got.image_ids == want.image_ids
+        assert np.array_equal(got.psi, want.psi) and np.array_equal(got.p, want.p)
 
 
 def test_classify_strict_threshold():

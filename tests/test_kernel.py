@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import linear_bwd, max_relative_error, reference_conv2d_bwd, reference_conv2d_fwd
+from helpers import (
+    linear_bwd,
+    max_relative_error,
+    reference_conv2d_bwd,
+    reference_conv2d_fwd,
+    reference_sigmoid,
+)
 
 from radkg.kernel import (
     _window_index,
@@ -198,6 +204,25 @@ def test_sigmoid_stable_in_extremes(x):
 def test_sigmoid_symmetry(rng):
     x = rng.normal(scale=10.0, size=50)
     assert np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0)) < 1e-15
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_reference():
+    """The same formula per element as the masked version, so the same bits,
+    on every scale, at the edges of float64, and in 0-d, 1-d and 2-d."""
+    rng = np.random.default_rng(9)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e308, -1e308])
+    x = rng.normal(size=100_000) * 10.0 ** rng.uniform(-3, 3, size=100_000)
+    values = np.concatenate([x, edges])
+    for arr in (values, values[-100_000:].reshape(400, 250)):
+        with np.errstate(over="raise", invalid="raise"):
+            got = sigmoid(arr)
+        assert got.shape == arr.shape
+        assert np.array_equal(got, reference_sigmoid(arr), equal_nan=True)
+    for v in [*edges, *x[:20]]:
+        for scalar in (float(v), np.float64(v), np.array(v)):
+            got = sigmoid(scalar)
+            assert isinstance(got, float)
+            assert np.array_equal(got, reference_sigmoid(scalar), equal_nan=True)
 
 
 def test_finite_diff_grad_quadratic():
