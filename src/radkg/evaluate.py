@@ -20,8 +20,8 @@ from .kg import AnnotationTable, RelationKind, UncertainPolicy, _atomic_open, re
 
 #: Rows ``predict_table`` scores per batched conv-scorer forward (distmult
 #: tables are not chunked). Larger chunks score no faster, and their
-#: transients (the im2col copy alone is 4.9 MB at 256 rows) raise the peak
-#: memory of a scoring run; at 64 a chunk's transients stay near 1 MB.
+#: transients raise the peak memory of a scoring run: at 256 rows the conv
+#: slab grid, the conv output and its ReLU take 1.6 MB each; at 64, 0.4 MB.
 PREDICT_CHUNK = 64
 
 

@@ -101,7 +101,7 @@ class EntityId:
     @classmethod
     def parse(cls, token: str) -> "EntityId":
         kind_name, sep, index = token.partition(":")
-        if not sep or not index.isdigit():
+        if not sep or not index.isdecimal():
             raise ValueError(f"bad entity token {token!r}, expected 'Kind:index'")
         return cls(EntityKind(kind_name), int(index))
 
@@ -418,9 +418,11 @@ def _atomic_open(path, mode: str, **kwargs):
 def _lines(path):
     """Yield (1-based line number, text without its line end) for every line.
 
-    Bytes that are not UTF-8 raise ParseError at the line that holds them.
+    One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write, is skipped. Bytes that are not UTF-8 raise ParseError at the line
+    that holds them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 yield lineno, raw.rstrip("\n").rstrip("\r")
@@ -553,7 +555,7 @@ def load_kg(path) -> KnowledgeGraph:
         if text.startswith("#"):
             body = text[1:].strip()
             key, sep, value = body.partition("=")
-            if sep and key.strip() in ("m", "n") and value.strip().isdigit():
+            if sep and key.strip() in ("m", "n") and value.strip().isdecimal():
                 if key.strip() == "m":
                     m = int(value.strip())
                 else:

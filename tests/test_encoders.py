@@ -182,6 +182,16 @@ def test_features_reject_bytes_that_are_not_utf8(tmp_path):
     assert str(err.value).endswith("byte 0xff is not UTF-8")
 
 
+def test_features_with_a_byte_order_mark_load_as_without(tmp_path):
+    features, _ = synth_dataset(SyntheticSpec(m=5, n=2, dim=3, seed=4))
+    plain, marked = tmp_path / "feat.csv", tmp_path / "bom-feat.csv"
+    write_features(features, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded, expected = load_features(marked), load_features(plain)
+    assert loaded.image_ids == expected.image_ids
+    assert np.array_equal(loaded.codes, expected.codes)
+
+
 # ---------------------------------------------------------------- synthetic
 
 

@@ -12,7 +12,7 @@ from helpers import (
 )
 
 from radkg.kernel import (
-    _window_index,
+    _band_index,
     conv2d_bwd,
     conv2d_fwd,
     finite_diff_grad,
@@ -156,14 +156,19 @@ def test_conv2d_matches_reference_conv():
         assert close(grad_inp, ref_inp) and close(grad_kernels, ref_kernels)
 
 
-def test_window_index_is_cached_read_only_and_bounded():
-    index = _window_index(6, 4, 3)
-    assert index is _window_index(6, 4, 3)
-    assert index.shape == (4 * 2, 9)
-    assert list(index[1]) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+def test_band_index_is_cached_read_only_and_bounded():
+    # Width 4, k = 2, two channels: Wo = 3, so the band is 8 x 6 and tap
+    # (c, a, b) of output column x sits at row 4a + x + b, column 3c + x.
+    index = _band_index(4, 2, 2)
+    assert index is _band_index(4, 2, 2)
+    assert index.shape == (2, 2, 2, 3)
+    assert list(index[0, 0, 0]) == [0, 7, 14]
+    assert list(index[0, 0, 1]) == [6, 13, 20]
+    assert list(index[1, 1, 1]) == [33, 40, 47]
+    assert len(np.unique(index)) == index.size and index.max() < 8 * 6
     with pytest.raises(ValueError, match="read-only"):
-        index[0, 0] = 5
-    assert _window_index.cache_info().maxsize is not None
+        index[0, 0, 0, 0] = 5
+    assert _band_index.cache_info().maxsize is not None
 
 
 def test_conv2d_of_an_empty_batch_is_float_and_empty():

@@ -420,6 +420,62 @@ def test_kg_rejects_bytes_that_are_not_utf8(tmp_path):
     assert str(err.value).endswith("byte 0xff is not UTF-8")
 
 
+def test_kg_file_mutations_raise_only_parse_error(tmp_path, rng):
+    table = random_table(rng, m=10, n=4)
+    kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
+    kg = add_cooccurrence(kg, cooccurrence_matrix(table, UncertainPolicy.AS_POSITIVE))
+    clean = tmp_path / "graph.tsv"
+    write_kg(kg, clean, comments=["policy = positive"])
+    data = clean.read_bytes()
+    path = tmp_path / "mutated.tsv"
+    outcomes = {"error": 0, "graph": 0}
+    for _ in range(1000):
+        path.write_bytes(mutate(data, rng))
+        try:
+            loaded = load_kg(path)
+        except ParseError:
+            outcomes["error"] += 1
+        else:
+            assert isinstance(loaded, KnowledgeGraph)
+            outcomes["graph"] += 1
+    assert outcomes["error"] > 0 and sum(outcomes.values()) == 1000
+
+
+def test_kg_header_count_in_other_digits_is_a_comment(tmp_path):
+    # "²".isdigit() holds but int("²") raises; such a header is not a count.
+    path = tmp_path / "graph.tsv"
+    path.write_text("# m = \u00b2\nImage:1\thasFinding\tFinding:0\n", encoding="utf-8")
+    assert load_kg(path).m == 2
+    path.write_text("Image:\u00b2\thasFinding\tFinding:0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="bad entity token"):
+        load_kg(path)
+
+
+def with_byte_order_mark(path):
+    marked = path.with_name(f"bom-{path.name}")
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+def test_files_with_a_byte_order_mark_load_as_without(tmp_path, rng):
+    table = random_table(rng, m=6, n=3, uncertain=True)
+    write_annotations(table, tmp_path / "ann.csv")
+    plain = load_annotations(tmp_path / "ann.csv")
+    marked = load_annotations(with_byte_order_mark(tmp_path / "ann.csv"))
+    assert (marked.image_ids, marked.finding_names) == (plain.image_ids, plain.finding_names)
+    assert np.array_equal(marked.labels, plain.labels)
+
+    kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
+    write_kg(kg, tmp_path / "graph.tsv")
+    assert load_kg(with_byte_order_mark(tmp_path / "graph.tsv")) == kg
+
+    # A bad byte is still reported at its own line.
+    (tmp_path / "bad.tsv").write_bytes(b"# m = 1\nImage:0\thasFinding\tFinding:\xff0\n")
+    with pytest.raises(ParseError) as err:
+        load_kg(with_byte_order_mark(tmp_path / "bad.tsv"))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("body,lineno", [
     ("# m = 1\nImage:5\thasFinding\tFinding:0\n", 2),
     ("# m = 2\n# n = 3\nImage:1\thasFinding\tFinding:2\nImage:0\thasFinding\tFinding:3\n", 4),
