@@ -23,6 +23,7 @@ from .kg import (
     RelationKind,
     UncertainPolicy,
     _atomic_open,
+    _data_lines,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
@@ -55,87 +56,37 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # Option table: one declarative spec per flag, shared by the argparse layer,
-# the config-file layer, and the echo.
+# the config-file layer, and the echo. A converter takes the raw string (True
+# for a flag) and raises ValueError on a bad value.
 # ---------------------------------------------------------------------------
 
-def _conv_int(v):
-    if isinstance(v, int):
-        return v
-    try:
-        return int(v)
-    except ValueError:
-        raise UsageError(f"expected an integer, got {v!r}") from None
-
-
-def _conv_float(v):
-    if isinstance(v, float):
-        return v
-    try:
-        return float(v)
-    except ValueError:
-        raise UsageError(f"expected a number, got {v!r}") from None
-
-
-def _conv_optional_float(v):
-    if v is None or (isinstance(v, str) and v.lower() == "none"):
-        return None
-    return _conv_float(v)
-
-
-def _conv_bool(v):
-    if isinstance(v, bool):
-        return v
+def _bool(v):
     low = str(v).lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise UsageError(f"expected true/false, got {v!r}")
+    if low not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected true/false, got {v!r}")
+    return low in ("true", "1", "yes")
 
 
-def _conv_str(v):
-    return str(v)
-
-
-def _conv_ratios(v):
-    if isinstance(v, tuple):
-        return v
-    parts = str(v).split(",")
+def _ratios(v):
+    parts = v.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated ratios, got {v!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"non-numeric ratio in {v!r}") from None
+        raise ValueError(f"expected three comma-separated ratios, got {v!r}")
+    return tuple(float(p) for p in parts)
 
 
-def _conv_relations(v):
-    if v is None or (isinstance(v, str) and v.lower() in ("none", "auto")):
+def _names(v):
+    return [token.strip() for token in v.split(",") if token.strip()]
+
+
+def _relations(v):
+    if v.lower() == "auto":
         return None
-    if isinstance(v, tuple):
-        return v
-    try:
-        return tuple(RelationKind(token.strip()) for token in str(v).split(","))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return tuple(RelationKind(token.strip()) for token in v.split(","))
 
 
-def _conv_names(v):
-    if v is None or (isinstance(v, str) and v.lower() == "none"):
-        return None
-    if isinstance(v, list):
-        return v
-    return [token.strip() for token in str(v).split(",") if token.strip()]
-
-
-def _conv_policy(v):
-    if v is None or isinstance(v, UncertainPolicy):
-        return v
-    try:
-        return UncertainPolicy(str(v))
-    except ValueError:
-        choices = ", ".join(p.value for p in UncertainPolicy)
-        raise UsageError(f"unknown policy {v!r}, expected one of: {choices}") from None
+def _optional(convert):
+    """``convert``, with ``none`` (any case) read as None."""
+    return lambda v: None if v.lower() == "none" else convert(v)
 
 
 @dataclass(frozen=True)
@@ -153,91 +104,91 @@ class Opt:
         return self.name.replace("-", "_")
 
 
-_CONFIG_OPT = Opt("config", _conv_str, None, "path to a key = value config file")
+_CONFIG_OPT = Opt("config", str, None, "path to a key = value config file")
 
 _SPLIT_OPTS = [
-    Opt("ratios", _conv_ratios, (0.7, 0.1, 0.2), "train,val,test proportions"),
-    Opt("split-seed", _conv_int, 0, "seed for the fold assignment"),
+    Opt("ratios", _ratios, (0.7, 0.1, 0.2), "train,val,test proportions"),
+    Opt("split-seed", int, 0, "seed for the fold assignment"),
 ]
 
 _KG_OPTS = [
-    Opt("policy", _conv_policy, UncertainPolicy.AS_POSITIVE,
+    Opt("policy", UncertainPolicy, UncertainPolicy.AS_POSITIVE,
         "uncertain-label handling", choices=tuple(p.value for p in UncertainPolicy)),
-    Opt("cooccurrence", _conv_bool, False, "add finding co-occurrence edges", flag=True),
-    Opt("cooccur-threshold", _conv_float, 0.2,
+    Opt("cooccurrence", _bool, False, "add finding co-occurrence edges", flag=True),
+    Opt("cooccur-threshold", float, 0.2,
         "conditional probability above which a co-occurrence edge is added"),
 ]
 
 COMMAND_OPTS: dict[str, list[Opt]] = {
     "synth": [
-        Opt("out-features", _conv_str, required=True, help="feature CSV to write"),
-        Opt("out-annotations", _conv_str, required=True, help="annotation CSV to write"),
-        Opt("m", _conv_int, 500, "number of images"),
-        Opt("n", _conv_int, 14, "number of findings"),
-        Opt("dim", _conv_int, 64, "feature dimension"),
-        Opt("prototype-scale", _conv_float, 1.0, "scale of per-finding prototypes"),
-        Opt("noise-scale", _conv_float, 0.1, "additive feature noise"),
-        Opt("sparsity", _conv_float, 0.25, "per-cell positive-label probability"),
-        Opt("uncertain-fraction", _conv_float, 0.0,
+        Opt("out-features", str, required=True, help="feature CSV to write"),
+        Opt("out-annotations", str, required=True, help="annotation CSV to write"),
+        Opt("m", int, 500, "number of images"),
+        Opt("n", int, 14, "number of findings"),
+        Opt("dim", int, 64, "feature dimension"),
+        Opt("prototype-scale", float, 1.0, "scale of per-finding prototypes"),
+        Opt("noise-scale", float, 0.1, "additive feature noise"),
+        Opt("sparsity", float, 0.25, "per-cell positive-label probability"),
+        Opt("uncertain-fraction", float, 0.0,
             "fraction of positive cells downgraded to uncertain"),
-        Opt("seed", _conv_int, 0, "generator seed"),
+        Opt("seed", int, 0, "generator seed"),
     ],
     "build-kg": [
-        Opt("annotations", _conv_str, required=True, help="annotation CSV to read"),
-        Opt("out", _conv_str, required=True, help="graph file to write"),
+        Opt("annotations", str, required=True, help="annotation CSV to read"),
+        Opt("out", str, required=True, help="graph file to write"),
         *_KG_OPTS,
     ],
     "train": [
-        Opt("features", _conv_str, required=True, help="feature CSV"),
-        Opt("annotations", _conv_str, required=True, help="annotation CSV"),
-        Opt("out-checkpoint", _conv_str, required=True, help="checkpoint to write"),
-        Opt("out-history", _conv_str, None, "per-epoch loss/val-AUC file"),
-        Opt("scorer", _conv_str, "distmult", "scoring function",
+        Opt("features", str, required=True, help="feature CSV"),
+        Opt("annotations", str, required=True, help="annotation CSV"),
+        Opt("out-checkpoint", str, required=True, help="checkpoint to write"),
+        Opt("out-history", str, None, "per-epoch loss/val-AUC file"),
+        Opt("scorer", str, "distmult", "scoring function",
             choices=("distmult", "conve")),
-        Opt("embed-dim", _conv_int, 100, "embedding dimension d"),
-        Opt("channels", _conv_int, 8, "convolution channels (conve only)"),
+        Opt("embed-dim", int, 100, "embedding dimension d"),
+        Opt("channels", int, 8, "convolution channels (conve only)"),
         *_KG_OPTS,
         *_SPLIT_OPTS,
-        Opt("lr", _conv_float, 1e-3, "learning rate"),
-        Opt("epochs", _conv_int, 20, "maximum epochs"),
-        Opt("batch-size", _conv_int, 32, "minibatch size in items"),
-        Opt("optimizer", _conv_str, "adam", "optimizer", choices=("adam", "sgd")),
-        Opt("seed", _conv_int, 0, "training seed (init and shuffling)"),
-        Opt("patience", _conv_int, 5, "epochs without val-AUC gain before stopping"),
-        Opt("relations", _conv_relations, None,
+        Opt("lr", float, 1e-3, "learning rate"),
+        Opt("epochs", int, 20, "maximum epochs"),
+        Opt("batch-size", int, 32, "minibatch size in items"),
+        Opt("optimizer", str, "adam", "optimizer", choices=("adam", "sgd")),
+        Opt("seed", int, 0, "training seed (init and shuffling)"),
+        Opt("patience", int, 5, "epochs without val-AUC gain before stopping"),
+        Opt("relations", _optional(_relations), None,
             "relations to train on (comma list; default: those present in the graph)"),
     ],
     "eval": [
-        Opt("checkpoint", _conv_str, required=True, help="checkpoint to read"),
-        Opt("features", _conv_str, required=True, help="feature CSV"),
-        Opt("annotations", _conv_str, required=True, help="annotation CSV"),
+        Opt("checkpoint", str, required=True, help="checkpoint to read"),
+        Opt("features", str, required=True, help="feature CSV"),
+        Opt("annotations", str, required=True, help="annotation CSV"),
         *_SPLIT_OPTS,
-        Opt("fold", _conv_str, "test", "which fold to evaluate",
+        Opt("fold", str, "test", "which fold to evaluate",
             choices=("train", "val", "test", "all")),
-        Opt("policy", _conv_policy, None,
+        Opt("policy", UncertainPolicy, None,
             "uncertain-label mapping for ground truth (default: the checkpoint's)",
             choices=tuple(p.value for p in UncertainPolicy)),
-        Opt("findings", _conv_names, None, "comma list restricting the reported findings"),
-        Opt("tau", _conv_optional_float, None, "threshold for sensitivity/specificity"),
-        Opt("out", _conv_str, None, "report file (also printed to stdout)"),
+        Opt("findings", _optional(_names), None, "comma list restricting the reported findings"),
+        Opt("tau", _optional(float), None, "threshold for sensitivity/specificity"),
+        Opt("out", str, None, "report file (also printed to stdout)"),
     ],
     "predict": [
-        Opt("checkpoint", _conv_str, required=True, help="checkpoint to read"),
-        Opt("features", _conv_str, required=True, help="feature CSV"),
-        Opt("out", _conv_str, required=True, help="prediction CSV to write"),
-        Opt("ids", _conv_names, None, "comma list of image ids (default: all rows)"),
-        Opt("tau", _conv_optional_float, None, "threshold adding binary label columns"),
+        Opt("checkpoint", str, required=True, help="checkpoint to read"),
+        Opt("features", str, required=True, help="feature CSV"),
+        Opt("out", str, required=True, help="prediction CSV to write"),
+        Opt("ids", _optional(_names), None, "comma list of image ids (default: all rows)"),
+        Opt("tau", _optional(float), None, "threshold adding binary label columns"),
     ],
     "gradcheck": [
-        Opt("scorer", _conv_str, "distmult", "scoring function",
+        Opt("scorer", str, "distmult", "scoring function",
             choices=("distmult", "conve")),
-        Opt("dim", _conv_int, 1024, "feature dimension D"),
-        Opt("embed-dim", _conv_int, 100, "embedding dimension d"),
-        Opt("channels", _conv_int, 8, "convolution channels (conve only)"),
-        Opt("n", _conv_int, 14, "number of findings"),
-        Opt("trials", _conv_int, 5, "random instances per mode"),
-        Opt("seed", _conv_int, 0, "base seed"),
-        Opt("tolerance", _conv_float, gradcheck.TOLERANCE, "max allowed relative error"),
+        Opt("dim", int, 1024, "feature dimension D"),
+        Opt("embed-dim", int, 100, "embedding dimension d"),
+        Opt("channels", int, 8, "convolution channels (conve only)"),
+        Opt("n", int, 14, "number of findings"),
+        Opt("trials", int, 5, "random instances per mode"),
+        Opt("seed", int, 0, "base seed"),
+        Opt("tolerance", float, gradcheck.TOLERANCE, "max allowed relative error"),
     ],
 }
 
@@ -252,10 +203,10 @@ def build_parser() -> _Parser:
                 p.add_argument(f"--{opt.name}", dest=opt.key, action="store_true",
                                default=argparse.SUPPRESS, help=opt.help)
             else:
-                kwargs = {"dest": opt.key, "default": argparse.SUPPRESS, "help": opt.help}
-                if opt.choices:
-                    kwargs["choices"] = opt.choices
-                p.add_argument(f"--{opt.name}", **kwargs)
+                # resolve_options checks choices; argparse only shows them.
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(f"--{opt.name}", dest=opt.key, default=argparse.SUPPRESS,
+                               metavar=metavar, help=opt.help)
     return parser
 
 
@@ -263,15 +214,14 @@ def _load_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
+    try:
+        for lineno, text in _data_lines(path):
             key, sep, value = text.partition("=")
             if not sep:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text.strip()!r}")
             values[key.strip().replace("-", "_")] = value.strip()
+    except ParseError as exc:
+        raise UsageError(str(exc)) from None
     return values
 
 
@@ -297,12 +247,12 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict[str, ob
         else:
             resolved[opt.key] = opt.default
             continue
-        value = opt.convert(raw)
-        if opt.choices and not isinstance(raw, bool):
-            rendered = value.value if isinstance(value, UncertainPolicy) else value
-            if rendered not in opt.choices:
-                raise UsageError(f"--{opt.name}: invalid choice {raw!r}")
-        resolved[opt.key] = value
+        if opt.choices and raw not in opt.choices:
+            raise UsageError(f"--{opt.name}: invalid choice {raw!r}")
+        try:
+            resolved[opt.key] = opt.convert(raw)
+        except ValueError as exc:
+            raise UsageError(f"--{opt.name}: {exc}") from None
     for opt in opts:
         if opt.required and resolved.get(opt.key) is None:
             raise UsageError(f"--{opt.name} is required")
@@ -357,12 +307,17 @@ def _cmd_synth(cfg: dict, echo: list[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_build_kg(cfg: dict, echo: list[str]) -> int:
-    annotations = load_annotations(cfg["annotations"])
+def _build_graph(annotations, cfg: dict):
+    """The typed graph of ``annotations``, with co-occurrence edges if asked."""
     graph = build_radkg(annotations, cfg["policy"])
     if cfg["cooccurrence"]:
         matrix = cooccurrence_matrix(annotations, cfg["policy"])
         graph = add_cooccurrence(graph, matrix, cfg["cooccur_threshold"])
+    return graph
+
+
+def _cmd_build_kg(cfg: dict, echo: list[str]) -> int:
+    graph = _build_graph(load_annotations(cfg["annotations"]), cfg)
     write_kg(graph, cfg["out"], comments=echo)
     for relation, count in sorted(graph.relation_counts().items(), key=lambda kv: kv[0].value):
         print(f"{relation.value}: {count}")
@@ -383,11 +338,7 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
     train_t, val_t, _ = split(annotations, cfg["ratios"], cfg["split_seed"])
     train_f = features.select(train_t.image_ids)
     val_f = features.select(val_t.image_ids)
-
-    graph = build_radkg(train_t, cfg["policy"])
-    if cfg["cooccurrence"]:
-        matrix = cooccurrence_matrix(train_t, cfg["policy"])
-        graph = add_cooccurrence(graph, matrix, cfg["cooccur_threshold"])
+    graph = _build_graph(train_t, cfg)
 
     relations = resolve_relations(graph, cfg["relations"])
     model = init_model(
@@ -432,23 +383,29 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(cfg: dict, echo: list[str]) -> int:
+def _load_scorer(cfg: dict):
+    """The checkpoint's model and metadata, and the features it will score."""
     model, metadata = load_checkpoint(cfg["checkpoint"])
+    features = load_features(cfg["features"])
+    if model.feature_dim != features.dim:
+        raise ValueError(
+            f"checkpoint expects {model.feature_dim}-dim features, file has {features.dim}"
+        )
+    return model, metadata, features
+
+
+def _cmd_eval(cfg: dict, echo: list[str]) -> int:
+    model, metadata, features = _load_scorer(cfg)
     policy = cfg["policy"]
     if policy is None:
         policy = UncertainPolicy(metadata.get("config.policy", UncertainPolicy.AS_POSITIVE.value))
         cfg = dict(cfg, policy=policy)
         echo = [line if not line.startswith("policy = ") else f"policy = {policy.value}"
                 for line in echo]
-    features = load_features(cfg["features"])
     annotations = load_annotations(cfg["annotations"])
     if model.n_findings != annotations.n:
         raise ValueError(
             f"checkpoint scores {model.n_findings} findings, annotations list {annotations.n}"
-        )
-    if model.feature_dim != features.dim:
-        raise ValueError(
-            f"checkpoint expects {model.feature_dim}-dim features, file has {features.dim}"
         )
     fold_t = _split_fold(annotations, cfg, cfg["fold"])
     predictions = predict_table(model, features.select(fold_t.image_ids))
@@ -462,12 +419,7 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
 
 
 def _cmd_predict(cfg: dict, echo: list[str]) -> int:
-    model, metadata = load_checkpoint(cfg["checkpoint"])
-    features = load_features(cfg["features"])
-    if model.feature_dim != features.dim:
-        raise ValueError(
-            f"checkpoint expects {model.feature_dim}-dim features, file has {features.dim}"
-        )
+    model, metadata, features = _load_scorer(cfg)
     selected = features.select(cfg["ids"]) if cfg["ids"] is not None else features
     finding_names = metadata.get("findings", "").split(",")
     if len(finding_names) != model.n_findings:
@@ -519,13 +471,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"radkg: {exc}\n")
         return EXIT_USAGE
-    except (ParseError, CheckpointError) as exc:
-        sys.stderr.write(f"radkg: {exc}\n")
-        return EXIT_DATA
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        sys.stderr.write(f"radkg: {exc}\n")
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ParseError, CheckpointError, FileNotFoundError, IsADirectoryError,
+            PermissionError, ValueError) as exc:
         sys.stderr.write(f"radkg: {exc}\n")
         return EXIT_DATA
     except TrainingDivergedError as exc:

@@ -85,8 +85,8 @@ def check_gradients(
     mode "loss" checks the mean item BCE through the sigmoid; mode "score"
     checks the raw score of a single triple. The analytic gradients come from
     one B=1 ``scoring.forward``/``scoring.backward`` call, with dL/de_s routed
-    into wx and the feature code; the differences are taken on the
-    single-triple pipeline. Small blocks are checked on
+    into wx and the feature code; the differences are taken on the same B=1
+    ``scoring.forward``, one call per probe. Small blocks are checked on
     every coordinate; large blocks on a deterministic sample plus one random
     directional derivative that touches every coordinate at once.
     """
@@ -100,16 +100,10 @@ def check_gradients(
 
     def probe() -> tuple[float, np.ndarray | None]:
         """Objective value plus the ReLU pre-activation sign pattern."""
-        e_s = scoring.embed_subject(model, c_x)
-        if model.scorer == "conve":
-            pipe = scoring.conve_pipeline(model, e_s, model.er[ridx])
-            psi = model.ef @ pipe.a2
-            signs = np.concatenate([np.sign(pipe.conv_out).ravel(), np.sign(pipe.z2)])
-        else:
-            psi = model.ef @ (e_s * model.er[ridx])
-            signs = None
-        value = _item_loss(psi, targets)[0] if mode == "loss" else float(psi[j_fixed])
-        return value, signs
+        psi, cache = scoring.forward(model, (c_x @ model.wx)[None], [ridx])
+        value = _item_loss(psi[0], targets)[0] if mode == "loss" else float(psi[0, j_fixed])
+        pipe = cache.pipe
+        return value, None if pipe is None else np.sign(np.append(pipe.conv_out, pipe.z2))
 
     psi, cache = scoring.forward(model, (c_x @ model.wx)[None], [ridx])
     if mode == "loss":

@@ -544,22 +544,19 @@ def load_kg(path) -> KnowledgeGraph:
 
     Entity counts come from the ``# m = ...`` / ``# n = ...`` header comments
     when present, otherwise from the largest index seen. An index outside
-    those counts is a ``ParseError`` at its line.
+    those counts is a ``ParseError`` at its line, and so is a count too large
+    for its grids to be allocated.
     """
-    m = n = None
+    counts: dict[str, tuple[int, int]] = {}   # "m"/"n" -> (count, line)
     triples: list[tuple[int, Triple]] = []
     for lineno, raw in _lines(path):
         text = raw.strip()
         if not text:
             continue
         if text.startswith("#"):
-            body = text[1:].strip()
-            key, sep, value = body.partition("=")
-            if sep and key.strip() in ("m", "n") and value.strip().isdecimal():
-                if key.strip() == "m":
-                    m = int(value.strip())
-                else:
-                    n = int(value.strip())
+            key, sep, value = (part.strip() for part in text[1:].partition("="))
+            if sep and key in ("m", "n") and value.isdecimal():
+                counts[key] = (int(value), lineno)
             continue
         parts = text.split("\t")
         if len(parts) != 3:
@@ -572,17 +569,22 @@ def load_kg(path) -> KnowledgeGraph:
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
 
-    def largest(kind: EntityKind) -> int:
-        return max((ent.index for _, t in triples for ent in (t.subject, t.obj)
-                    if ent.kind is kind), default=-1)
+    def largest(kind: EntityKind) -> tuple[int, int]:
+        """One past the largest index of ``kind``, and the line that holds it."""
+        return max(((ent.index + 1, lineno) for lineno, t in triples
+                    for ent in (t.subject, t.obj) if ent.kind is kind), default=(0, 1))
 
-    m = m if m is not None else largest(EntityKind.IMAGE) + 1
-    n = n if n is not None else largest(EntityKind.FINDING) + 1
-    grids = {relation: np.zeros((m, n) if relation.subject_kind is EntityKind.IMAGE else (n, n),
-                                bool) for relation in RelationKind}
-    for lineno, t in triples:
-        for ent in (t.subject, t.obj):
-            if ent.index >= (m if ent.kind is EntityKind.IMAGE else n):
-                raise ParseError(path, lineno, f"entity {ent} out of bounds for m={m}, n={n}")
-        grids[t.relation][t.subject.index, t.obj.index] = True
-    return KnowledgeGraph(grids, m, n)
+    m, m_line = counts.get("m") or largest(EntityKind.IMAGE)
+    n, n_line = counts.get("n") or largest(EntityKind.FINDING)
+    try:
+        grids = {relation: np.zeros((m, n) if relation.subject_kind is EntityKind.IMAGE
+                                    else (n, n), bool) for relation in RelationKind}
+        for lineno, t in triples:
+            for ent in (t.subject, t.obj):
+                if ent.index >= (m if ent.kind is EntityKind.IMAGE else n):
+                    raise ParseError(path, lineno, f"entity {ent} out of bounds for m={m}, n={n}")
+            grids[t.relation][t.subject.index, t.obj.index] = True
+        return KnowledgeGraph(grids, m, n)
+    except MemoryError:
+        key, count, lineno = max(("m", m, m_line), ("n", n, n_line), key=lambda c: c[1])
+        raise ParseError(path, lineno, f"{key} = {count} is too large to allocate") from None

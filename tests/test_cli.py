@@ -531,3 +531,179 @@ def test_config_value_with_bad_type_is_usage_error(tmp_path, capsys):
         "--out-annotations", str(tmp_path / "a.csv"),
     ])
     assert rc == 1
+
+
+# ---------------------------------------------------------------- option values
+
+
+def eval_rows(workspace, capsys, *extra):
+    rc = run_cli([
+        "eval",
+        "--checkpoint", str(workspace / "model.rkg"),
+        "--features", str(workspace / "features.csv"),
+        "--annotations", str(workspace / "annotations.csv"),
+        *extra,
+    ])
+    assert rc == 0
+    return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+
+
+def test_ratios_flag_sets_the_fold_sizes(workspace, capsys):
+    for fold, size in (("train", 30), ("val", 18), ("test", 12)):
+        first = eval_rows(workspace, capsys, "--ratios", "0.5,0.3,0.2", "--fold", fold)[1]
+        assert int(first.split(",")[1]) + int(first.split(",")[2]) == size
+
+
+def test_ratios_need_three_values(workspace, capsys):
+    rc = run_cli([
+        "eval",
+        "--checkpoint", str(workspace / "model.rkg"),
+        "--features", str(workspace / "features.csv"),
+        "--annotations", str(workspace / "annotations.csv"),
+        "--ratios", "0.5,0.5",
+    ])
+    assert rc == 1
+    assert "--ratios" in capsys.readouterr().err
+
+
+def train_args(workspace, out, *extra):
+    return [
+        "train",
+        "--features", str(workspace / "features.csv"),
+        "--annotations", str(workspace / "annotations.csv"),
+        "--out-checkpoint", str(out),
+        "--embed-dim", "16", "--epochs", "1", *extra,
+    ]
+
+
+def test_relations_flag_lands_in_the_checkpoint(workspace, tmp_path, capsys):
+    out = tmp_path / "m.rkg"
+    rc = run_cli(train_args(workspace, out, "--cooccurrence",
+                            "--relations", "hasFinding,coOccurs"))
+    assert rc == 0
+    model, metadata = load_checkpoint(out)
+    assert metadata["relations"] == "hasFinding,coOccurs"
+    assert metadata["config.relations"] == "hasFinding,coOccurs"
+    assert model.er.shape[0] == 2
+
+    rc = run_cli(train_args(workspace, tmp_path / "bad.rkg", "--relations", "bogus"))
+    assert rc == 1
+    assert "--relations" in capsys.readouterr().err
+    assert not (tmp_path / "bad.rkg").exists()
+
+
+def test_train_cooccurrence_trains_cooccurs(workspace, tmp_path):
+    out = tmp_path / "m.rkg"
+    assert run_cli(train_args(workspace, out, "--cooccurrence")) == 0
+    model, metadata = load_checkpoint(out)
+    assert metadata["relations"] == "hasFinding,coOccurs"
+    assert metadata["config.cooccurrence"] == "true"
+    assert model.er.shape[0] == 2
+
+    assert run_cli(train_args(workspace, out)) == 0
+    assert load_checkpoint(out)[1]["relations"] == "hasFinding"
+
+
+@pytest.mark.parametrize("value,present", [("yes", True), ("no", False)])
+def test_config_cooccurrence_value(workspace, tmp_path, capsys, value, present):
+    cfg = tmp_path / "kg.cfg"
+    cfg.write_text(f"cooccurrence = {value}\n")
+    out = tmp_path / "g.tsv"
+    rc = run_cli(["build-kg", "--config", str(cfg),
+                  "--annotations", str(workspace / "annotations.csv"), "--out", str(out)])
+    assert rc == 0
+    assert ("coOccurs: 0" not in capsys.readouterr().out) is present
+    assert f"# cooccurrence = {str(present).lower()}\n" in out.read_text()
+
+
+def test_config_tau_none_reports_no_threshold_columns(workspace, tmp_path, capsys):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("tau = none\n")
+    rows = eval_rows(workspace, capsys, "--config", str(cfg))
+    assert rows[0] == "finding,positives,negatives,auc"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("m", "many"), ("noise-scale", "loud"), ("seed", "1.5"),
+])
+def test_bad_typed_value_exits_1_and_names_the_flag(tmp_path, capsys, flag, value):
+    outputs = ["--out-features", str(tmp_path / "f.csv"),
+               "--out-annotations", str(tmp_path / "a.csv")]
+    assert run_cli(["synth", *outputs, f"--{flag}", value]) == 1
+    assert f"--{flag}: " in capsys.readouterr().err
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert run_cli(["synth", "--config", str(cfg), *outputs]) == 1
+    assert f"--{flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("text,flag", [
+    ("cooccurrence = maybe\n", "cooccurrence"),
+    ("policy = bogus\n", "policy"),
+    ("cooccur-threshold = high\n", "cooccur-threshold"),
+])
+def test_bad_config_value_names_the_flag(workspace, tmp_path, capsys, text, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = run_cli(["build-kg", "--config", str(cfg),
+                  "--annotations", str(workspace / "annotations.csv"),
+                  "--out", str(tmp_path / "g.tsv")])
+    assert rc == 1
+    assert f"--{flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["train", "--scorer", "mlp"], "scorer"),
+    (["train", "--optimizer", "lbfgs"], "optimizer"),
+    (["eval", "--fold", "holdout"], "fold"),
+    (["eval", "--policy", "bogus"], "policy"),
+])
+def test_bad_choice_exits_1_and_names_the_flag(capsys, args, flag):
+    assert run_cli(args) == 1
+    assert f"--{flag}" in capsys.readouterr().err
+
+
+POLICIES = "{positive,negative,separate}"
+
+
+@pytest.mark.parametrize("command,choice_sets", [
+    ("synth", []),
+    ("build-kg", [POLICIES]),
+    ("train", ["{distmult,conve}", POLICIES, "{adam,sgd}"]),
+    ("eval", ["{train,val,test,all}", POLICIES]),
+    ("predict", []),
+    ("gradcheck", ["{distmult,conve}"]),
+])
+def test_help_lists_each_choice_set(capsys, command, choice_sets):
+    assert run_cli([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    # Each choice set shows once in the usage line and once in the options.
+    assert text.count("{") == 2 * len(choice_sets)
+    for choices in choice_sets:
+        assert text.count(choices) == 2 * choice_sets.count(choices)
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfm = 5\nn = 3\ndim = 4\n")
+    rc = run_cli([
+        "synth", "--config", str(cfg),
+        "--out-features", str(tmp_path / "f.csv"),
+        "--out-annotations", str(tmp_path / "a.csv"),
+    ])
+    assert rc == 0
+    assert load_features(tmp_path / "f.csv").m == 5
+
+
+def test_config_file_bytes_that_are_not_utf8_are_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_bytes(b"m = 5\n# \xff\n")
+    rc = run_cli([
+        "synth", "--config", str(cfg),
+        "--out-features", str(tmp_path / "f.csv"),
+        "--out-annotations", str(tmp_path / "a.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"radkg: {cfg}:2: byte 0xff is not UTF-8\n"

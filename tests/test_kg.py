@@ -542,3 +542,18 @@ def test_objects_of_wrong_kind_or_out_of_range_is_empty():
     assert kg.objects_of(EntityId.image(0), RelationKind.CO_OCCURS) == frozenset()
     assert kg.objects_of(EntityId.image(7), RelationKind.HAS_FINDING) == frozenset()
     assert Triple(EntityId.image(7), RelationKind.HAS_FINDING, EntityId.finding(0)) not in kg
+
+
+@pytest.mark.parametrize("body,lineno", [
+    ("# m = 99999999999999\n# n = 14\nImage:0\thasFinding\tFinding:0\n", 1),
+    ("# m = 2\n# n = 99999999\nImage:0\thasFinding\tFinding:0\n", 2),
+])
+def test_kg_header_count_too_large_to_allocate_is_parse_error(tmp_path, body, lineno):
+    # Both grids fail to allocate at once; no count here is small enough for
+    # the allocation to succeed and touch memory.
+    path = tmp_path / "graph.tsv"
+    path.write_text(body)
+    with pytest.raises(ParseError) as err:
+        load_kg(path)
+    assert err.value.line == lineno
+    assert "too large" in str(err.value)
