@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .kg import AnnotationTable, LabelValue, _atomic_open, _data_lines, _split_csv_line
+from .kg import AnnotationTable, LabelValue, _atomic_open, _csv_cell, _data_lines, _split_csv_line
 
 #: Rows of the grid ``load_features`` starts with; it doubles when full.
 #: ``np.empty`` writes nothing, so the rows no line reaches stay untouched.
@@ -127,7 +127,8 @@ def _bad_cell(path, lineno, cells) -> None:
 def write_features(table: FeatureTable, path, comments=()) -> None:
     """Write a feature CSV that ``load_features`` reads back bit-exactly.
 
-    Cells are written with ``repr``, which round-trips doubles through text.
+    Cells are written with ``repr``, which round-trips doubles through text,
+    and ids are quoted where the reader needs it (``kg._csv_cell``).
     """
     with _atomic_open(path, "w", encoding="utf-8") as fh:
         for line in comments:
@@ -136,6 +137,7 @@ def write_features(table: FeatureTable, path, comments=()) -> None:
         fh.write(header + "\n")
         for i, image_id in enumerate(table.image_ids):
             cells = ",".join(repr(float(v)) for v in table.codes[i])
+            image_id = _csv_cell(image_id, first=True)
             fh.write(f"{image_id},{cells}\n" if table.dim else f"{image_id}\n")
 
 

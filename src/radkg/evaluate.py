@@ -2,11 +2,13 @@
 
 Labels are inferred by scoring the completion (image, hasFinding, F_j) for
 every finding; ``predict_table`` returns the (m, n) grid of scores for m
-images. The distmult score is linear in the image's feature code, so a
-whole table is one product with a folded (D, n) map; the conv scorer runs
-``scoring.forward`` over chunks of rows. Quality is measured per finding by
-AUC-ROC in the rank-sum formulation and summarized as an unweighted macro
-mean over the findings where AUC is defined.
+images. Every query shares the relation, so its part of the score is
+computed once per table: distmult's score is linear in the image's feature
+code, and a whole table is one product with a folded (D, n) map; the conv
+scorer folds the convolution rows that see only the relation into one
+constant vector and convolves the rest in chunks. Quality is measured per
+finding by AUC-ROC in the rank-sum formulation and summarized as an
+unweighted macro mean over the findings where AUC is defined.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, scoring
-from .kg import AnnotationTable, RelationKind, UncertainPolicy, _atomic_open, relation_grid
+from .kg import AnnotationTable, RelationKind, UncertainPolicy, _atomic_open, _csv_cell, relation_grid
 
-#: Rows ``predict_table`` scores per batched conv-scorer forward (distmult
-#: tables are not chunked). Larger chunks score no faster, and their
-#: transients raise the peak memory of a scoring run: at 256 rows the conv
-#: slab grid, the conv output and its ReLU take 1.6 MB each; at 64, 0.4 MB.
+#: Rows ``predict_table`` convolves at a time for the conv scorer (distmult
+#: tables are not chunked). At D=128, d=100, C=8, chunks of 16 to 256 rows
+#: all scored 8.3-9.2 us per image and 512 rows 11-12 us, and larger chunks
+#: raise the peak memory of a scoring run: at 256 rows the conv slab grid,
+#: the conv output and its ReLU take 1.0 MB each; at 64, 0.25 MB.
 PREDICT_CHUNK = 64
 
 
@@ -45,18 +48,34 @@ def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     distmult's psi = ((c @ wx) * r) @ ef.T equals c @ ((wx * r) @ ef.T) up
     to rounding. Folding that (D, n) map once costs less than scoring n
     images one by one, and the table is then one product with it, whose
-    only transient is the (m, n) output. The conv scorer is not linear in
-    c; it runs PREDICT_CHUNK rows per batched ``scoring.forward`` call.
+    only transient is the (m, n) output.
+
+    The conv scorer is ``scoring.forward`` up to rounding. Its stacked 2k x k
+    input ends in the k x k plane of r, so conv output rows y >= k read only
+    r, and their share of z2 is one (d,) vector, ``bias``, folded once. Each
+    chunk of PREDICT_CHUNK rows convolves the image plane and the first 4
+    rows of r (k + 4 input rows, not 2k) and projects the k rows that see the
+    image through ``wc_rows``, the rows of wc for y < k.
     """
-    ridx = model.relation_index(RelationKind.HAS_FINDING)
+    r = model.er[model.relation_index(RelationKind.HAS_FINDING)]
     if model.scorer == "distmult":
-        psi = features.codes @ ((model.wx * model.er[ridx]) @ model.ef.T)
+        psi = features.codes @ ((model.wx * r) @ model.ef.T)
     else:
+        k, d, taps = model.reshape_side, model.embed_dim, scoring.KERNEL_SIZE
+        wc = model.wc.reshape(model.channels, 2 * k - taps + 1, -1, d)
+        r = r.reshape(k, k)
+        bias = kernel.relu(kernel.conv2d_fwd(r, model.kernels)).reshape(-1) @ wc[:, k:].reshape(-1, d)
+        wc_rows = wc[:, :k].transpose(1, 0, 2, 3).reshape(-1, d)  # conv2d_fwd's (y, c, x) layout
+        stacked = np.empty((PREDICT_CHUNK, k + taps - 1, k))
+        stacked[:, k:] = r[:taps - 1]
         psi = np.empty((features.m, model.n_findings))
         for start in range(0, features.m, PREDICT_CHUNK):
             codes = features.codes[start:start + PREDICT_CHUNK]
-            psi[start:start + len(codes)], _ = scoring.forward(
-                model, codes @ model.wx, np.full(len(codes), ridx))
+            b = len(codes)
+            stacked[:b, :k] = (codes @ model.wx).reshape(b, k, k)
+            conv = kernel.relu(kernel.conv2d_fwd(stacked[:b], model.kernels))
+            z2 = conv.transpose(0, 2, 1, 3).reshape(b, -1) @ wc_rows + bias
+            psi[start:start + b] = kernel.relu(z2) @ model.ef.T
     return Predictions(list(features.image_ids), psi, kernel.sigmoid(psi))
 
 
@@ -242,6 +261,6 @@ def write_predictions(
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(
-            row_format % (image_id, *p, *labels)
+            row_format % (_csv_cell(image_id, first=True), *p, *labels)
             for image_id, p, labels in zip(predictions.image_ids, p_rows, label_rows)
         )

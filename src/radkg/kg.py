@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import secrets
 import stat
 import warnings
@@ -456,6 +457,18 @@ def _split_csv_line(text: str) -> list[str]:
     return next(csv.reader(io.StringIO(text)))
 
 
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_cell(text: str, first: bool = False) -> str:
+    """``text`` as ``csv.writer`` writes a cell: in quotes, with its quotes
+    doubled, when it holds a comma, a quote or a line break. A ``first`` cell
+    is quoted too when its line would otherwise read as a comment."""
+    if _QUOTED.search(text) or first and text.lstrip().startswith("#"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def load_annotations(path) -> AnnotationTable:
     """Parse an annotation CSV: header ``id,<finding>,...[,group]``.
 
@@ -515,13 +528,13 @@ def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str
         header = ["id", *annotations.finding_names]
         if annotations.groups is not None:
             header.append("group")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(map(_csv_cell, header)) + "\r\n")
         for i, image_id in enumerate(annotations.image_ids):
-            row = [image_id] + [LABEL_WRITE_TOKENS[LabelValue(v)] for v in annotations.labels[i]]
+            row = [_csv_cell(image_id, first=True)]
+            row += [LABEL_WRITE_TOKENS[LabelValue(v)] for v in annotations.labels[i]]
             if annotations.groups is not None:
-                row.append(annotations.groups[i])
-            writer.writerow(row)
+                row.append(_csv_cell(annotations.groups[i]))
+            fh.write(",".join(row) + "\r\n")
 
 
 def write_kg(kg: KnowledgeGraph, path, comments: Sequence[str] = ()) -> None:

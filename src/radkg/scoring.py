@@ -6,10 +6,11 @@ scoring functions are provided, a trilinear product and a convolutional
 scorer, each with exact analytic gradients for every parameter block.
 
 ``forward`` and ``backward`` score and differentiate a batch of B
-(subject, relation) queries against all n findings at once. Training, the
-gradient check (at B=1) and conv-scorer inference run through them.
-Distmult table inference in ``evaluate.predict_table`` multiplies the
-feature codes by one folded (D, n) map instead, and is tested against
+(subject, relation) queries against all n findings at once. Training and
+the gradient check (at B=1) run through them. Table inference in
+``evaluate.predict_table``, where every query has the same relation, folds
+the relation's share once per table instead (one (D, n) map for distmult,
+one constant projection term for conve), and is tested against
 ``forward``. The single-triple scorers ``score_distmult``,
 ``score_conve`` and ``conve_pipeline``, with ``embed_subject``, are the
 reference they are tested against.

@@ -379,6 +379,25 @@ def reference_predict_table(model, features):
     return evaluate.Predictions(list(features.image_ids), psi, reference_sigmoid(psi))
 
 
+def abs_scores(model, codes):
+    """psi of (image, hasFinding, F_j) for every row of ``codes`` with every
+    input and weight replaced by its absolute value and no ReLU: the sum a
+    re-associated evaluation's rounding error is bounded by a multiple of."""
+    r = np.abs(model.er[model.relation_index(RelationKind.HAS_FINDING)])
+    e_s = np.abs(codes) @ np.abs(model.wx)
+    if model.scorer == "distmult":
+        return (e_s * r) @ np.abs(model.ef).T
+    m, k = len(codes), model.reshape_side
+    stacked = np.concatenate([e_s.reshape(m, k, k), np.broadcast_to(r.reshape(k, k), (m, k, k))], axis=1)
+    flat = kernel.conv2d_fwd(stacked, np.abs(model.kernels)).reshape(m, len(model.wc))
+    return flat @ np.abs(model.wc) @ np.abs(model.ef).T
+
+
+#: Ids that a bare CSV cell breaks: a comma, quotes, and two that would make
+#: their line read as a comment.
+QUOTED_IDS = ["a,b", 'say "hi"', "#x", " #y"]
+
+
 def reference_write_predictions(rows, finding_names, path, tau=None, comments=()):
     """``write_predictions`` one (image_id, p) row at a time."""
     with open(path, "w", encoding="utf-8") as fh:

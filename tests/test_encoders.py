@@ -7,7 +7,7 @@ from radkg import ParseError, SyntheticSpec, synth_dataset
 from radkg.encoders import INITIAL_ROWS, FeatureTable, load_features, write_features
 from radkg.evaluate import auc_roc
 
-from helpers import mutate, reference_load_features
+from helpers import QUOTED_IDS, mutate, reference_load_features
 
 
 def test_feature_table_validation():
@@ -42,6 +42,17 @@ def test_features_round_trip_bit_exact(tmp_path, rng):
     write_features(table, path, comments=["seed = 1"])
     loaded = load_features(path)
     assert loaded.image_ids == table.image_ids
+    assert np.array_equal(loaded.codes, table.codes)
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_feature_ids_that_need_quoting_round_trip(tmp_path, rng, dim):
+    ids = [*QUOTED_IDS, "plain"]
+    table = FeatureTable(ids, rng.normal(size=(len(ids), dim)))
+    path = tmp_path / "feat.csv"
+    write_features(table, path)
+    loaded = load_features(path)
+    assert loaded.image_ids == ids
     assert np.array_equal(loaded.codes, table.codes)
 
 

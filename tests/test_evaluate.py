@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    QUOTED_IDS,
+    abs_scores,
     auc_bruteforce,
     make_table,
     reference_midranks,
@@ -23,7 +25,7 @@ from radkg.evaluate import (
     format_report,
     write_predictions,
 )
-from radkg.kg import relation_grid
+from radkg.kg import _data_lines, _split_csv_line, relation_grid
 
 
 def row(image_id, p, psi=None):
@@ -151,26 +153,34 @@ def test_distmult_predict_table_matches_the_chunked_forward():
         scale = 10.0 ** rng.uniform(-2, 2)
         features = FeatureTable([f"i{i}" for i in range(m)], scale * rng.normal(size=(m, dim)))
         got, want = predict_table(model, features), reference_predict_table(model, features)
-        r = model.er[model.relation_index(RelationKind.HAS_FINDING)]
-        bound = 1e-12 * (np.abs(features.codes) @ (np.abs(model.wx) * np.abs(r)) @ np.abs(model.ef).T)
+        bound = 1e-12 * abs_scores(model, features.codes)
         assert got.image_ids == want.image_ids
         assert got.psi.shape == want.psi.shape == (m, model.n_findings)
         assert np.all(np.abs(got.psi - want.psi) <= bound), case
         assert np.array_equal(got.p, reference_sigmoid(got.psi))
 
 
-def test_conve_predict_table_is_the_chunked_forward_bit_for_bit():
+def test_conve_predict_table_matches_the_chunked_forward():
+    """The conv scorer's table folds the convolution rows that read only the
+    relation into one vector, so its z2 sums in another order than
+    ``scoring.forward``; psi is held to 1e-12 times the same score taken over
+    absolute values, and p is the sigmoid of that psi, bit for bit. d = 25
+    leaves one such row, d = 100 six of sixteen."""
     rng = np.random.default_rng(89)
-    for case in range(24):
-        m = 0 if case % 8 == 0 else int(rng.integers(1, 200))
-        dim = int(rng.choice([3, 17, 128]))
+    for case in range(320):
+        m = 0 if case % 20 == 0 else int(rng.integers(1, 301))
+        dim, embed_dim = int(rng.choice([3, 17, 128, 1024])), int(rng.choice([25, 36, 49, 100]))
         relations = SHUFFLED_RELATIONS[case % len(SHUFFLED_RELATIONS)]
-        model = init_model("conve", dim, int(rng.choice([25, 36, 100])), int(rng.integers(1, 15)),
-                           relations=relations, channels=int(rng.integers(1, 9)), seed=case)
-        features = FeatureTable([f"i{i}" for i in range(m)], rng.normal(size=(m, dim)))
+        model = init_model("conve", dim, embed_dim, int(rng.integers(1, 15)), relations=relations,
+                           channels=int(rng.integers(1, 9)), seed=case)
+        scale = 10.0 ** rng.uniform(-2, 2)
+        features = FeatureTable([f"i{i}" for i in range(m)], scale * rng.normal(size=(m, dim)))
         got, want = predict_table(model, features), reference_predict_table(model, features)
+        bound = 1e-12 * abs_scores(model, features.codes)
         assert got.image_ids == want.image_ids
-        assert np.array_equal(got.psi, want.psi) and np.array_equal(got.p, want.p)
+        assert got.psi.shape == want.psi.shape == (m, model.n_findings)
+        assert np.all(np.abs(got.psi - want.psi) <= bound), case
+        assert np.array_equal(got.p, reference_sigmoid(got.psi))
 
 
 def test_classify_strict_threshold():
@@ -373,6 +383,20 @@ def test_write_predictions_matches_per_row_writer(tmp_path, rng, tau):
     reference_write_predictions(zip(predictions.image_ids, p), names, tmp_path / "rows.csv",
                                 tau=tau, comments=comments)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_predictions_quotes_ids_that_need_it(tmp_path):
+    """Each row reads back whole, with its id, through the artifact line
+    reader: quoted as ``csv.writer`` quotes, and where the line would read as
+    a comment. A plain id is written bare."""
+    ids = [*QUOTED_IDS, "plain"]
+    p = np.full((len(ids), 2), 0.5)
+    path = tmp_path / "pred.csv"
+    write_predictions(Predictions(ids, p, p), ["a", "b"], path, tau=0.25)
+    rows = [_split_csv_line(text) for _, text in _data_lines(path)]
+    assert rows[0] == ["id", "a", "b", "a_label", "b_label"]
+    assert rows[1:] == [[i, "0.500000", "0.500000", "1", "1"] for i in ids]
+    assert path.read_text().endswith("\nplain,0.500000,0.500000,1,1\n")
 
 
 def test_write_predictions_rejects_width_mismatch(tmp_path):

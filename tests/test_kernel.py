@@ -141,7 +141,7 @@ def conv_configs(rng):
 
 
 def test_conv2d_matches_reference_conv():
-    """The im2col convolution against the kept einsum one, on 1200 seeded
+    """The row-slab convolution against the kept einsum one, on 1200 seeded
     configs, within 1e-12 of the reference's largest magnitude."""
     def close(new, ref):
         assert new.shape == ref.shape

@@ -1,9 +1,13 @@
 """Tests for entities, triples, graph construction, policies, and file formats."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from helpers import (
+    QUOTED_IDS,
     make_table,
     mutate,
     random_table,
@@ -28,6 +32,7 @@ from radkg.kg import (
     KnowledgeGraph,
     LabelValue,
     Triple,
+    _csv_cell,
     _split_csv_line,
     load_annotations,
     load_kg,
@@ -318,6 +323,34 @@ def test_annotation_round_trip_with_groups(tmp_path):
     write_annotations(table, path)
     loaded = load_annotations(path)
     assert loaded.groups == ["a", "b"]
+
+
+def test_annotation_ids_and_groups_that_need_quoting_round_trip(tmp_path):
+    ids = [*QUOTED_IDS, "plain"]
+    groups = ["g,h", "#g", 'a "b"', "plain", " #z"]
+    table = make_table([[1, 0], [0, 1], [1, 1], [0, 0], [-1, -2]], groups=groups, ids=ids,
+                       names=["f,0", "#f1"])
+    path = tmp_path / "ann.csv"
+    write_annotations(table, path)
+    loaded = load_annotations(path)
+    assert loaded.image_ids == ids and loaded.groups == groups
+    assert loaded.finding_names == ["f,0", "#f1"]
+    assert np.array_equal(loaded.labels, table.labels)
+    assert path.read_text().endswith("\nplain,-1.0,, #z\n")
+
+
+def test_csv_cell_writes_what_csv_writer_writes(rng):
+    """Rows of two or more cells joined from ``_csv_cell`` are the bytes
+    ``csv.writer`` writes; a first cell is also quoted after leading blanks
+    and a ``#``."""
+    alphabet = list('ab ,"#\r\n\t')
+    for _ in range(3000):
+        cells = ["".join(rng.choice(alphabet, size=rng.integers(0, 6)))
+                 for _ in range(rng.integers(2, 5))]
+        written = io.StringIO()
+        csv.writer(written).writerow(cells)
+        assert ",".join(map(_csv_cell, cells)) + "\r\n" == written.getvalue()
+    assert [_csv_cell(c, first=True) for c in ["#x", " \t#y", "x#", ""]] == ['"#x"', '" \t#y"', "x#", ""]
 
 
 def test_annotation_label_tokens(tmp_path):
