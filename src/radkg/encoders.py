@@ -2,13 +2,17 @@
 
 Images arrive as precomputed fixed-length feature vectors, either loaded from
 a CSV produced by an external encoder or synthesized with planted structure
-for end-to-end testing. The CSV reader parses each row straight into one
-float64 grid, so a table costs 8 bytes per cell while it is read.
+for end-to-end testing. The CSV reader takes a block of lines at a time and
+writes its rows straight into one float64 grid, so a table costs 8 bytes per
+cell while it is read. A block of plain decimal cells is converted in bulk,
+exactly, from integer mantissas and powers of ten; any other block, and any
+cell that conversion cannot vouch for, is parsed by Python's ``float``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,17 @@ from .kg import AnnotationTable, LabelValue, _atomic_open, _csv_cell, _data_line
 #: Rows of the grid ``load_features`` starts with; it doubles when full.
 #: ``np.empty`` writes nothing, so the rows no line reaches stay untouched.
 INITIAL_ROWS = 1024
+
+#: Cells ``load_features`` reads and converts per block of lines: enough to
+#: spread numpy's per-call cost, few enough to keep a block's buffers small.
+BLOCK_CELLS = 1 << 16
+
+#: Whether long doubles are x87 extended precision (a 64-bit significand),
+#: where 10**27 and every 18-digit mantissa are exact.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
+_POW10_LONG = np.multiply.accumulate(np.array([1] + [10] * 27, dtype=np.longdouble))
+_COMMA, _DOT, _PLUS, _MINUS, _ZERO, _E = b",.+-0e"
 
 
 @dataclass
@@ -65,11 +80,11 @@ def load_features(path) -> FeatureTable:
     Rejects ragged rows, non-numeric or non-finite cells, and duplicate ids,
     reporting the offending line. A header-only file is a valid empty table.
 
-    Each row's cells go straight into a preallocated float64 grid, which
-    doubles when it fills: 8 bytes per cell plus growth slack. numpy converts
-    each cell with Python's ``float``, so a cell parses exactly as ``float``
-    parses it. A row that fails the assignment or the finiteness check is
-    scanned again, cell by cell, to name its first bad cell.
+    Lines are read a block of about ``BLOCK_CELLS`` cells at a time into a
+    preallocated float64 grid, which doubles when it fills: 8 bytes per cell
+    plus growth slack. ``_bulk_block`` converts a block of plain decimals;
+    any other block goes through the row loop, which alone raises
+    ParseError. Either way a cell parses exactly as ``float`` parses it.
     """
     lines = _data_lines(path)
     try:
@@ -87,7 +102,42 @@ def load_features(path) -> FeatureTable:
     ids: list[str] = []
     seen: set[str] = set()
     codes = np.empty((INITIAL_ROWS, dim))
-    for lineno, text in lines:
+    for block in _blocks(lines, max(1, BLOCK_CELLS // max(dim, 1))):
+        m, end = len(ids), len(ids) + len(block)
+        while len(codes) < end:
+            grown = np.empty((2 * len(codes), dim))
+            grown[:m] = codes[:m]
+            codes = grown
+        if not (dim and _bulk_block(block, dim, seen, ids, codes[m:end])):
+            _parse_rows(path, block, dim, seen, ids, codes[m:end])
+    return FeatureTable(ids, codes[:len(ids)])
+
+
+def _blocks(lines, size):
+    """Lists of up to ``size`` lines of ``lines``. A ParseError from ``lines``
+    is raised after the block of the lines before it, so an error in an
+    earlier line is reported first, as a line-by-line reader reports it."""
+    block = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == size:
+                yield block
+                block = []
+    except ParseError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _parse_rows(path, block, dim, seen, ids, rows) -> None:
+    """The row loop: split each line, check it, and write its cells into the
+    matching row of ``rows`` with numpy, which converts each cell with
+    ``float``. A row that fails the assignment or the finiteness check is
+    scanned again, cell by cell, to name its first bad cell."""
+    for (lineno, text), row in zip(block, rows):
         cells = _split_csv_line(text)
         if len(cells) != dim + 1:
             raise ParseError(path, lineno, f"expected {dim + 1} columns, got {len(cells)}")
@@ -95,12 +145,6 @@ def load_features(path) -> FeatureTable:
         if image_id in seen:
             raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
         seen.add(image_id)
-        m = len(ids)
-        if m == len(codes):
-            grown = np.empty((2 * m, dim))
-            grown[:m] = codes
-            codes = grown
-        row = codes[m]
         try:
             row[:] = cells[1:]
         except ValueError:
@@ -109,7 +153,96 @@ def load_features(path) -> FeatureTable:
         if not np.isfinite(row).all():
             _bad_cell(path, lineno, cells)
         ids.append(image_id)
-    return FeatureTable(ids, codes[:len(ids)])
+
+
+def _bulk_block(block, dim, seen, ids, rows) -> bool:
+    """Convert a block whose cells are all ``[+-]d[.d][(e|E)[+-]d]``, with a
+    digit in the mantissa, into ``rows``, exactly as ``float`` would; False,
+    with nothing written, when any line or cell needs the row loop.
+
+    One int64 parse reads every mantissa (its dot dropped) and exponent. A
+    mantissa of at most 18 digits times 10**-k is then one exact division:
+    with x87 long doubles for k <= 27, as 10**27 is exact and a cast of the
+    once-rounded quotient is correct unless it lies halfway between two
+    doubles; else in float64 for a mantissa below 2**53 and k <= 22, where
+    both operands are exact (Clinger's fast path). Other cells go through
+    ``float``.
+    """
+    if any('"' in text for _, text in block):
+        return False
+    heads = [text.partition(",") for _, text in block]
+    block_ids = [head for head, _, _ in heads]
+    tails = [tail for _, _, tail in heads]
+    joined = ",".join(["", *tails, ""])
+    if (not joined.isascii() or len(set(block_ids)) != len(block_ids)
+            or not seen.isdisjoint(block_ids)):
+        return False
+    data = joined.encode("ascii")
+    a = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(a - _ZERO > 9)       # every byte that is not a digit
+    kind = a[at]
+    cut = np.flatnonzero(kind == _COMMA)
+    cuts = at[cut]
+    # Each line's last cell ends at the comma that joins it to the next line,
+    # so every line has dim cells exactly when those commas fall every dim.
+    if len(cut) != len(block) * dim + 1 or not np.array_equal(
+            cuts[dim::dim], np.cumsum([len(tail) + 1 for tail in tails])):
+        return False
+    # The non-digits of a cell, in order: an optional sign first, an optional
+    # dot, an optional exponent mark with an optional sign right after it,
+    # then the closing comma. Anything else leaves a non-digit unaccounted.
+    opening, closing = cut[:-1], cut[1:]
+    start, end = cuts[:-1] + 1, cuts[1:]
+    signed = _is_sign(kind[opening + 1]) & (at[opening + 1] == start)
+    dot = opening + 1 + signed
+    dotted = kind[dot] == _DOT
+    mark = dot + dotted
+    mantissa_end = at[mark]
+    scaled = kind[mark] | 32 == _E           # e or E
+    after = mark + scaled
+    exp_signed = scaled & _is_sign(kind[after]) & (at[after] == mantissa_end + 1)
+    digits = mantissa_end - start - signed - dotted
+    exp_digits = end - mantissa_end - scaled - exp_signed
+    if not (np.array_equal(after + exp_signed, closing) and np.all(digits >= 1)
+            and np.all(exp_digits >= scaled)):
+        return False
+
+    tokens = data.replace(b".", b"").replace(b"e", b",").replace(b"E", b",")
+    values = np.fromstring(tokens[1:-1], dtype=np.int64, sep=",")
+    exp_cell = np.flatnonzero(scaled)
+    if len(values) != len(start) + len(exp_cell):
+        return False
+    exp_token = exp_cell + np.arange(1, len(exp_cell) + 1)
+    mantissa = np.abs(np.delete(values, exp_token))
+    e10 = at[dot] + dotted - mantissa_end
+    e10[exp_cell] += values[exp_token]
+    if _EXTENDED:
+        scale = np.clip(-e10, 0, 27)
+        q = mantissa.astype(np.longdouble) / _POW10_LONG[scale]
+        # The 11 low bits that the cast rounds away; 0x400 is a tie.
+        exact = q.view(np.uint16)[::q.itemsize // 2] & 0x7FF != 0x400
+    else:
+        scale = np.clip(-e10, 0, 22)
+        q = mantissa / _POW10[scale]
+        exact = mantissa < 2**53
+    # Digits are counted, as int64 parsing saturates silently past 18 of
+    # them; a leading zero adds no magnitude, so it does not count.
+    exact &= (digits - (a[start + signed] == _ZERO) <= 18) & (exp_digits <= 18) & (scale == -e10)
+    out = q.astype(np.float64)
+    out = np.where(a[start] == _MINUS, -out, out)
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        out[rest] = [float(data[s:e]) for s, e in zip(start[rest].tolist(), end[rest].tolist())]
+        if not np.isfinite(out[rest]).all():
+            return False
+    rows[:] = out.reshape(len(block), dim)
+    ids += block_ids
+    seen.update(block_ids)
+    return True
+
+
+def _is_sign(byte):
+    return (byte == _PLUS) | (byte == _MINUS)
 
 
 def _bad_cell(path, lineno, cells) -> None:

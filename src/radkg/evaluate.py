@@ -226,7 +226,8 @@ def format_report(report: EvalReport, echo=()) -> str:
         header += ",sensitivity,specificity"
     lines.append(header)
     for i, name in enumerate(report.finding_names):
-        row = [name, str(report.positives[i]), str(report.negatives[i]), _fmt(report.auc[i])]
+        row = [_csv_cell(name, first=True), str(report.positives[i]), str(report.negatives[i]),
+               _fmt(report.auc[i])]
         if report.tau is not None:
             row.append(_fmt(report.sensitivity[i]))
             row.append(_fmt(report.specificity[i]))
@@ -259,7 +260,7 @@ def write_predictions(
     with _atomic_open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
         fh.writelines(
             row_format % (_csv_cell(image_id, first=True), *p, *labels)
             for image_id, p, labels in zip(predictions.image_ids, p_rows, label_rows)

@@ -66,6 +66,8 @@ LABEL_TOKENS = {
     "": LabelValue.UNMENTIONED,
 }
 
+_LABEL_CODES = {token: int(value) for token, value in LABEL_TOKENS.items()}
+
 LABEL_WRITE_TOKENS = {
     LabelValue.POSITIVE: "1.0",
     LabelValue.NEGATIVE: "0.0",
@@ -505,14 +507,13 @@ def load_annotations(path) -> AnnotationTable:
             raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
         seen.add(image_id)
         label_cells = cells[1:width - 1] if has_group else cells[1:]
-        row = []
-        for col, token in enumerate(label_cells):
-            try:
-                row.append(int(LABEL_TOKENS[token.strip()]))
-            except KeyError:
-                raise ParseError(path, lineno, f"bad label token {token!r} in column {col + 2}") from None
+        try:
+            rows.append([_LABEL_CODES[token.strip()] for token in label_cells])
+        except KeyError:
+            for col, token in enumerate(label_cells):
+                if token.strip() not in _LABEL_CODES:
+                    raise ParseError(path, lineno, f"bad label token {token!r} in column {col + 2}") from None
         ids.append(image_id)
-        rows.append(row)
         if has_group:
             groups.append(cells[-1])
 

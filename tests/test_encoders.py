@@ -1,9 +1,12 @@
 """Tests for finding/image encodings and the synthetic dataset generator."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from radkg import ParseError, SyntheticSpec, synth_dataset
+from radkg import encoders
 from radkg.encoders import INITIAL_ROWS, FeatureTable, load_features, write_features
 from radkg.evaluate import auc_roc
 
@@ -140,7 +143,12 @@ def test_grid_reader_matches_per_cell_reader_on_layouts(tmp_path):
 EDGE_TOKENS = [" 1.5", "1.5 ", "1_0", "\u0661\u0662", "1e999", "-1e999", "1e-400", "-0.0",
                "+.5", "5.", "0x10", "", " ", "nan", "-NaN", "inf", "Infinity", "-inf",
                "1__0", "_1", "1e", "e1", "\u00a01", "1\x00", "1.7976931348623157e308",
-               "4.9e-324", "2.2250738585072011e-308", "0.1000000000000000055511151231257827"]
+               "4.9e-324", "2.2250738585072011e-308", "0.1000000000000000055511151231257827",
+               "9007199254740993", "-0", ".5", "5.e3", "+1", "1E+3", "1e05", "-1E-05", "-",
+               "+", ".", "-.5", "1-2", "1e5-3", "1.2.3", "1e2e3", "5e3.2", "+-1", "1e+", "e",
+               "99999999999999999999", "-99999999999999999999", "1e99999999999999999999",
+               "1e-99999999999999999999", "1e-0000000000000000000005", "000000000000000000001.5",
+               "/5", ")5", "1e/5", "1E)5", "5/", "1e5/"]
 
 
 def test_grid_reader_matches_per_cell_reader_on_edge_tokens(tmp_path):
@@ -184,6 +192,119 @@ def test_grid_reader_matches_per_cell_reader_on_mutated_files(tmp_path):
     assert kinds == {"table", "error"}
 
 
+def bulk_cells(rng) -> list[str]:
+    """Seeded decimal cells for the bulk converter: ``repr`` of doubles at
+    scales 10**+-300; 1-25-digit mantissas with leading zeros, a dot anywhere
+    and exponents; 19- and 20-digit mantissas above 2**63 of both signs;
+    exact decimal midpoints between adjacent doubles; and fixed edge tokens."""
+    cells = [repr(float(x)) for x in
+             rng.normal(size=1500) * 10.0 ** rng.integers(-300, 301, size=1500)]
+    for _ in range(3000):
+        mantissa = "0" * int(rng.integers(0, 4)) + "".join(
+            map(str, rng.integers(0, 10, size=int(rng.integers(1, 26)))))
+        if rng.random() < 0.7:
+            dot = int(rng.integers(0, len(mantissa) + 1))
+            mantissa = mantissa[:dot] + "." + mantissa[dot:]
+        exponent = ""
+        if rng.random() < 0.5:
+            exponent = (str(rng.choice(["e", "E", "e+", "e-", "E-"]))
+                        + str(int(rng.integers(-30, 31))).lstrip("-").zfill(int(rng.integers(1, 4))))
+        cells.append(str(rng.choice(["", "-", "+"])) + mantissa + exponent)
+    for _ in range(500):
+        big = 2**63 + int(rng.integers(0, 2**63 - 1)) * int(rng.integers(1, 10))
+        cells.append(str(rng.choice(["", "-"])) + str(big))
+    for _ in range(500):
+        # Doubles in [2**(53+j), 2**(54+j)) lie 2**(j+1) apart, so these
+        # integers are midpoints, written with zeros or an exponent.
+        j = int(rng.integers(0, 6))
+        text = str(2 ** (53 + j) + 2 ** (j + 1) * int(rng.integers(0, 2**52)) + 2**j)
+        cells.append(str(rng.choice([text, text + ".0", text + ".00",
+                                     text[:1] + "." + text[1:] + f"e{len(text) - 1}"])))
+    for _ in range(200):
+        x = float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+        midpoint = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+        cells.append(format(midpoint, "f"))
+    cells += ["9007199254740993", "-0", "-0.0", ".5", "5.", "5.e3", "+1", "1E+3", "1e05",
+              "-1E-05", "1e-400", "0e999", "123456789012345678", "1234567890123456789",
+              "0.0000000000000000000000000001", "1e-27", "1e-28", "1e22", "1e23"]
+    return cells
+
+
+def bulk_codes(cells, dim=16):
+    """The cells, padded to whole lines of ``dim``, and what
+    ``encoders._bulk_block`` makes of them: their doubles, or None."""
+    cells = cells + ["0"] * (-len(cells) % dim)
+    block = [(i + 2, f"img{i}," + ",".join(cells[i * dim:(i + 1) * dim]))
+             for i in range(len(cells) // dim)]
+    rows = np.empty((len(block), dim))
+    return cells, rows.ravel() if encoders._bulk_block(block, dim, set(), [], rows) else None
+
+
+@pytest.mark.parametrize("extended", [True, False])
+def test_bulk_cells_match_float_bit_for_bit(monkeypatch, extended):
+    if extended and not encoders._EXTENDED:
+        pytest.skip("long doubles here are not x87 extended precision")
+    monkeypatch.setattr(encoders, "_EXTENDED", extended)
+    cells, codes = bulk_codes(bulk_cells(np.random.default_rng(17)))
+    assert codes.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    for token in ["1e400", "-1e400", "1.5e309"]:
+        assert bulk_codes([token, "1.5"])[1] is None      # left to the row loop
+
+
+def test_block_boundaries_match_per_cell_reader(tmp_path, monkeypatch):
+    """Across blocks of 16 lines: a clean file takes the bulk path in every
+    block, and a fault in a later block, or CRLF lines from there on, give
+    the per-cell reader's outcome. Without x87 long doubles the tables are
+    the same bytes."""
+    monkeypatch.setattr(encoders, "BLOCK_CELLS", 64)
+    bulk_blocks = []
+    bulk_block = encoders._bulk_block
+    monkeypatch.setattr(encoders, "_bulk_block",
+                        lambda *args: bulk_blocks.append(bulk_block(*args)) or bulk_blocks[-1])
+    rng = np.random.default_rng(12)
+    codes = rng.normal(size=(70, 4)) * 10.0 ** rng.integers(-30, 30, size=(70, 4))
+    path = tmp_path / "feat.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(70)], codes), path)
+    clean = path.read_text().splitlines(keepends=True)
+    outcome = assert_readers_agree(path)
+    assert outcome[0] == "table" and outcome[3] == codes.tobytes()
+    assert bulk_blocks == [True] * 5
+    with monkeypatch.context() as patch:
+        patch.setattr(encoders, "_EXTENDED", False)
+        assert read_outcome(load_features, path) == outcome
+
+    late = 41                                    # img40, in the third block
+    cells = clean[late].split(",", 1)[1]
+    variants = {
+        "bad cell": "img40,1.0,oops," + cells.split(",", 2)[2],
+        "duplicate id": "img3," + cells,
+        "quoted id": '"img,40",' + cells,
+        "comment": "# a comment\n" + clean[late],
+    }
+    for name, line in variants.items():
+        path.write_text("".join(clean[:late] + [line] + clean[late + 1:]))
+        outcome = assert_readers_agree(path)
+        assert outcome[0] == ("table" if name in ("quoted id", "comment") else "error"), name
+    path.write_bytes("".join(clean[:late]).encode() + "".join(clean[late:]).replace("\n", "\r\n").encode())
+    assert assert_readers_agree(path)[3] == codes.tobytes()
+
+
+def test_multi_block_files_match_per_cell_reader_when_mutated(tmp_path, monkeypatch):
+    """Seeded 1-3 byte mutations of a file of five blocks."""
+    monkeypatch.setattr(encoders, "BLOCK_CELLS", 64)
+    rng = np.random.default_rng(9)
+    codes = rng.normal(size=(70, 4)) * 10.0 ** rng.integers(-30, 30, size=(70, 4))
+    clean = tmp_path / "feat.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(70)], codes), clean)
+    data = clean.read_bytes()
+    path = tmp_path / "mutated.csv"
+    kinds = set()
+    for _ in range(300):
+        path.write_bytes(mutate(data, rng))
+        kinds.add(assert_readers_agree(path)[0])
+    assert kinds == {"table", "error"}
+
+
 def test_features_reject_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "feat.csv"
     path.write_bytes(b"id,f0\r\nimg0,1\rimg1,2\nimg\xff2,3\n")
@@ -191,6 +312,20 @@ def test_features_reject_bytes_that_are_not_utf8(tmp_path):
         load_features(path)
     assert err.value.line == 4
     assert str(err.value).endswith("byte 0xff is not UTF-8")
+
+
+def test_a_bad_cell_before_bytes_that_are_not_utf8_is_reported_first(tmp_path):
+    """The line reader decodes a chunk of the file at a time, so a block
+    that reaches a bad byte is checked up to it: the bad cell before it is
+    the error, as it is for the per-cell reader."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "feat.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(400)], rng.normal(size=(400, 4))), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"img1,1.0,oops,2.0,3.0"
+    path.write_bytes(b"\n".join(lines) + b"img\xff,1,2,3,4\n")
+    assert len(path.read_bytes()) > 4 * 8192
+    assert assert_readers_agree(path)[:2] == ("error", 3)
 
 
 def test_features_with_a_byte_order_mark_load_as_without(tmp_path):

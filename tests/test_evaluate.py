@@ -399,6 +399,29 @@ def test_write_predictions_quotes_ids_that_need_it(tmp_path):
     assert path.read_text().endswith("\nplain,0.500000,0.500000,1,1\n")
 
 
+@pytest.mark.parametrize("tau", [None, 0.25])
+def test_finding_names_that_need_quoting_read_back_whole(tmp_path, tau):
+    """Finding names are quoted as ids are, in the predictions header and in
+    the report lines, so each reads back as one cell; a report line whose
+    name would read as a comment is quoted too."""
+    names = [*QUOTED_IDS, "plain"]
+    n = len(names)
+    p = np.full((1, n), 0.5)
+    path = tmp_path / "pred.csv"
+    write_predictions(Predictions(["img0"], p, p), names, path, tau=tau)
+    header = _split_csv_line(next(_data_lines(path))[1])
+    labels = [] if tau is None else [f"{name}_label" for name in names]
+    assert header == ["id", *names, *labels]
+
+    report = EvalReport(finding_names=names, auc=[0.5] * n, macro=0.5, positives=[1] * n,
+                        negatives=[1] * n, tau=tau, sensitivity=[1.0] * n, specificity=[0.0] * n)
+    path.write_text(format_report(report, echo=["command = eval"]))
+    rows = [_split_csv_line(text) for _, text in _data_lines(path)]
+    extra = [] if tau is None else ["1.000000", "0.000000"]
+    assert rows[1:-1] == [[name, "1", "1", "0.500000", *extra] for name in names]
+    assert rows[-1] == ["macro_auc", "0.500000"]
+
+
 def test_write_predictions_rejects_width_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_predictions(grid(row("img0", [0.5, 0.5])), ["a"], tmp_path / "pred.csv")
