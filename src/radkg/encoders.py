@@ -29,9 +29,9 @@ INITIAL_ROWS = 1024
 BLOCK_CELLS = 1 << 16
 
 #: Whether long doubles are x87 extended precision (a 64-bit significand),
-#: where 10**27 and every 18-digit mantissa are exact.
+#: where 10**27 and every 18-digit mantissa are exact. Without them every
+#: block goes through the row loop, as the bulk path would gain nothing.
 _EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
-_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)
 _POW10_LONG = np.multiply.accumulate(np.array([1] + [10] * 27, dtype=np.longdouble))
 _COMMA, _DOT, _PLUS, _MINUS, _ZERO, _E = b",.+-0e"
 
@@ -82,9 +82,10 @@ def load_features(path) -> FeatureTable:
 
     Lines are read a block of about ``BLOCK_CELLS`` cells at a time into a
     preallocated float64 grid, which doubles when it fills: 8 bytes per cell
-    plus growth slack. ``_bulk_block`` converts a block of plain decimals;
-    any other block goes through the row loop, which alone raises
-    ParseError. Either way a cell parses exactly as ``float`` parses it.
+    plus growth slack. Where long doubles are x87 extended precision,
+    ``_bulk_block`` converts a block of plain decimals; any other block goes
+    through the row loop, which alone raises ParseError. Either way a cell
+    parses exactly as ``float`` parses it.
     """
     lines = _data_lines(path)
     try:
@@ -108,7 +109,7 @@ def load_features(path) -> FeatureTable:
             grown = np.empty((2 * len(codes), dim))
             grown[:m] = codes[:m]
             codes = grown
-        if not (dim and _bulk_block(block, dim, seen, ids, codes[m:end])):
+        if not (dim and _EXTENDED and _bulk_block(block, dim, seen, ids, codes[m:end])):
             _parse_rows(path, block, dim, seen, ids, codes[m:end])
     return FeatureTable(ids, codes[:len(ids)])
 
@@ -161,12 +162,10 @@ def _bulk_block(block, dim, seen, ids, rows) -> bool:
     with nothing written, when any line or cell needs the row loop.
 
     One int64 parse reads every mantissa (its dot dropped) and exponent. A
-    mantissa of at most 18 digits times 10**-k is then one exact division:
-    with x87 long doubles for k <= 27, as 10**27 is exact and a cast of the
-    once-rounded quotient is correct unless it lies halfway between two
-    doubles; else in float64 for a mantissa below 2**53 and k <= 22, where
-    both operands are exact (Clinger's fast path). Other cells go through
-    ``float``.
+    mantissa of at most 18 digits times 10**-k, k <= 27, is then one x87
+    long-double division of exact operands, as 10**27 is exact; the cast
+    of the once-rounded quotient to float64 is correct unless it lies
+    halfway between two doubles. Other cells go through ``float``.
     """
     if any('"' in text for _, text in block):
         return False
@@ -216,15 +215,10 @@ def _bulk_block(block, dim, seen, ids, rows) -> bool:
     mantissa = np.abs(np.delete(values, exp_token))
     e10 = at[dot] + dotted - mantissa_end
     e10[exp_cell] += values[exp_token]
-    if _EXTENDED:
-        scale = np.clip(-e10, 0, 27)
-        q = mantissa.astype(np.longdouble) / _POW10_LONG[scale]
-        # The 11 low bits that the cast rounds away; 0x400 is a tie.
-        exact = q.view(np.uint16)[::q.itemsize // 2] & 0x7FF != 0x400
-    else:
-        scale = np.clip(-e10, 0, 22)
-        q = mantissa / _POW10[scale]
-        exact = mantissa < 2**53
+    scale = np.clip(-e10, 0, 27)
+    q = mantissa.astype(np.longdouble) / _POW10_LONG[scale]
+    # The 11 low bits that the cast rounds away; 0x400 is a tie.
+    exact = q.view(np.uint16)[::q.itemsize // 2] & 0x7FF != 0x400
     # Digits are counted, as int64 parsing saturates silently past 18 of
     # them; a leading zero adds no magnitude, so it does not count.
     exact &= (digits - (a[start + signed] == _ZERO) <= 18) & (exp_digits <= 18) & (scale == -e10)
