@@ -16,14 +16,13 @@ import sys
 from dataclasses import dataclass
 
 from . import gradcheck
+from .artifacts import atomic_open, csv_cell, data_lines, open_commented, split_csv_line
 from .encoders import SyntheticSpec, load_features, synth_dataset, write_features
 from .errors import CheckpointError, ParseError, TrainingDivergedError
 from .evaluate import format_report, macro_auc, predict_table, write_predictions
 from .kg import (
     RelationKind,
     UncertainPolicy,
-    _atomic_open,
-    _data_lines,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
@@ -215,7 +214,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
     try:
-        for lineno, text in _data_lines(path):
+        for lineno, text in data_lines(path):
             key, sep, value = text.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text.strip()!r}")
@@ -366,16 +365,14 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
     best_auc, best_epoch = max(defined, key=lambda t: (t[0], -t[1])) if defined else (None, len(history))
     metadata = {f"config.{key.replace('_', '-')}": _render(value) for key, value in cfg.items()}
     metadata.update({
-        "findings": ",".join(annotations.finding_names),
+        "findings": ",".join(map(csv_cell, annotations.finding_names)),
         "seed": str(cfg["seed"]),
         "epoch": str(best_epoch),
         "val_auc": _render(best_auc),
     })
     save_checkpoint(best, cfg["out_checkpoint"], metadata)
     if cfg["out_history"]:
-        with _atomic_open(cfg["out_history"], "w", encoding="utf-8") as fh:
-            for line in echo:
-                fh.write(f"# {line}\n")
+        with open_commented(cfg["out_history"], echo) as fh:
             fh.write("epoch,loss,val_auc\n")
             for entry in history:
                 fh.write(f"{entry['epoch']},{_render(entry['loss'])},{_render(entry['val_auc'])}\n")
@@ -413,7 +410,7 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
     text = format_report(report, echo=echo)
     sys.stdout.write(text)
     if cfg["out"]:
-        with _atomic_open(cfg["out"], "w", encoding="utf-8") as fh:
+        with atomic_open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
     return EXIT_OK
 
@@ -421,7 +418,7 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
 def _cmd_predict(cfg: dict, echo: list[str]) -> int:
     model, metadata, features = _load_scorer(cfg)
     selected = features.select(cfg["ids"]) if cfg["ids"] is not None else features
-    finding_names = metadata.get("findings", "").split(",")
+    finding_names = split_csv_line(metadata.get("findings", ""))
     if len(finding_names) != model.n_findings:
         finding_names = [f"finding_{j:02d}" for j in range(model.n_findings)]
     predictions = predict_table(model, selected)

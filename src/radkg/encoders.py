@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line
 from .errors import ParseError
-from .kg import AnnotationTable, LabelValue, _atomic_open, _csv_cell, _data_lines, _split_csv_line
+from .kg import AnnotationTable, LabelValue
 
 #: Rows of the grid ``load_features`` starts with; it doubles when full.
 #: ``np.empty`` writes nothing, so the rows no line reaches stay untouched.
@@ -87,14 +88,8 @@ def load_features(path) -> FeatureTable:
     through the row loop, which alone raises ParseError. Either way a cell
     parses exactly as ``float`` parses it.
     """
-    lines = _data_lines(path)
-    try:
-        header_line, header_text = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, "empty feature file") from None
-    header = _split_csv_line(header_text)
-    if not header or header[0] != "id":
-        raise ParseError(path, header_line, f"first header column must be 'id', got {header[:1]}")
+    lines = data_lines(path)
+    header_line, header = read_id_header(path, lines, "feature")
     dim = len(header) - 1
     expected = [f"f{k}" for k in range(dim)]
     if header[1:] != expected:
@@ -139,7 +134,7 @@ def _parse_rows(path, block, dim, seen, ids, rows) -> None:
     ``float``. A row that fails the assignment or the finiteness check is
     scanned again, cell by cell, to name its first bad cell."""
     for (lineno, text), row in zip(block, rows):
-        cells = _split_csv_line(text)
+        cells = split_csv_line(text)
         if len(cells) != dim + 1:
             raise ParseError(path, lineno, f"expected {dim + 1} columns, got {len(cells)}")
         image_id = cells[0]
@@ -255,16 +250,16 @@ def write_features(table: FeatureTable, path, comments=()) -> None:
     """Write a feature CSV that ``load_features`` reads back bit-exactly.
 
     Cells are written with ``repr``, which round-trips doubles through text,
-    and ids are quoted where the reader needs it (``kg._csv_cell``).
+    and ids are quoted where the reader needs it (``artifacts.csv_cell``).
+    An id with a line break raises ValueError before ``path`` is opened.
     """
-    with _atomic_open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+    check_cells(table.image_ids, "image id")
+    with open_commented(path, comments) as fh:
         header = ",".join(["id"] + [f"f{k}" for k in range(table.dim)])
         fh.write(header + "\n")
         for i, image_id in enumerate(table.image_ids):
             cells = ",".join(repr(float(v)) for v in table.codes[i])
-            image_id = _csv_cell(image_id, first=True)
+            image_id = csv_cell(image_id, first=True)
             fh.write(f"{image_id},{cells}\n" if table.dim else f"{image_id}\n")
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, scoring
-from .kg import AnnotationTable, RelationKind, UncertainPolicy, _atomic_open, _csv_cell, relation_grid
+from .artifacts import check_cells, comment_block, csv_cell, open_commented
+from .kg import AnnotationTable, RelationKind, UncertainPolicy, relation_grid
 
 #: Rows ``predict_table`` convolves at a time for the conv scorer (distmult
 #: tables are not chunked). At D=128, d=100, C=8, chunks of 16 to 256 rows
@@ -220,20 +221,19 @@ def _fmt(value: float | None) -> str:
 
 def format_report(report: EvalReport, echo=()) -> str:
     """Structured text: config echo, per-finding lines, macro line."""
-    lines = [f"# {line}" for line in echo]
     header = "finding,positives,negatives,auc"
     if report.tau is not None:
         header += ",sensitivity,specificity"
-    lines.append(header)
+    lines = [header]
     for i, name in enumerate(report.finding_names):
-        row = [_csv_cell(name, first=True), str(report.positives[i]), str(report.negatives[i]),
+        row = [csv_cell(name, first=True), str(report.positives[i]), str(report.negatives[i]),
                _fmt(report.auc[i])]
         if report.tau is not None:
             row.append(_fmt(report.sensitivity[i]))
             row.append(_fmt(report.specificity[i]))
         lines.append(",".join(row))
     lines.append(f"macro_auc,{_fmt(report.macro)}")
-    return "\n".join(lines) + "\n"
+    return comment_block(echo) + "\n".join(lines) + "\n"
 
 
 def write_predictions(
@@ -257,11 +257,11 @@ def write_predictions(
         label_rows = classify(predictions.p, tau).tolist()
         header += [f"{name}_label" for name in finding_names]
     row_format += "\n"
-    with _atomic_open(path, "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(map(_csv_cell, header)) + "\n")
+    check_cells(predictions.image_ids, "image id")
+    check_cells(finding_names, "finding name")
+    with open_commented(path, comments) as fh:
+        fh.write(",".join(map(csv_cell, header)) + "\n")
         fh.writelines(
-            row_format % (_csv_cell(image_id, first=True), *p, *labels)
+            row_format % (csv_cell(image_id, first=True), *p, *labels)
             for image_id, p, labels in zip(predictions.image_ids, p_rows, label_rows)
         )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import scoring
 from .kg import RelationKind
-from .training import _item_loss
+from .training import item_loss
 
 TOLERANCE = 1e-4
 STEP = 1e-5
@@ -101,13 +101,13 @@ def check_gradients(
     def probe() -> tuple[float, np.ndarray | None]:
         """Objective value plus the ReLU pre-activation sign pattern."""
         psi, cache = scoring.forward(model, (c_x @ model.wx)[None], [ridx])
-        value = _item_loss(psi[0], targets)[0] if mode == "loss" else float(psi[0, j_fixed])
+        value = item_loss(psi[0], targets)[0] if mode == "loss" else float(psi[0, j_fixed])
         pipe = cache.pipe
         return value, None if pipe is None else np.sign(np.append(pipe.conv_out, pipe.z2))
 
     psi, cache = scoring.forward(model, (c_x @ model.wx)[None], [ridx])
     if mode == "loss":
-        _, dpsi = _item_loss(psi[0], targets)
+        _, dpsi = item_loss(psi[0], targets)
     else:
         dpsi = np.zeros(n_findings)
         dpsi[j_fixed] = 1.0

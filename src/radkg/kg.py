@@ -7,13 +7,6 @@ finding-to-finding co-occurrence edges, and split into train/val/test folds.
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import io
-import os
-import re
-import secrets
-import stat
 import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -21,6 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import (
+    check_cells, csv_cell, data_lines, lines, open_commented, read_id_header, split_csv_line,
+)
 from .errors import ParseError
 
 
@@ -388,89 +384,6 @@ def split(
 # File formats
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _atomic_open(path, mode: str, **kwargs):
-    """Open a new file beside ``path`` for writing and move it onto ``path``
-    when the block ends; if the block raises, remove it and leave ``path``
-    as it was. Every writer of radkg goes through this, so no reader ever
-    sees a half-written artifact.
-
-    The mode bits are those ``open(path, "w")`` gives: a new file gets 0o666
-    less the umask, an existing file keeps its own. A symlink at ``path`` is
-    written through, to the file it names.
-    """
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with open(fd, mode, **kwargs) as fh:
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def _lines(path):
-    """Yield (1-based line number, text without its line end) for every line.
-
-    One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
-    write, is skipped. Bytes that are not UTF-8 raise ParseError at the line
-    that holds them.
-    """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.rstrip("\n").rstrip("\r")
-            return
-        except UnicodeDecodeError:
-            pass
-    # The decoder reads ahead of the lines it hands out, so find the line of
-    # the first bad byte from the raw bytes.
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start].decode("utf-8")
-        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        raise ParseError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
-
-
-def _data_lines(path):
-    """Yield (1-based line number, text) for non-blank, non-comment lines,
-    with ``_lines``'s ParseError for bytes that are not UTF-8."""
-    for lineno, text in _lines(path):
-        if text.strip() and not text.lstrip().startswith("#"):
-            yield lineno, text
-
-
-def _split_csv_line(text: str) -> list[str]:
-    """The cells of one CSV line, as ``csv.reader`` splits them."""
-    if '"' not in text:
-        return text.split(",")
-    return next(csv.reader(io.StringIO(text)))
-
-
-_QUOTED = re.compile('[,"\r\n]')
-
-
-def _csv_cell(text: str, first: bool = False) -> str:
-    """``text`` as ``csv.writer`` writes a cell: in quotes, with its quotes
-    doubled, when it holds a comma, a quote or a line break. A ``first`` cell
-    is quoted too when its line would otherwise read as a comment."""
-    if _QUOTED.search(text) or first and text.lstrip().startswith("#"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def load_annotations(path) -> AnnotationTable:
     """Parse an annotation CSV: header ``id,<finding>,...[,group]``.
 
@@ -478,14 +391,8 @@ def load_annotations(path) -> AnnotationTable:
     ``0.0``/``0`` negative, ``-1.0``/``-1`` uncertain, blank unmentioned.
     Lines starting with ``#`` are skipped.
     """
-    lines = _data_lines(path)
-    try:
-        header_line, header_text = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, "empty annotation file") from None
-    header = _split_csv_line(header_text)
-    if not header or header[0] != "id":
-        raise ParseError(path, header_line, f"first header column must be 'id', got {header[:1]}")
+    body = data_lines(path)
+    header_line, header = read_id_header(path, body, "annotation")
     has_group = len(header) > 2 and header[-1] == "group"
     finding_names = header[1:-1] if has_group else header[1:]
     if not finding_names:
@@ -498,8 +405,8 @@ def load_annotations(path) -> AnnotationTable:
     seen: set[str] = set()
     groups: list[str] = []
     rows: list[list[int]] = []
-    for lineno, text in lines:
-        cells = _split_csv_line(text)
+    for lineno, text in body:
+        cells = split_csv_line(text)
         if len(cells) != width:
             raise ParseError(path, lineno, f"expected {width} columns, got {len(cells)}")
         image_id = cells[0]
@@ -523,29 +430,26 @@ def load_annotations(path) -> AnnotationTable:
 
 def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str] = ()) -> None:
     """Write an annotation table in the CSV format ``load_annotations`` reads."""
-    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+    check_cells(annotations.image_ids, "image id")
+    check_cells(annotations.finding_names, "finding name")
+    check_cells(annotations.groups or (), "group")
+    with open_commented(path, comments, newline="") as fh:
         header = ["id", *annotations.finding_names]
         if annotations.groups is not None:
             header.append("group")
-        fh.write(",".join(map(_csv_cell, header)) + "\r\n")
+        fh.write(",".join(map(csv_cell, header)) + "\r\n")
         for i, image_id in enumerate(annotations.image_ids):
-            row = [_csv_cell(image_id, first=True)]
+            row = [csv_cell(image_id, first=True)]
             row += [LABEL_WRITE_TOKENS[LabelValue(v)] for v in annotations.labels[i]]
             if annotations.groups is not None:
-                row.append(_csv_cell(annotations.groups[i]))
+                row.append(csv_cell(annotations.groups[i]))
             fh.write(",".join(row) + "\r\n")
 
 
 def write_kg(kg: KnowledgeGraph, path, comments: Sequence[str] = ()) -> None:
     """Serialize a graph as tab-separated ``Kind:index`` triple lines, sorted
     by relation name, then subject index, then object index."""
-    with _atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# m = {kg.m}\n")
-        fh.write(f"# n = {kg.n}\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
+    with open_commented(path, [f"m = {kg.m}", f"n = {kg.n}", *comments]) as fh:
         for relation in sorted(RelationKind, key=lambda r: r.value):
             middle = f"\t{relation.value}\t{EntityKind.FINDING.value}:"
             subject = relation.subject_kind.value
@@ -563,7 +467,7 @@ def load_kg(path) -> KnowledgeGraph:
     """
     counts: dict[str, tuple[int, int]] = {}   # "m"/"n" -> (count, line)
     triples: list[tuple[int, Triple]] = []
-    for lineno, raw in _lines(path):
+    for lineno, raw in lines(path):
         text = raw.strip()
         if not text:
             continue

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import kernel, scoring
 from .errors import CheckpointError, TrainingDivergedError
-from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy, _atomic_open
+from .artifacts import atomic_open
+from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy
 from .encoders import FeatureTable
 
 PROB_CLAMP = 1e-12
@@ -59,7 +60,7 @@ class TrainConfig:
             object.__setattr__(self, "relations", rels)
 
 
-def _item_loss(psi: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def item_loss(psi: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean BCE over the n targets of each item and its gradient dL/dpsi.
 
     The last axis runs over the n findings; a (B, n) batch gives B losses.
@@ -216,7 +217,7 @@ def _batch_gradients(
     ridx = [model.relation_index(relation) for relation in batch.relations]
 
     psi, cache = scoring.forward(model, e_s, ridx)
-    losses, dpsi = _item_loss(psi, batch.targets)
+    losses, dpsi = item_loss(psi, batch.targets)
     grads, d_es = scoring.backward(model, cache, dpsi)
     grads["wx"] = codes.T @ d_es[images]
     np.add.at(grads["ef"], finding_idx, d_es[findings])
@@ -343,7 +344,7 @@ def save_checkpoint(model: scoring.EmbeddingModel, path, metadata: dict | None =
         parts += [struct.pack("<Q", data.size), data.tobytes()]
     parts += [struct.pack("<Q", len(blob)), blob]
     body = b"".join(parts)
-    with _atomic_open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
 

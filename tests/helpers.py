@@ -11,8 +11,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from radkg import AnnotationTable, EntityId, ParseError, RelationKind, evaluate, kernel, scoring
 from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
-from radkg.kg import EntityKind, _data_lines
-from radkg.training import PROB_CLAMP, _item_loss, resolve_relations
+from radkg.artifacts import data_lines as _data_lines
+from radkg.kg import EntityKind
+from radkg.training import PROB_CLAMP, item_loss as _item_loss, resolve_relations
 
 
 def make_table(labels, groups=None, names=None, ids=None):

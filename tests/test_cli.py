@@ -371,6 +371,35 @@ def test_predict_id_subset_and_labels(workspace, tmp_path):
     assert set(lines[1].split(",")[5:]) <= {"0", "1"}
 
 
+def test_predict_header_keeps_finding_names_that_hold_a_comma(tmp_path):
+    """The checkpoint stores the finding list as CSV cells, so ``predict``
+    writes the names ``eval`` reads, not generic ones."""
+    rc = run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                  "--out-annotations", str(tmp_path / "a.csv"),
+                  "--m", "30", "--n", "2", "--dim", "4", "--seed", "1"])
+    assert rc == 0
+    annotations = tmp_path / "a.csv"
+    text = annotations.read_text(encoding="utf-8")
+    annotations.write_text(text.replace("id,finding_00,finding_01", 'id,"Pleural, Other",Edema'),
+                           encoding="utf-8")
+    assert load_annotations(annotations).finding_names == ["Pleural, Other", "Edema"]
+    rc = run_cli(["train", "--features", str(tmp_path / "f.csv"), "--annotations", str(annotations),
+                  "--out-checkpoint", str(tmp_path / "m.rkg"), "--embed-dim", "4", "--epochs", "1"])
+    assert rc == 0
+    assert load_checkpoint(tmp_path / "m.rkg")[1]["findings"] == '"Pleural, Other",Edema'
+    out = tmp_path / "pred.csv"
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "m.rkg"),
+                  "--features", str(tmp_path / "f.csv"), "--out", str(out), "--tau", "0.5"])
+    assert rc == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == 'id,"Pleural, Other",Edema,"Pleural, Other_label",Edema_label'
+
+
+def test_plain_finding_names_are_stored_as_a_bare_comma_join(workspace):
+    metadata = load_checkpoint(workspace / "model.rkg")[1]
+    assert metadata["findings"] == "finding_00,finding_01,finding_02,finding_03"
+
+
 def test_predict_unknown_id_fails_with_data_error(workspace, tmp_path, capsys):
     rc = run_cli([
         "predict",

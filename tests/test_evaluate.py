@@ -25,7 +25,8 @@ from radkg.evaluate import (
     format_report,
     write_predictions,
 )
-from radkg.kg import _data_lines, _split_csv_line, relation_grid
+from radkg.artifacts import data_lines as _data_lines, split_csv_line as _split_csv_line
+from radkg.kg import relation_grid
 
 
 def row(image_id, p, psi=None):

@@ -27,13 +27,12 @@ from radkg import (
     negatives_for,
     split,
 )
+from radkg.artifacts import csv_cell as _csv_cell, split_csv_line as _split_csv_line
 from radkg.kg import (
     EntityKind,
     KnowledgeGraph,
     LabelValue,
     Triple,
-    _csv_cell,
-    _split_csv_line,
     load_annotations,
     load_kg,
     write_annotations,

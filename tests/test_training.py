@@ -36,7 +36,7 @@ from radkg.evaluate import Predictions
 from radkg.kernel import finite_diff_grad, sigmoid
 from radkg.kg import EntityKind
 from radkg.training import (
-    Adam, Sgd, _batch_gradients, _item_loss, make_batches, make_optimizer, train_epoch,
+    Adam, Sgd, _batch_gradients, item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
 )
 
 HAS = RelationKind.HAS_FINDING
