@@ -10,13 +10,11 @@ import numpy as np
 
 from radkg import (
     AnnotationTable,
-    EntityId,
     RelationKind,
     UncertainPolicy,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
-    negatives_for,
 )
 
 # Four chest images against three findings. 1 = positive, 0 = negative,
@@ -48,11 +46,12 @@ for policy in UncertainPolicy:
 # separate-relation policy the uncertain cell (xr_0002, effusion) became a
 # probablyHasFinding edge instead of vanishing or being promoted.
 
-# Closed world: every finding NOT linked to an image is a negative example.
+# Closed world: every finding NOT linked to an image is a negative example,
+# so the negatives of an image are the False cells of its grid row.
 kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-img = EntityId.image(1)
-neg = negatives_for(kg, img, RelationKind.HAS_FINDING)
-print(f"\nclosed-world negatives of {img} under hasFinding: {sorted(map(str, neg))}")
+neg = np.flatnonzero(~kg.grid(RelationKind.HAS_FINDING)[1])
+print(f"\nclosed-world negatives of {table.image_ids[1]} under hasFinding: "
+      f"{[table.finding_names[j] for j in neg]}")
 
 # Directional co-occurrence. Entry (i, j) is P(finding i | finding j) counted
 # over the policy-mapped positives; NaN marks findings that never occur.

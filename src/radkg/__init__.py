@@ -13,13 +13,11 @@ from . import scoring
 from .errors import CheckpointError, ParseError, RadkgError, TrainingDivergedError
 from .kg import (
     AnnotationTable,
-    EntityId,
     RelationKind,
     UncertainPolicy,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
-    negatives_for,
     split,
 )
 from .encoders import SyntheticSpec, synth_dataset
@@ -33,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotationTable",
     "CheckpointError",
-    "EntityId",
     "ParseError",
     "RadkgError",
     "RelationKind",
@@ -51,7 +48,6 @@ __all__ = [
     "init_model",
     "load_checkpoint",
     "macro_auc",
-    "negatives_for",
     "param_count",
     "predict_table",
     "resolve_relations",

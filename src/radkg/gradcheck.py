@@ -128,7 +128,7 @@ def check_gradients(
             return
         fd = (hi - lo) / (2.0 * h)
         err = abs(along - fd) / max(abs(along), abs(fd), 1e-6)
-        max_err = max(max_err, err)
+        max_err = float(np.maximum(max_err, err))  # a NaN error stays the worst
         checked += 1
 
     sample_rng = np.random.default_rng([seed, 0xC0FFEE])
@@ -180,7 +180,15 @@ class SuiteReport:
 
 
 def run_suite(cases, seeds, mode: str = "loss", tolerance: float = TOLERANCE) -> SuiteReport:
-    """Run check_gradients over (scorer, D, d, n, C) cases crossed with seeds."""
+    """Run check_gradients over (scorer, D, d, n, C) cases crossed with seeds.
+
+    The suite passes when its worst error is below ``tolerance``; a NaN
+    error is the worst and fails it.
+    """
+    if not cases or not seeds:
+        raise ValueError("gradcheck needs at least one case and one seed")
+    if not (tolerance > 0.0 and np.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     results = []
     for scorer, feature_dim, embed_dim, n_findings, channels in cases:
         for seed in seeds:
@@ -188,7 +196,7 @@ def run_suite(cases, seeds, mode: str = "loss", tolerance: float = TOLERANCE) ->
                 check_gradients(scorer, feature_dim, embed_dim, n_findings, channels,
                                 seed=seed, mode=mode)
             )
-    worst = max(r.max_rel_error for r in results) if results else 0.0
+    worst = float(np.max([r.max_rel_error for r in results]))
     return SuiteReport(results, worst, tolerance, worst < tolerance)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import (
-    check_cells, csv_cell, data_lines, lines, open_commented, read_id_header, split_csv_line,
+    check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line,
 )
 from .errors import ParseError
 
@@ -88,21 +88,6 @@ class EntityId:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError(f"entity index must be non-negative, got {self.index}")
-
-    @classmethod
-    def image(cls, index: int) -> "EntityId":
-        return cls(EntityKind.IMAGE, index)
-
-    @classmethod
-    def finding(cls, index: int) -> "EntityId":
-        return cls(EntityKind.FINDING, index)
-
-    @classmethod
-    def parse(cls, token: str) -> "EntityId":
-        kind_name, sep, index = token.partition(":")
-        if not sep or not index.isdecimal():
-            raise ValueError(f"bad entity token {token!r}, expected 'Kind:index'")
-        return cls(EntityKind(kind_name), int(index))
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.index}"
@@ -200,35 +185,18 @@ class KnowledgeGraph:
 
     @property
     def triples(self) -> frozenset[Triple]:
-        """Every edge as a ``Triple``, for file output and inspection."""
+        """Every edge as a ``Triple``, for inspection."""
         return frozenset(
-            Triple(EntityId(relation.subject_kind, s), relation, EntityId.finding(o))
+            Triple(EntityId(relation.subject_kind, s), relation, EntityId(EntityKind.FINDING, o))
             for relation, grid in self._grids.items()
             for s, o in np.argwhere(grid).tolist()
         )
-
-    def objects_of(self, subject: EntityId, relation: RelationKind) -> frozenset[int]:
-        """Finding indices linked to ``subject`` under ``relation``."""
-        grid = self._grids[relation]
-        if subject.kind is not relation.subject_kind or subject.index >= len(grid):
-            return frozenset()
-        return frozenset(np.flatnonzero(grid[subject.index]).tolist())
 
     def relation_counts(self) -> dict[RelationKind, int]:
         return {rel: int(np.count_nonzero(grid)) for rel, grid in self._grids.items()}
 
     def __len__(self) -> int:
         return sum(self.relation_counts().values())
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple.obj.index in self.objects_of(triple.subject, triple.relation)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return (self.m, self.n) == (other.m, other.n) and all(
-            np.array_equal(grid, other._grids[rel]) for rel, grid in self._grids.items()
-        )
 
     def __repr__(self) -> str:
         return f"KnowledgeGraph({len(self)} triples, m={self.m}, n={self.n})"
@@ -270,18 +238,6 @@ def build_radkg(annotations: AnnotationTable, policy: UncertainPolicy) -> Knowle
         for relation in (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING)
     }
     return KnowledgeGraph(grids, annotations.m, annotations.n)
-
-
-def negatives_for(kg: KnowledgeGraph, image: EntityId, relation: RelationKind) -> set[EntityId]:
-    """Findings NOT linked to ``image`` under ``relation`` (closed world)."""
-    if image.kind is not EntityKind.IMAGE:
-        raise ValueError(f"expected an Image entity, got {image}")
-    if relation.subject_kind is not EntityKind.IMAGE:
-        raise ValueError(f"{relation.value} does not take Image subjects")
-    if image.index >= kg.m:
-        raise ValueError(f"{image} out of bounds for m={kg.m}")
-    linked = kg.objects_of(image, relation)
-    return {EntityId.finding(j) for j in range(kg.n) if j not in linked}
 
 
 def cooccurrence_matrix(annotations: AnnotationTable, policy: UncertainPolicy) -> np.ndarray:
@@ -455,54 +411,3 @@ def write_kg(kg: KnowledgeGraph, path, comments: Sequence[str] = ()) -> None:
             subject = relation.subject_kind.value
             fh.writelines(f"{subject}:{s}{middle}{o}\n"
                           for s, o in np.argwhere(kg.grid(relation)).tolist())
-
-
-def load_kg(path) -> KnowledgeGraph:
-    """Read a graph serialized by ``write_kg``.
-
-    Entity counts come from the ``# m = ...`` / ``# n = ...`` header comments
-    when present, otherwise from the largest index seen. An index outside
-    those counts is a ``ParseError`` at its line, and so is a count too large
-    for its grids to be allocated.
-    """
-    counts: dict[str, tuple[int, int]] = {}   # "m"/"n" -> (count, line)
-    triples: list[tuple[int, Triple]] = []
-    for lineno, raw in lines(path):
-        text = raw.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            key, sep, value = (part.strip() for part in text[1:].partition("="))
-            if sep and key in ("m", "n") and value.isdecimal():
-                counts[key] = (int(value), lineno)
-            continue
-        parts = text.split("\t")
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-        try:
-            subject = EntityId.parse(parts[0])
-            relation = RelationKind(parts[1])
-            obj = EntityId.parse(parts[2])
-            triples.append((lineno, Triple(subject, relation, obj)))
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
-
-    def largest(kind: EntityKind) -> tuple[int, int]:
-        """One past the largest index of ``kind``, and the line that holds it."""
-        return max(((ent.index + 1, lineno) for lineno, t in triples
-                    for ent in (t.subject, t.obj) if ent.kind is kind), default=(0, 1))
-
-    m, m_line = counts.get("m") or largest(EntityKind.IMAGE)
-    n, n_line = counts.get("n") or largest(EntityKind.FINDING)
-    try:
-        grids = {relation: np.zeros((m, n) if relation.subject_kind is EntityKind.IMAGE
-                                    else (n, n), bool) for relation in RelationKind}
-        for lineno, t in triples:
-            for ent in (t.subject, t.obj):
-                if ent.index >= (m if ent.kind is EntityKind.IMAGE else n):
-                    raise ParseError(path, lineno, f"entity {ent} out of bounds for m={m}, n={n}")
-            grids[t.relation][t.subject.index, t.obj.index] = True
-        return KnowledgeGraph(grids, m, n)
-    except MemoryError:
-        key, count, lineno = max(("m", m, m_line), ("n", n, n_line), key=lambda c: c[1])
-        raise ParseError(path, lineno, f"{key} = {count} is too large to allocate") from None

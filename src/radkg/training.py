@@ -408,8 +408,12 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
         text = chunk.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: metadata is not UTF-8: {exc}") from None
+    # "\n" is the writer's only separator; str.splitlines would also break a
+    # value at "\r", "\x0c", "\u2028" and the other line boundaries it knows.
+    if not text.endswith("\n"):
+        raise CheckpointError(f"{path}: metadata does not end with a line break")
     metadata: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in text[:-1].split("\n"):
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"{path}: malformed metadata line {line!r}")

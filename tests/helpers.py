@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from radkg import AnnotationTable, EntityId, ParseError, RelationKind, evaluate, kernel, scoring
+from radkg import AnnotationTable, ParseError, RelationKind, evaluate, kernel, scoring
 from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
 from radkg.artifacts import data_lines as _data_lines
-from radkg.kg import EntityKind
+from radkg.kg import EntityId, EntityKind
 from radkg.training import PROB_CLAMP, item_loss as _item_loss, resolve_relations
 
 
@@ -26,6 +26,14 @@ def make_table(labels, groups=None, names=None, ids=None):
         labels=labels,
         groups=groups,
     )
+
+
+def image(index: int) -> EntityId:
+    return EntityId(EntityKind.IMAGE, index)
+
+
+def finding(index: int) -> EntityId:
+    return EntityId(EntityKind.FINDING, index)
 
 
 def random_table(rng, m, n, uncertain=False, unmentioned=False):
@@ -197,6 +205,17 @@ def reference_write_kg(kg, path, comments=()):
             fh.write(f"{t}\n")
 
 
+def edge_counts(path) -> dict[str, int]:
+    """Edge lines per relation in a graph file, keyed by the second tab field."""
+    counts: dict[str, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                relation = line.split("\t")[1]
+                counts[relation] = counts.get(relation, 0) + 1
+    return counts
+
+
 @dataclass(frozen=True)
 class Item:
     """One training row: a subject, a relation, closed-world targets and,
@@ -226,9 +245,9 @@ def reference_batches(kg, features, config, epoch=0):
     items = []
     for relation in resolve_relations(kg, config.relations):
         if relation.subject_kind is EntityKind.IMAGE:
-            subjects = [(EntityId.image(i), features.codes[i]) for i in range(kg.m)]
+            subjects = [(image(i), features.codes[i]) for i in range(kg.m)]
         else:
-            subjects = [(EntityId.finding(i), None) for i in range(kg.n)]
+            subjects = [(finding(i), None) for i in range(kg.n)]
         for subject, code in subjects:
             targets = np.zeros(kg.n, dtype=np.float64)
             targets[linked.get((relation, subject), [])] = 1.0

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import mutate
+from helpers import edge_counts, mutate
 
 from radkg import load_checkpoint, scoring
 from radkg.cli import main as cli_main
 from radkg.encoders import load_features
-from radkg.kg import load_annotations, load_kg
+from radkg.kg import UncertainPolicy, load_annotations, relation_grid
 
 
 def run_cli(args):
@@ -108,13 +108,14 @@ def test_build_kg_counts_and_file(workspace, tmp_path, capsys):
     ])
     assert rc == 0
     printed = capsys.readouterr().out
-    graph = load_kg(out)
     counts = {line.split(":")[0]: int(line.split(":")[1])
               for line in printed.strip().splitlines()}
-    assert counts["hasFinding"] == sum(
-        1 for t in graph.triples if t.relation.value == "hasFinding")
+    written = edge_counts(out)
+    assert {relation: written.get(relation, 0) for relation in counts} == counts
+    assert set(written) <= set(counts)
     annotations = load_annotations(workspace / "annotations.csv")
-    assert counts["hasFinding"] == int((annotations.labels == 1).sum())
+    grid = relation_grid(annotations, UncertainPolicy.AS_POSITIVE)
+    assert counts["hasFinding"] == int(grid.sum()) == int((annotations.labels == 1).sum())
 
 
 def test_build_kg_cooccurrence_threshold(workspace, tmp_path, capsys):
@@ -126,9 +127,10 @@ def test_build_kg_cooccurrence_threshold(workspace, tmp_path, capsys):
             "--out", str(out), "--cooccurrence", *extra,
         ])
         assert rc == 0
-        capsys.readouterr()
-        graph = load_kg(out)
-        return sum(1 for t in graph.triples if t.relation.value == "coOccurs")
+        printed = capsys.readouterr().out
+        count = edge_counts(out).get("coOccurs", 0)
+        assert f"coOccurs: {count}\n" in printed
+        return count
 
     loose = co_count(["--cooccur-threshold", "0.05"])
     default = co_count([])
@@ -395,6 +397,27 @@ def test_predict_header_keeps_finding_names_that_hold_a_comma(tmp_path):
     assert lines[0] == 'id,"Pleural, Other",Edema,"Pleural, Other_label",Edema_label'
 
 
+def test_predict_header_keeps_a_finding_name_that_holds_a_form_feed(tmp_path):
+    """The checkpoint's metadata block is split at ``\\n`` only, so a name
+    holding another line boundary survives train then predict."""
+    rc = run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                  "--out-annotations", str(tmp_path / "a.csv"),
+                  "--m", "30", "--n", "2", "--dim", "4", "--seed", "1"])
+    assert rc == 0
+    annotations = tmp_path / "a.csv"
+    text = annotations.read_text(encoding="utf-8")
+    annotations.write_text(text.replace("id,finding_00,", "id,a\x0cb,"), encoding="utf-8")
+    rc = run_cli(["train", "--features", str(tmp_path / "f.csv"), "--annotations", str(annotations),
+                  "--out-checkpoint", str(tmp_path / "m.rkg"), "--embed-dim", "4", "--epochs", "1"])
+    assert rc == 0
+    out = tmp_path / "pred.csv"
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "m.rkg"),
+                  "--features", str(tmp_path / "f.csv"), "--out", str(out)])
+    assert rc == 0
+    lines = [l for l in out.read_text(encoding="utf-8").split("\n") if not l.startswith("#")]
+    assert lines[0] == "id,a\x0cb,finding_01"
+
+
 def test_plain_finding_names_are_stored_as_a_bare_comma_join(workspace):
     metadata = load_checkpoint(workspace / "model.rkg")[1]
     assert metadata["findings"] == "finding_00,finding_01,finding_02,finding_03"
@@ -440,6 +463,42 @@ def test_gradcheck_cli_catches_corruption(monkeypatch, capsys):
     ])
     assert rc == 3
     assert "gradcheck: FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_cli_fails_on_a_nan_gradient(monkeypatch, capsys):
+    true_backward = scoring.backward
+
+    def nan_backward(model, cache, dpsi):
+        grads, d_es = true_backward(model, cache, dpsi)
+        grads["er"] = np.full_like(grads["er"], np.nan)
+        return grads, d_es
+
+    monkeypatch.setattr(scoring, "backward", nan_backward)
+    rc = run_cli([
+        "gradcheck", "--scorer", "distmult", "--dim", "8", "--embed-dim", "16",
+        "--n", "3", "--trials", "1",
+    ])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "max relative error: nan" in out
+    assert "gradcheck: FAIL" in out
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--trials", "0", "at least one case and one seed"),
+    ("--trials", "-2", "at least one case and one seed"),
+    ("--tolerance", "nan", "tolerance must be positive and finite"),
+    ("--tolerance", "inf", "tolerance must be positive and finite"),
+    ("--tolerance", "0", "tolerance must be positive and finite"),
+    ("--tolerance", "-0.5", "tolerance must be positive and finite"),
+])
+def test_gradcheck_cli_refuses_a_run_that_checks_nothing(capsys, option, value, message):
+    rc = run_cli(["gradcheck", "--scorer", "distmult", "--dim", "8", "--embed-dim", "16",
+                  "--n", "3", "--trials", "1", option, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert message in captured.err
 
 
 # ---------------------------------------------------------------- usage/config

@@ -62,6 +62,32 @@ def test_run_suite_aggregates_worst_case():
     assert report.passed
 
 
+def test_run_suite_refuses_to_check_nothing():
+    with pytest.raises(ValueError, match="at least one case and one seed"):
+        run_suite([("distmult", 8, 16, 4, 0)], seeds=range(0))
+    with pytest.raises(ValueError, match="at least one case and one seed"):
+        run_suite([], seeds=range(3))
+    for tolerance in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_suite([("distmult", 8, 16, 4, 0)], seeds=range(1), tolerance=tolerance)
+
+
+def test_nan_gradient_is_the_worst_error(monkeypatch):
+    true_backward = scoring.backward
+
+    def nan_in_er(model, cache, dpsi):
+        grads, d_es = true_backward(model, cache, dpsi)
+        grads["er"] = np.full_like(grads["er"], np.nan)
+        return grads, d_es
+
+    monkeypatch.setattr(scoring, "backward", nan_in_er)
+    result = check_gradients("distmult", feature_dim=8, embed_dim=16,
+                             n_findings=4, seed=0, mode="loss")
+    assert np.isnan(result.max_rel_error)
+    report = run_suite([("distmult", 8, 16, 4, 0)], seeds=range(2), mode="loss")
+    assert np.isnan(report.max_rel_error) and not report.passed
+
+
 def test_corrupted_gradient_is_caught(monkeypatch):
     """Negative control: a biased backward pass must fail the check."""
     true_backward = scoring.backward

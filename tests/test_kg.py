@@ -8,6 +8,8 @@ import pytest
 
 from helpers import (
     QUOTED_IDS,
+    finding,
+    image,
     make_table,
     mutate,
     random_table,
@@ -17,14 +19,12 @@ from helpers import (
 
 from radkg import (
     AnnotationTable,
-    EntityId,
     ParseError,
     RelationKind,
     UncertainPolicy,
     add_cooccurrence,
     build_radkg,
     cooccurrence_matrix,
-    negatives_for,
     split,
 )
 from radkg.artifacts import csv_cell as _csv_cell, split_csv_line as _split_csv_line
@@ -34,7 +34,6 @@ from radkg.kg import (
     LabelValue,
     Triple,
     load_annotations,
-    load_kg,
     write_annotations,
     write_kg,
 )
@@ -43,26 +42,11 @@ from radkg.kg import (
 # ---------------------------------------------------------------- identifiers
 
 
-def test_entity_id_round_trip():
-    e = EntityId.image(3)
-    assert str(e) == "Image:3"
-    assert EntityId.parse("Image:3") == e
-    f = EntityId.finding(0)
-    assert str(f) == "Finding:0"
-    assert EntityId.parse(str(f)) == f
-
-
-def test_entity_id_parse_rejects_garbage():
-    for text in ["Image", "Image:", "Image:x", "Thing:1", "Image:-1", ""]:
-        with pytest.raises(ValueError):
-            EntityId.parse(text)
-
-
 def test_triple_endpoint_kinds_enforced():
-    img = EntityId.image(0)
-    fnd = EntityId.finding(1)
+    img = image(0)
+    fnd = finding(1)
     Triple(img, RelationKind.HAS_FINDING, fnd)
-    Triple(fnd, RelationKind.CO_OCCURS, EntityId.finding(2))
+    Triple(fnd, RelationKind.CO_OCCURS, finding(2))
     with pytest.raises(ValueError):
         Triple(fnd, RelationKind.HAS_FINDING, img)
     with pytest.raises(ValueError):
@@ -103,8 +87,8 @@ def test_build_radkg_as_positive():
     table = make_table([[1, -1, 0], [0, 0, -2]])
     kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
     expected = {
-        Triple(EntityId.image(0), RelationKind.HAS_FINDING, EntityId.finding(0)),
-        Triple(EntityId.image(0), RelationKind.HAS_FINDING, EntityId.finding(1)),
+        Triple(image(0), RelationKind.HAS_FINDING, finding(0)),
+        Triple(image(0), RelationKind.HAS_FINDING, finding(1)),
     }
     assert set(kg.triples) == expected
 
@@ -113,7 +97,7 @@ def test_build_radkg_as_negative():
     table = make_table([[1, -1, 0], [0, 0, -2]])
     kg = build_radkg(table, UncertainPolicy.AS_NEGATIVE)
     expected = {
-        Triple(EntityId.image(0), RelationKind.HAS_FINDING, EntityId.finding(0)),
+        Triple(image(0), RelationKind.HAS_FINDING, finding(0)),
     }
     assert set(kg.triples) == expected
 
@@ -122,11 +106,11 @@ def test_build_radkg_as_separate_relation():
     table = make_table([[1, -1, 0], [0, 0, -2]])
     kg = build_radkg(table, UncertainPolicy.AS_SEPARATE_RELATION)
     expected = {
-        Triple(EntityId.image(0), RelationKind.HAS_FINDING, EntityId.finding(0)),
+        Triple(image(0), RelationKind.HAS_FINDING, finding(0)),
         Triple(
-            EntityId.image(0),
+            image(0),
             RelationKind.PROBABLY_HAS_FINDING,
-            EntityId.finding(1),
+            finding(1),
         ),
     }
     assert set(kg.triples) == expected
@@ -143,36 +127,23 @@ def test_closed_world_negatives_complement(rng, policy):
     """Positives plus negatives reconstruct the full image-finding grid."""
     table = random_table(rng, m=17, n=5, uncertain=True, unmentioned=True)
     kg = build_radkg(table, policy)
-    for i in range(table.m):
-        subject = EntityId.image(i)
-        for relation in (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING):
-            pos = set(kg.objects_of(subject, relation))
-            neg = {e.index for e in negatives_for(kg, subject, relation)}
+    for relation in (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING):
+        grid = kg.grid(relation)
+        for i in range(table.m):
+            pos = set(np.flatnonzero(grid[i]).tolist())
+            neg = set(np.flatnonzero(~grid[i]).tolist())
             assert pos.isdisjoint(neg)
             assert pos | neg == set(range(table.n))
-
-
-def test_negatives_for_rejects_finding_subjects():
-    table = make_table([[1, 1], [1, 0]])
-    kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-    with pytest.raises(ValueError):
-        negatives_for(kg, EntityId.finding(0), RelationKind.HAS_FINDING)
-    with pytest.raises(ValueError):
-        negatives_for(kg, EntityId.image(0), RelationKind.CO_OCCURS)
-    with pytest.raises(ValueError):
-        negatives_for(kg, EntityId.image(99), RelationKind.HAS_FINDING)
+            assert set(np.flatnonzero(table.labels[i] == LabelValue.UNMENTIONED).tolist()) <= neg
 
 
 def test_graph_lookup_and_counts():
     table = make_table([[1, 0, 1]])
     kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-    subject = EntityId.image(0)
-    assert kg.objects_of(subject, RelationKind.HAS_FINDING) == {0, 2}
+    assert np.flatnonzero(kg.grid(RelationKind.HAS_FINDING)[0]).tolist() == [0, 2]
     assert kg.relation_counts()[RelationKind.HAS_FINDING] == 2
     assert len(kg) == 2
-    assert (
-        Triple(subject, RelationKind.HAS_FINDING, EntityId.finding(0)) in kg
-    )
+    assert kg.grid(RelationKind.HAS_FINDING)[0, 0]
 
 
 # ---------------------------------------------------------------- co-occurrence
@@ -209,10 +180,8 @@ def test_add_cooccurrence_strict_threshold():
     cond = cooccurrence_matrix(table, UncertainPolicy.AS_POSITIVE)
     assert cond[1, 0] == 0.2
     kg = add_cooccurrence(KnowledgeGraph(frozenset(), table.m, table.n), cond)
-    edge = Triple(EntityId.finding(0), RelationKind.CO_OCCURS, EntityId.finding(1))
-    reverse = Triple(EntityId.finding(1), RelationKind.CO_OCCURS, EntityId.finding(0))
-    assert reverse not in kg
-    assert edge in kg  # P(F0|F1) == 1.0 passes
+    assert not kg.grid(RelationKind.CO_OCCURS)[1, 0]
+    assert kg.grid(RelationKind.CO_OCCURS)[0, 1]  # P(F0|F1) == 1.0 passes
 
 
 def test_add_cooccurrence_never_adds_diagonal(rng):
@@ -413,17 +382,6 @@ def test_split_csv_line_matches_csv_reader():
         assert _split_csv_line(text) == reference_split_csv_line(text), repr(text)
 
 
-def test_kg_file_round_trip(tmp_path, rng):
-    table = random_table(rng, m=10, n=4)
-    kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-    kg = add_cooccurrence(kg, cooccurrence_matrix(table, UncertainPolicy.AS_POSITIVE))
-    path = tmp_path / "graph.tsv"
-    write_kg(kg, path)
-    loaded = load_kg(path)
-    assert loaded == kg
-    assert (loaded.m, loaded.n) == (kg.m, kg.n)
-
-
 def test_kg_file_is_sorted_and_commented(tmp_path):
     table = make_table([[1, 1]])
     kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
@@ -433,54 +391,6 @@ def test_kg_file_is_sorted_and_commented(tmp_path):
     data = [l for l in lines if not l.startswith("#")]
     assert data == sorted(data)
     assert any(l.startswith("# m = ") for l in lines)
-
-
-def test_kg_parse_error_location(tmp_path):
-    path = tmp_path / "graph.tsv"
-    path.write_text("Image:0\thasFinding\n")
-    with pytest.raises(ParseError) as err:
-        load_kg(path)
-    assert ":1:" in str(err.value)
-
-
-def test_kg_rejects_bytes_that_are_not_utf8(tmp_path):
-    path = tmp_path / "graph.tsv"
-    path.write_bytes(b"# m = 1\n# n = 2\nImage:0\thasFinding\tFinding:\xff0\n")
-    with pytest.raises(ParseError) as err:
-        load_kg(path)
-    assert err.value.line == 3
-    assert str(err.value).endswith("byte 0xff is not UTF-8")
-
-
-def test_kg_file_mutations_raise_only_parse_error(tmp_path, rng):
-    table = random_table(rng, m=10, n=4)
-    kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-    kg = add_cooccurrence(kg, cooccurrence_matrix(table, UncertainPolicy.AS_POSITIVE))
-    clean = tmp_path / "graph.tsv"
-    write_kg(kg, clean, comments=["policy = positive"])
-    data = clean.read_bytes()
-    path = tmp_path / "mutated.tsv"
-    outcomes = {"error": 0, "graph": 0}
-    for _ in range(1000):
-        path.write_bytes(mutate(data, rng))
-        try:
-            loaded = load_kg(path)
-        except ParseError:
-            outcomes["error"] += 1
-        else:
-            assert isinstance(loaded, KnowledgeGraph)
-            outcomes["graph"] += 1
-    assert outcomes["error"] > 0 and sum(outcomes.values()) == 1000
-
-
-def test_kg_header_count_in_other_digits_is_a_comment(tmp_path):
-    # "²".isdigit() holds but int("²") raises; such a header is not a count.
-    path = tmp_path / "graph.tsv"
-    path.write_text("# m = \u00b2\nImage:1\thasFinding\tFinding:0\n", encoding="utf-8")
-    assert load_kg(path).m == 2
-    path.write_text("Image:\u00b2\thasFinding\tFinding:0\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="bad entity token"):
-        load_kg(path)
 
 
 def with_byte_order_mark(path):
@@ -496,31 +406,6 @@ def test_files_with_a_byte_order_mark_load_as_without(tmp_path, rng):
     marked = load_annotations(with_byte_order_mark(tmp_path / "ann.csv"))
     assert (marked.image_ids, marked.finding_names) == (plain.image_ids, plain.finding_names)
     assert np.array_equal(marked.labels, plain.labels)
-
-    kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-    write_kg(kg, tmp_path / "graph.tsv")
-    assert load_kg(with_byte_order_mark(tmp_path / "graph.tsv")) == kg
-
-    # A bad byte is still reported at its own line.
-    (tmp_path / "bad.tsv").write_bytes(b"# m = 1\nImage:0\thasFinding\tFinding:\xff0\n")
-    with pytest.raises(ParseError) as err:
-        load_kg(with_byte_order_mark(tmp_path / "bad.tsv"))
-    assert err.value.line == 2
-
-
-@pytest.mark.parametrize("body,lineno", [
-    ("# m = 1\nImage:5\thasFinding\tFinding:0\n", 2),
-    ("# m = 2\n# n = 3\nImage:1\thasFinding\tFinding:2\nImage:0\thasFinding\tFinding:3\n", 4),
-    ("# n = 2\nFinding:0\tcoOccurs\tFinding:1\nFinding:4\tcoOccurs\tFinding:1\n", 3),
-])
-def test_kg_out_of_bounds_index_is_parse_error(tmp_path, body, lineno):
-    path = tmp_path / "graph.tsv"
-    path.write_text(body)
-    with pytest.raises(ParseError) as err:
-        load_kg(path)
-    assert str(path) in str(err.value)
-    assert f":{lineno}: " in str(err.value)
-    assert "out of bounds" in str(err.value)
 
 
 def random_graph(rng, m, n, empty=()):
@@ -546,14 +431,13 @@ def test_write_kg_matches_reference_writer(tmp_path, rng):
         write_kg(graph, fast, comments=["policy = separate"])
         reference_write_kg(graph, slow, comments=["policy = separate"])
         assert fast.read_bytes() == slow.read_bytes(), (m, n, empty)
-        assert load_kg(fast) == graph
 
 
 def test_graph_grids_are_validated_copies():
     has = np.array([[True, False, True], [False, False, True]])
     kg = KnowledgeGraph({RelationKind.HAS_FINDING: has}, 2, 3)
     has[0, 0] = False
-    assert kg.objects_of(EntityId.image(0), RelationKind.HAS_FINDING) == {0, 2}
+    assert np.flatnonzero(kg.grid(RelationKind.HAS_FINDING)[0]).tolist() == [0, 2]
     for relation in RelationKind:
         assert not kg.grid(relation).flags.writeable
         with pytest.raises(ValueError):
@@ -566,26 +450,3 @@ def test_graph_grids_are_validated_copies():
         KnowledgeGraph({RelationKind.CO_OCCURS: np.zeros((2, 3), bool)}, 2, 3)
     with pytest.raises(ValueError):
         KnowledgeGraph({RelationKind.CO_OCCURS: np.eye(3, dtype=bool)}, 2, 3)
-
-
-def test_objects_of_wrong_kind_or_out_of_range_is_empty():
-    kg = build_radkg(make_table([[1, 1]]), UncertainPolicy.AS_POSITIVE)
-    assert kg.objects_of(EntityId.finding(0), RelationKind.HAS_FINDING) == frozenset()
-    assert kg.objects_of(EntityId.image(0), RelationKind.CO_OCCURS) == frozenset()
-    assert kg.objects_of(EntityId.image(7), RelationKind.HAS_FINDING) == frozenset()
-    assert Triple(EntityId.image(7), RelationKind.HAS_FINDING, EntityId.finding(0)) not in kg
-
-
-@pytest.mark.parametrize("body,lineno", [
-    ("# m = 99999999999999\n# n = 14\nImage:0\thasFinding\tFinding:0\n", 1),
-    ("# m = 2\n# n = 99999999\nImage:0\thasFinding\tFinding:0\n", 2),
-])
-def test_kg_header_count_too_large_to_allocate_is_parse_error(tmp_path, body, lineno):
-    # Both grids fail to allocate at once; no count here is small enough for
-    # the allocation to succeed and touch memory.
-    path = tmp_path / "graph.tsv"
-    path.write_text(body)
-    with pytest.raises(ParseError) as err:
-        load_kg(path)
-    assert err.value.line == lineno
-    assert "too large" in str(err.value)

@@ -69,3 +69,29 @@ def test_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def defined_names(path: Path) -> set[str]:
+    """Top-level functions and classes of a module, and their non-dunder methods."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))}
+    return names
+
+
+def test_every_name_defined_in_the_package_is_used_outside_tests():
+    sources = "\n".join(path.read_text(encoding="utf-8")
+                        for folder in ("src", "demos", "bench")
+                        for path in sorted((ROOT / folder).rglob("*.py")))
+    unused = []
+    for module in sorted((ROOT / "src" / "radkg").glob("*.py")):
+        for name in sorted(defined_names(module)):
+            uses = re.sub(rf"\b(?:def|class)\s+{name}\b", "", sources)
+            if not re.search(rf"\b{name}\b", uses):
+                unused.append(f"{module.stem}.{name}")
+    assert not unused, unused

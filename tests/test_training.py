@@ -539,3 +539,27 @@ def test_checkpoint_metadata_validation(tmp_path):
         save_checkpoint(model, tmp_path / "x.rkg", {"bad=key": "v"})
     with pytest.raises(ValueError):
         save_checkpoint(model, tmp_path / "x.rkg", {"key": "line\nbreak"})
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_checkpoint_metadata_keeps_line_boundaries_other_than_newline(tmp_path, brk):
+    """``str.splitlines`` breaks at each of these; the metadata block is
+    split at the writer's ``\\n`` only."""
+    model = init_model("distmult", 4, 9, 3, seed=0)
+    path = tmp_path / "m.rkg"
+    save_checkpoint(model, path, {"findings": f"a{brk}b,c", f"k{brk}ey": "v"})
+    loaded, metadata = load_checkpoint(path)
+    assert loaded == model
+    assert metadata["findings"] == f"a{brk}b,c" and metadata[f"k{brk}ey"] == "v"
+
+
+def test_checkpoint_metadata_must_end_with_a_line_break(tmp_path):
+    model = init_model("distmult", 4, 9, 3, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    assert blob[-5] == ord("\n")  # the last metadata byte, before the CRC trailer
+    blob[-5] = ord("x")
+    path.write_bytes(reseal(blob))
+    with pytest.raises(CheckpointError, match="does not end with a line break"):
+        load_checkpoint(path)
