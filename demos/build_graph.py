@@ -2,8 +2,11 @@
 From a label table to a knowledge graph
 =======================================
 
-A tiny annotation table is mapped to typed triples under each of the three
+A tiny annotation table is mapped to a graph under each of the three
 uncertainty policies, then extended with co-occurrence edges between findings.
+A graph is one boolean grid per relation, rows for subjects and columns for
+findings, and its edges are the True cells; each policy's edges are printed
+by image id and finding name.
 """
 
 import numpy as np
@@ -36,11 +39,13 @@ table = AnnotationTable(
 print("label grid:")
 print(table.labels)
 
+names = table.finding_names
 for policy in UncertainPolicy:
     kg = build_radkg(table, policy)
-    print(f"\npolicy = {policy.value}: {len(kg)} triples")
-    for triple in sorted(kg.triples, key=str):
-        print(f"  {triple}")
+    print(f"\npolicy = {policy.value}: {len(kg)} edges")
+    for relation in (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING):
+        for i, j in np.argwhere(kg.grid(relation)).tolist():
+            print(f"  {table.image_ids[i]}  {relation.value}  {names[j]}")
 
 # Uncertain cells decide the difference between the policies. Under the
 # separate-relation policy the uncertain cell (xr_0002, effusion) became a
@@ -51,7 +56,7 @@ for policy in UncertainPolicy:
 kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
 neg = np.flatnonzero(~kg.grid(RelationKind.HAS_FINDING)[1])
 print(f"\nclosed-world negatives of {table.image_ids[1]} under hasFinding: "
-      f"{[table.finding_names[j] for j in neg]}")
+      f"{[names[j] for j in neg]}")
 
 # Directional co-occurrence. Entry (i, j) is P(finding i | finding j) counted
 # over the policy-mapped positives; NaN marks findings that never occur.
@@ -61,9 +66,8 @@ print(np.round(cond, 3))
 
 kg = add_cooccurrence(kg, cond, threshold=0.2)
 print("\nafter adding edges with conditional probability > 0.2:")
-for triple in sorted(kg.triples, key=str):
-    if triple.relation is RelationKind.CO_OCCURS:
-        print(f"  {triple}")
+for i, j in np.argwhere(kg.grid(RelationKind.CO_OCCURS)).tolist():
+    print(f"  {names[i]}  {RelationKind.CO_OCCURS.value}  {names[j]}")
 
 counts = kg.relation_counts()
 print("\nrelation counts:", {r.value: c for r, c in counts.items() if c})

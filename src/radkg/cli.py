@@ -194,10 +194,12 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="radkg", description=__doc__.splitlines()[0])
+    """Prefixes of option names (``--tol``) are not accepted: an option is
+    spelled in full, so ``join_values`` knows which tokens take a value."""
+    parser = _Parser(prog="radkg", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for command, opts in COMMAND_OPTS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         for opt in [_CONFIG_OPT, *opts]:
             if opt.flag:
                 p.add_argument(f"--{opt.name}", dest=opt.key, action="store_true",
@@ -208,6 +210,21 @@ def build_parser() -> _Parser:
                 p.add_argument(f"--{opt.name}", dest=opt.key, default=argparse.SUPPRESS,
                                metavar=metavar, help=opt.help)
     return parser
+
+
+_VALUED = {f"--{opt.name}" for opts in COMMAND_OPTS.values()
+           for opt in [_CONFIG_OPT, *opts] if not opt.flag}
+
+
+def join_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--x v`` of an option that takes a value written
+    ``--x=v``, so that the token after it is its value whatever it looks
+    like: argparse alone reads ``-1e-4`` or ``-inf`` as a flag."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUED else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -456,7 +473,7 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = parser.parse_args(join_values(sys.argv[1:] if argv is None else argv))
     if namespace.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -82,11 +82,11 @@ def load_features(path) -> FeatureTable:
     reporting the offending line. A header-only file is a valid empty table.
 
     Lines are read a block of about ``BLOCK_CELLS`` cells at a time into a
-    preallocated float64 grid, which doubles when it fills: 8 bytes per cell
-    plus growth slack. Where long doubles are x87 extended precision,
-    ``_bulk_block`` converts a block of plain decimals; any other block goes
-    through the row loop, which alone raises ParseError. Either way a cell
-    parses exactly as ``float`` parses it.
+    preallocated float64 grid, which doubles when it fills and is trimmed in
+    place to exactly (m, D) at the end. Where long doubles are x87 extended
+    precision, ``_bulk_block`` converts a block of plain decimals; any other
+    block goes through the row loop, which alone raises ParseError. Either
+    way a cell parses exactly as ``float`` parses it.
     """
     lines = data_lines(path)
     header_line, header = read_id_header(path, lines, "feature")
@@ -106,7 +106,8 @@ def load_features(path) -> FeatureTable:
             codes = grown
         if not (dim and _EXTENDED and _bulk_block(block, dim, seen, ids, codes[m:end])):
             _parse_rows(path, block, dim, seen, ids, codes[m:end])
-    return FeatureTable(ids, codes[:len(ids)])
+    codes.resize((len(ids), dim), refcheck=False)  # no view of it is left
+    return FeatureTable(ids, codes)
 
 
 def _blocks(lines, size):

@@ -36,10 +36,6 @@ class RelationKind(Enum):
     def subject_kind(self) -> EntityKind:
         return EntityKind.FINDING if self is RelationKind.CO_OCCURS else EntityKind.IMAGE
 
-    @property
-    def object_kind(self) -> EntityKind:
-        return EntityKind.FINDING
-
 
 class LabelValue(IntEnum):
     """Per-cell annotation state, in the CheXpert CSV convention."""
@@ -78,43 +74,6 @@ class UncertainPolicy(Enum):
     AS_POSITIVE = "positive"
     AS_NEGATIVE = "negative"
     AS_SEPARATE_RELATION = "separate"
-
-
-@dataclass(frozen=True)
-class EntityId:
-    kind: EntityKind
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"entity index must be non-negative, got {self.index}")
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}:{self.index}"
-
-
-@dataclass(frozen=True)
-class Triple:
-    subject: EntityId
-    relation: RelationKind
-    obj: EntityId
-
-    def __post_init__(self):
-        if self.subject.kind is not self.relation.subject_kind:
-            raise ValueError(
-                f"{self.relation.value} requires a {self.relation.subject_kind.value} "
-                f"subject, got {self.subject}"
-            )
-        if self.obj.kind is not self.relation.object_kind:
-            raise ValueError(
-                f"{self.relation.value} requires a {self.relation.object_kind.value} "
-                f"object, got {self.obj}"
-            )
-        if self.subject.kind is EntityKind.FINDING and self.subject == self.obj:
-            raise ValueError(f"self-loop between findings is not allowed: {self.subject}")
-
-    def __str__(self) -> str:
-        return f"{self.subject}\t{self.relation.value}\t{self.obj}"
 
 
 @dataclass
@@ -182,15 +141,6 @@ class KnowledgeGraph:
     def grid(self, relation: RelationKind) -> np.ndarray:
         """The read-only boolean (subjects, n) grid of ``relation``."""
         return self._grids[relation]
-
-    @property
-    def triples(self) -> frozenset[Triple]:
-        """Every edge as a ``Triple``, for inspection."""
-        return frozenset(
-            Triple(EntityId(relation.subject_kind, s), relation, EntityId(EntityKind.FINDING, o))
-            for relation, grid in self._grids.items()
-            for s, o in np.argwhere(grid).tolist()
-        )
 
     def relation_counts(self) -> dict[RelationKind, int]:
         return {rel: int(np.count_nonzero(grid)) for rel, grid in self._grids.items()}
@@ -288,29 +238,24 @@ def split(
     annotations: AnnotationTable,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
-    group_key: Sequence[str] | None = None,
 ) -> tuple[AnnotationTable, AnnotationTable, AnnotationTable]:
     """Deterministic train/val/test partition of an annotation table.
 
-    Rows sharing a group key always land in the same fold.  Groups are
+    Rows sharing a ``groups`` key always land in the same fold.  Groups are
     shuffled with ``seed`` and assigned greedily to the fold with the largest
     remaining deficit, so ungrouped integer-sized targets come out exact and
     grouped splits stay within one group of the target proportions.
     """
     if len(ratios) != 3:
         raise ValueError(f"expected (train, val, test) ratios, got {len(ratios)} values")
-    if any(r <= 0 for r in ratios):
+    if not all(r > 0 for r in ratios):
         raise ValueError(f"ratios must be positive, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
 
-    keys = group_key if group_key is not None else annotations.groups
-    if keys is not None and len(keys) != annotations.m:
-        raise ValueError(f"group_key has {len(keys)} entries for {annotations.m} rows")
-
     groups: dict[object, list[int]] = {}
-    for i in range(annotations.m):
-        groups.setdefault(keys[i] if keys is not None else i, []).append(i)
+    for i, key in enumerate(annotations.groups or range(annotations.m)):
+        groups.setdefault(key, []).append(i)
     group_rows = list(groups.values())
 
     m = annotations.m

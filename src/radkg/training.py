@@ -43,8 +43,8 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning rate must be non-negative, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -273,6 +273,7 @@ def train(
     """
     from .evaluate import macro_auc, predict_table
 
+    model.relation_index(RelationKind.HAS_FINDING)  # validation scores hasFinding
     val_features, val_truth = val_fold
     overlap = set(features.image_ids) & set(val_features.image_ids)
     if overlap:

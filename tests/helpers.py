@@ -12,7 +12,7 @@ from radkg import AnnotationTable, ParseError, RelationKind, evaluate, kernel, s
 from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
 from radkg.artifacts import data_lines as _data_lines
-from radkg.kg import EntityId, EntityKind
+from radkg.kg import EntityKind
 from radkg.training import PROB_CLAMP, item_loss as _item_loss, resolve_relations
 
 
@@ -26,14 +26,6 @@ def make_table(labels, groups=None, names=None, ids=None):
         labels=labels,
         groups=groups,
     )
-
-
-def image(index: int) -> EntityId:
-    return EntityId(EntityKind.IMAGE, index)
-
-
-def finding(index: int) -> EntityId:
-    return EntityId(EntityKind.FINDING, index)
 
 
 def random_table(rng, m, n, uncertain=False, unmentioned=False):
@@ -190,19 +182,27 @@ def mutate(data: bytes, rng) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def edges(kg):
+    """Every edge of a graph as a ``(relation, subject, object)`` index tuple,
+    read cell by cell from its grids."""
+    return {
+        (relation, s, o)
+        for relation in RelationKind
+        for s in range(kg.grid(relation).shape[0])
+        for o in range(kg.n)
+        if kg.grid(relation)[s, o]
+    }
+
+
 def reference_write_kg(kg, path, comments=()):
-    """``write_kg`` as one line per ``Triple``, sorted by the file's key."""
-    ordered = sorted(
-        kg.triples,
-        key=lambda t: (t.relation.value, t.subject.kind.value, t.subject.index, t.obj.index),
-    )
+    """``write_kg`` as one line per edge tuple, sorted by the file's key."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# m = {kg.m}\n")
         fh.write(f"# n = {kg.n}\n")
         for line in comments:
             fh.write(f"# {line}\n")
-        for t in ordered:
-            fh.write(f"{t}\n")
+        for relation, s, o in sorted(edges(kg), key=lambda e: (e[0].value, e[1], e[2])):
+            fh.write(f"{relation.subject_kind.value}:{s}\t{relation.value}\tFinding:{o}\n")
 
 
 def edge_counts(path) -> dict[str, int]:
@@ -218,10 +218,11 @@ def edge_counts(path) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class Item:
-    """One training row: a subject, a relation, closed-world targets and,
-    for an image subject, its feature code."""
+    """One training row: a subject index, a relation, closed-world targets
+    and, for an image subject, its feature code. The relation's
+    ``subject_kind`` says whether ``subject`` is an image or a finding."""
 
-    subject: EntityId
+    subject: int
     relation: RelationKind
     targets: np.ndarray
     code: np.ndarray | None = None
@@ -231,23 +232,22 @@ def batch_items(batch):
     """The rows of a ``training.Batch`` as a list of ``Item``s."""
     codes = iter(batch.feature_codes[batch.subjects[batch.images]])
     return [
-        Item(EntityId(relation.subject_kind, int(subject)), relation, batch.targets[k],
-             next(codes) if batch.images[k] else None)
+        Item(int(subject), relation, batch.targets[k], next(codes) if batch.images[k] else None)
         for k, (relation, subject) in enumerate(zip(batch.relations, batch.subjects))
     ]
 
 
 def reference_batches(kg, features, config, epoch=0):
-    """``make_batches`` built item by item from the graph's triples."""
+    """``make_batches`` built item by item from the graph's edge tuples."""
     linked = {}
-    for t in kg.triples:
-        linked.setdefault((t.relation, t.subject), []).append(t.obj.index)
+    for relation, s, o in edges(kg):
+        linked.setdefault((relation, s), []).append(o)
     items = []
     for relation in resolve_relations(kg, config.relations):
         if relation.subject_kind is EntityKind.IMAGE:
-            subjects = [(image(i), features.codes[i]) for i in range(kg.m)]
+            subjects = [(i, features.codes[i]) for i in range(kg.m)]
         else:
-            subjects = [(finding(i), None) for i in range(kg.n)]
+            subjects = [(i, None) for i in range(kg.n)]
         for subject, code in subjects:
             targets = np.zeros(kg.n, dtype=np.float64)
             targets[linked.get((relation, subject), [])] = 1.0
@@ -515,15 +515,15 @@ def reference_batch_grads(model, batch):
     losses = []
     accum = zero_grads(model)
     for item in batch_items(batch):
-        if item.subject.kind is EntityKind.IMAGE:
+        if item.relation.subject_kind is EntityKind.IMAGE:
             psi = score_all_objects(model, item.code, item.relation)
             loss, dpsi = _item_loss(psi, item.targets)
             grads = reference_grad_all_objects(model, item.code, item.relation, dpsi)
         else:
-            psi = score_all_objects_finding(model, item.subject.index, item.relation)
+            psi = score_all_objects_finding(model, item.subject, item.relation)
             loss, dpsi = _item_loss(psi, item.targets)
             grads = reference_grad_all_objects_finding(
-                model, item.subject.index, item.relation, dpsi)
+                model, item.subject, item.relation, dpsi)
         losses.append(float(loss))
         for name, block in accum.items():
             block += grads[name]

@@ -147,7 +147,7 @@ def test_cooccurrence_oracle():
         compared += 1
 
         kg = add_cooccurrence(KnowledgeGraph([], m, n), cond, threshold)
-        got = {(t.subject.index, t.obj.index) for t in kg.triples}
+        got = set(map(tuple, np.argwhere(kg.grid(RelationKind.CO_OCCURS)).tolist()))
         expected = set()
         for j in range(n):
             denom = int(pos[:, j].sum())

@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -136,14 +137,58 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
-def test_every_coarse_benchmark_span_names_an_existing_function(monkeypatch):
-    """A format function that moves must fail here, not in a benchmark run."""
+def bench_module(name, monkeypatch):
+    """``bench/<name>.py`` loaded as the benchmark loads it, with ``bench/`` on
+    the path. ``run.py`` pins the BLAS thread variables when it loads; they
+    are restored after the test."""
     bench = ROOT / "bench"
     monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_measure", bench / "measure.py")
-    measure = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(measure)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_coarse_benchmark_span_names_an_existing_function(monkeypatch):
+    """A format function that moves must fail here, not in a benchmark run."""
+    measure = bench_module("measure", monkeypatch)
     assert measure.COARSE
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in measure.COARSE
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_benchmark_steps_run_and_pass_their_checks_on_a_tiny_workload(tmp_path, monkeypatch):
+    """ingest-predict's fit and read path at m=80 and m=120, D=16, one
+    epoch: every radkg name, field and file column the benchmark reads must
+    still work. The AUC floor is left out; data this small need not reach it."""
+    measure = bench_module("measure", monkeypatch)
+    run = bench_module("run", monkeypatch)
+    assert set(run.BLAS_VARS) <= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    base = measure.WORKLOADS["ingest-predict"]
+    workload = replace(
+        base,
+        fit=replace(base.fit, data=replace(base.fit.data, m=80, dim=16), epochs=1),
+        ingest=replace(base.ingest, m=120, dim=16),
+    )
+    assert (workload.fit.scorer, workload.fit.policy, workload.fit.cooccurrence) == (
+        "conve", "separate", True)
+    assert workload.ingest.uncertain and workload.ingest.blank and workload.ingest.groups
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    _, tables = run.make_inputs(workload, 7, inputs)
+
+    fitted = measure.fit_run(workload.fit, inputs, out)
+    ingested = measure.ingest_run(workload, inputs, out)
+
+    checks = run.Checks()
+    fitted["checkpoint_sha256"] = measure.sha256(out / "model.rkg")
+    run.check_fit(checks, workload.fit, [fitted])
+    run.check_ingest(checks, tables["ingest"], out, 7)
+    failed = [c for c in checks.results if not c["ok"] and not c["check"].endswith("_auc_floor")]
+    assert failed == []
+    assert len(checks.results) >= 9
+    assert ingested["feature_rows"] == 120 and ingested["triples"] > 0

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import edge_counts, mutate
 
-from radkg import load_checkpoint, scoring
+from radkg import cli, load_checkpoint, scoring, training
 from radkg.cli import main as cli_main
 from radkg.encoders import load_features
 from radkg.kg import UncertainPolicy, load_annotations, relation_grid
@@ -516,6 +516,60 @@ def test_unknown_flag_is_usage_error():
     assert run_cli(["synth", "--wat", "1"]) == 1
 
 
+@pytest.fixture
+def resolve(monkeypatch, capsys):
+    """What ``main`` makes of an argv before it runs a command: the exit code,
+    the resolved options and the error text. No command runs."""
+    resolved = []
+
+    def capture(cfg, echo):
+        resolved.append(cfg)
+        return 0
+
+    for command in cli.COMMAND_OPTS:
+        monkeypatch.setitem(cli._RUNNERS, command, capture)
+
+    def outcome(argv):
+        resolved.clear()
+        rc = run_cli(argv)
+        return rc, repr(resolved), capsys.readouterr().err
+
+    return outcome
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_OPTS))
+def test_a_value_resolves_the_same_whichever_way_it_is_spelled(command, resolve, tmp_path,
+                                                                 monkeypatch):
+    """``--x v`` and ``--x=v`` give the same options or the same UsageError,
+    also for values that look like flags."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    opts = [cli._CONFIG_OPT, *cli.COMMAND_OPTS[command]]
+    for opt in (o for o in opts if not o.flag):
+        required = [token for other in opts if other.required and other is not opt
+                    for token in (f"--{other.name}", "x")]
+        for value in ("-1e-4", "-inf", "nan", "-0", "-1"):
+            apart = resolve([command, *required, f"--{opt.name}", value])
+            joined = resolve([command, *required, f"--{opt.name}={value}"])
+            assert apart == joined, (opt.name, value)
+            assert "usage:" not in apart[2], (opt.name, value, apart)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_option_prefix_is_not_accepted(resolve):
+    for argv in (["gradcheck", "--tol", "1e-3"], ["gradcheck", "--tol=1e-3"]):
+        rc, resolved, err = resolve(argv)
+        assert (rc, resolved) == (1, "[]")
+        assert "unrecognized arguments: --tol" in err
+
+
+def test_a_negative_exponent_value_reaches_the_range_check(capsys):
+    rc = run_cli(["gradcheck", "--scorer", "distmult", "--dim", "8", "--embed-dim", "16",
+                  "--n", "3", "--trials", "1", "--tolerance", "-1e-4"])
+    assert rc == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert run_cli(["synth", "--out-features", "f.csv"]) == 1
     assert "out-annotations" in capsys.readouterr().err
@@ -690,6 +744,36 @@ def test_train_cooccurrence_trains_cooccurs(workspace, tmp_path):
 
     assert run_cli(train_args(workspace, out)) == 0
     assert load_checkpoint(out)[1]["relations"] == "hasFinding"
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--lr", "nan", "learning rate must be finite and non-negative"),
+    ("--lr", "inf", "learning rate must be finite and non-negative"),
+    ("--lr", "-1", "learning rate must be finite and non-negative"),
+    ("--ratios", "nan,0.5,0.5", "ratios must be positive"),
+    ("--ratios", "0.5,0.5,nan", "ratios must be positive"),
+    ("--ratios", "inf,0.5,0.5", "ratios must sum to 1"),
+])
+def test_train_refuses_a_value_out_of_range_before_writing(workspace, tmp_path, capsys,
+                                                           option, value, message):
+    rc = run_cli(train_args(workspace, tmp_path / "m.rkg", "--out-history",
+                            str(tmp_path / "history.csv"), option, value))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_refuses_relations_without_has_finding_before_the_first_batch(
+        workspace, tmp_path, capsys, monkeypatch):
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("trained an epoch")
+
+    monkeypatch.setattr(training, "train_epoch", no_epoch)
+    rc = run_cli(train_args(workspace, tmp_path / "m.rkg", "--cooccurrence",
+                            "--relations", "coOccurs"))
+    assert rc == 2
+    assert "model has no relation hasFinding" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value,present", [("yes", True), ("no", False)])

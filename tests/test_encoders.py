@@ -118,6 +118,18 @@ def test_grid_reader_matches_per_cell_reader_across_growth(tmp_path, m):
     assert outcome[0] == "table" and outcome[3] == codes.tobytes()
 
 
+@pytest.mark.parametrize("m", [0, 200, INITIAL_ROWS + 1])
+def test_loaded_codes_own_exactly_their_rows(tmp_path, m):
+    """No grown grid outlives the read: the codes own their data, m x D cells."""
+    codes = np.random.default_rng(m).normal(size=(m, 64))
+    path = tmp_path / "feat.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(m)], codes), path)
+    loaded = load_features(path).codes
+    assert loaded.base is None and loaded.flags.owndata
+    assert loaded.shape == (m, 64) and loaded.nbytes == codes.nbytes
+    assert loaded.tobytes() == codes.tobytes()
+
+
 def test_grid_reader_matches_per_cell_reader_on_layouts(tmp_path):
     path = tmp_path / "feat.csv"
     layouts = [

@@ -1,15 +1,15 @@
-"""Tests for entities, triples, graph construction, policies, and file formats."""
+"""Tests for relations, graph construction, policies, splits, and file formats."""
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
 from helpers import (
     QUOTED_IDS,
-    finding,
-    image,
+    edges,
     make_table,
     mutate,
     random_table,
@@ -32,27 +32,13 @@ from radkg.kg import (
     EntityKind,
     KnowledgeGraph,
     LabelValue,
-    Triple,
     load_annotations,
     write_annotations,
     write_kg,
 )
 
 
-# ---------------------------------------------------------------- identifiers
-
-
-def test_triple_endpoint_kinds_enforced():
-    img = image(0)
-    fnd = finding(1)
-    Triple(img, RelationKind.HAS_FINDING, fnd)
-    Triple(fnd, RelationKind.CO_OCCURS, finding(2))
-    with pytest.raises(ValueError):
-        Triple(fnd, RelationKind.HAS_FINDING, img)
-    with pytest.raises(ValueError):
-        Triple(img, RelationKind.CO_OCCURS, fnd)
-    with pytest.raises(ValueError):
-        Triple(fnd, RelationKind.CO_OCCURS, fnd)  # self loop
+# ---------------------------------------------------------------- relations
 
 
 def test_relation_wire_names():
@@ -86,34 +72,20 @@ def test_label_values():
 def test_build_radkg_as_positive():
     table = make_table([[1, -1, 0], [0, 0, -2]])
     kg = build_radkg(table, UncertainPolicy.AS_POSITIVE)
-    expected = {
-        Triple(image(0), RelationKind.HAS_FINDING, finding(0)),
-        Triple(image(0), RelationKind.HAS_FINDING, finding(1)),
-    }
-    assert set(kg.triples) == expected
+    assert edges(kg) == {(RelationKind.HAS_FINDING, 0, 0), (RelationKind.HAS_FINDING, 0, 1)}
 
 
 def test_build_radkg_as_negative():
     table = make_table([[1, -1, 0], [0, 0, -2]])
     kg = build_radkg(table, UncertainPolicy.AS_NEGATIVE)
-    expected = {
-        Triple(image(0), RelationKind.HAS_FINDING, finding(0)),
-    }
-    assert set(kg.triples) == expected
+    assert edges(kg) == {(RelationKind.HAS_FINDING, 0, 0)}
 
 
 def test_build_radkg_as_separate_relation():
     table = make_table([[1, -1, 0], [0, 0, -2]])
     kg = build_radkg(table, UncertainPolicy.AS_SEPARATE_RELATION)
-    expected = {
-        Triple(image(0), RelationKind.HAS_FINDING, finding(0)),
-        Triple(
-            image(0),
-            RelationKind.PROBABLY_HAS_FINDING,
-            finding(1),
-        ),
-    }
-    assert set(kg.triples) == expected
+    assert edges(kg) == {(RelationKind.HAS_FINDING, 0, 0),
+                         (RelationKind.PROBABLY_HAS_FINDING, 0, 1)}
 
 
 def test_unmentioned_never_produces_triples():
@@ -188,8 +160,8 @@ def test_add_cooccurrence_never_adds_diagonal(rng):
     table = random_table(rng, m=40, n=6)
     cond = cooccurrence_matrix(table, UncertainPolicy.AS_POSITIVE)
     kg = add_cooccurrence(KnowledgeGraph(frozenset(), table.m, table.n), cond)
-    for triple in kg.triples:
-        assert triple.subject != triple.obj
+    assert edges(kg)
+    assert all(s != o for _, s, o in edges(kg))
 
 
 def test_add_cooccurrence_monotone_in_threshold(rng):
@@ -198,7 +170,7 @@ def test_add_cooccurrence_monotone_in_threshold(rng):
     base = KnowledgeGraph(frozenset(), table.m, table.n)
     loose = add_cooccurrence(base, cond, threshold=0.1)
     tight = add_cooccurrence(base, cond, threshold=0.6)
-    assert set(tight.triples) <= set(loose.triples)
+    assert edges(tight) <= edges(loose)
 
 
 def test_cooccurrence_against_counting_oracle(rng):
@@ -261,6 +233,14 @@ def test_split_rejects_bad_ratios():
         split(table, (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValueError):
         split(table, (1.2, -0.1, -0.1), seed=0)
+
+
+@pytest.mark.parametrize("ratios", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
+                                    (math.inf, 0.5, 0.5), (0.6, 0.2, math.inf)])
+def test_split_rejects_ratios_that_are_not_finite(ratios):
+    table = make_table(np.zeros((100, 1), dtype=np.int8).tolist())
+    with pytest.raises(ValueError, match="ratios must"):
+        split(table, ratios, seed=0)
 
 
 def test_split_warns_on_oversized_group():

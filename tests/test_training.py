@@ -34,7 +34,6 @@ from radkg import (
 from radkg.encoders import FeatureTable
 from radkg.evaluate import Predictions
 from radkg.kernel import finite_diff_grad, sigmoid
-from radkg.kg import EntityKind
 from radkg.training import (
     Adam, Sgd, _batch_gradients, item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
 )
@@ -97,7 +96,7 @@ def test_make_batches_closed_world_targets():
     items = [item for batch in batches for item in batch_items(batch)]
     assert len(items) == table.m  # one item per image for hasFinding
     for item in items:
-        i = item.subject.index
+        i = item.subject
         expected = (table.labels[i] == 1).astype(np.float64)
         assert np.array_equal(item.targets, expected)
         assert np.array_equal(item.code, features.codes[i])
@@ -110,7 +109,7 @@ def test_make_batches_deterministic_and_epoch_dependent():
     a = make_batches(kg, features, config, epoch=1)
     b = make_batches(kg, features, config, epoch=1)
     c = make_batches(kg, features, config, epoch=2)
-    order = lambda bs: [str(item.subject) for batch in bs for item in batch_items(batch)]
+    order = lambda bs: [(item.relation, item.subject) for batch in bs for item in batch_items(batch)]
     assert order(a) == order(b)
     assert order(a) != order(c)
 
@@ -123,7 +122,7 @@ def test_make_batches_separate_relation_targets():
     has_items = [it for it in items if it.relation is HAS]
     prob_items = [it for it in items if it.relation is PROB]
     assert len(has_items) == table.m and len(prob_items) == table.m
-    by_idx = {it.subject.index: it for it in prob_items}
+    by_idx = {it.subject: it for it in prob_items}
     # only the uncertain cell is a probablyHasFinding positive
     assert by_idx[0].targets[0] == 1.0
     assert by_idx[0].targets.sum() == 1.0
@@ -138,13 +137,13 @@ def test_make_batches_cooccur_items_have_no_code():
     co_items = [it for it in items if it.relation is CO]
     assert len(co_items) == table.n
     assert all(it.code is None for it in co_items)
-    assert all(it.subject.kind is EntityKind.FINDING for it in co_items)
+    assert sorted(it.subject for it in co_items) == list(range(table.n))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_make_batches_rows_match_per_item_reference(seed):
     """Same rows, targets, codes, order and batch cuts as building the items
-    one by one from the triples, for all three relations."""
+    one by one from the edge tuples, for all three relations."""
     rng = np.random.default_rng([seed, 31])
     m, n = int(rng.integers(5, 20)), int(rng.integers(2, 7))
     table = make_table(rng.choice(np.array([1, 0, -1, -2], dtype=np.int8), size=(m, n)))
@@ -245,6 +244,12 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
         TrainConfig(relations=(HAS, HAS))
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_train_config_refuses_a_learning_rate_that_is_not_finite(rate):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        TrainConfig(learning_rate=rate)
     TrainConfig(learning_rate=0.0)  # zero is allowed: a frozen-model run
 
 
@@ -379,14 +384,14 @@ def test_divergence_names_epoch_batch_and_item():
     number = 1
     item, later = batches[number][5], batches[number][9]
     # Infinite feature codes make only these two items' scores non-finite.
-    tr_feat.codes[[item.subject.index, later.subject.index]] = np.inf
+    tr_feat.codes[[item.subject, later.subject]] = np.inf
     with pytest.raises(TrainingDivergedError) as caught, np.errstate(invalid="ignore"):
         train(model, graph, tr_feat, (va_feat, va_ann), config)
     message = str(caught.value)
     assert message.startswith("epoch 1: ")
     assert f"batch {number} " in message
-    assert f"({item.subject}, {item.relation.value})" in message
-    assert f"({later.subject}," not in message
+    assert f"(Image:{item.subject}, {item.relation.value})" in message
+    assert f"(Image:{later.subject}," not in message
 
 
 def test_patience_zero_runs_exactly_one_epoch():
