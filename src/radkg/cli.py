@@ -32,8 +32,10 @@ from .kg import (
     write_annotations,
     write_kg,
 )
-from .scoring import init_model
-from .training import TrainConfig, load_checkpoint, resolve_relations, save_checkpoint, train
+from .scoring import SCORER_KINDS, init_model
+from .training import (
+    OPTIMIZER_KINDS, TrainConfig, load_checkpoint, resolve_relations, save_checkpoint, train,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,8 +145,7 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
         Opt("annotations", str, required=True, help="annotation CSV"),
         Opt("out-checkpoint", str, required=True, help="checkpoint to write"),
         Opt("out-history", str, None, "per-epoch loss/val-AUC file"),
-        Opt("scorer", str, "distmult", "scoring function",
-            choices=("distmult", "conve")),
+        Opt("scorer", str, "distmult", "scoring function", choices=SCORER_KINDS),
         Opt("embed-dim", int, 100, "embedding dimension d"),
         Opt("channels", int, 8, "convolution channels (conve only)"),
         *_KG_OPTS,
@@ -152,7 +153,7 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
         Opt("lr", float, 1e-3, "learning rate"),
         Opt("epochs", int, 20, "maximum epochs"),
         Opt("batch-size", int, 32, "minibatch size in items"),
-        Opt("optimizer", str, "adam", "optimizer", choices=("adam", "sgd")),
+        Opt("optimizer", str, "adam", "optimizer", choices=OPTIMIZER_KINDS),
         Opt("seed", int, 0, "training seed (init and shuffling)"),
         Opt("patience", int, 5, "epochs without val-AUC gain before stopping"),
         Opt("relations", _optional(_relations), None,
@@ -180,8 +181,7 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
         Opt("tau", _optional(float), None, "threshold adding binary label columns"),
     ],
     "gradcheck": [
-        Opt("scorer", str, "distmult", "scoring function",
-            choices=("distmult", "conve")),
+        Opt("scorer", str, "distmult", "scoring function", choices=SCORER_KINDS),
         Opt("dim", int, 1024, "feature dimension D"),
         Opt("embed-dim", int, 100, "embedding dimension d"),
         Opt("channels", int, 8, "convolution channels (conve only)"),

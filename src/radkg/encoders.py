@@ -280,8 +280,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.dim < 1:
             raise ValueError("m, n, and dim must be positive")
-        if self.prototype_scale < 0 or self.noise_scale < 0:
-            raise ValueError("scales must be non-negative")
+        for name in ("prototype_scale", "noise_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if not 0.0 < self.label_sparsity < 1.0:
             raise ValueError(f"label sparsity must be in (0,1), got {self.label_sparsity}")
         if not 0.0 <= self.uncertain_fraction < 1.0:

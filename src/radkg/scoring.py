@@ -50,9 +50,32 @@ def conve_flat_size(embed_dim: int, channels: int) -> int:
     return channels * (2 * k - (KERNEL_SIZE - 1)) * (k - (KERNEL_SIZE - 1))
 
 
+def block_shapes(
+    scorer: str, feature_dim: int, embed_dim: int, n_findings: int, n_relations: int, channels: int
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter block of a model, in the canonical
+    order: wx, ef, er, then kernels and wc for the conv scorer.
+
+    This is the one place that says which dims make a model; ``channels`` is
+    read only for the conv scorer. Raises ValueError on dims no model has.
+    """
+    if scorer not in SCORER_KINDS:
+        raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORER_KINDS}")
+    if min(feature_dim, embed_dim, n_findings, n_relations) < 1:
+        raise ValueError("dims must be positive")
+    shapes = {"wx": (feature_dim, embed_dim), "ef": (n_findings, embed_dim),
+              "er": (n_relations, embed_dim)}
+    if scorer == "conve":
+        if channels < 1:
+            raise ValueError("channels must be >= 1")
+        shapes["kernels"] = (channels, KERNEL_SIZE, KERNEL_SIZE)
+        shapes["wc"] = (conve_flat_size(embed_dim, channels), embed_dim)
+    return shapes
+
+
 @dataclass
 class EmbeddingModel:
-    """All learnable parameters, with shapes pinned by the scorer kind.
+    """All learnable parameters, with shapes pinned by ``block_shapes``.
 
     wx: (D, d) feature-to-embedding projection (no bias).
     ef: (n, d) finding embeddings; row j is the embedding of finding j.
@@ -70,38 +93,24 @@ class EmbeddingModel:
     wc: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.scorer not in SCORER_KINDS:
-            raise ValueError(f"unknown scorer {self.scorer!r}, expected one of {SCORER_KINDS}")
         self.relations = tuple(self.relations)
         if not self.relations:
             raise ValueError("model must carry at least one relation")
         if len(set(self.relations)) != len(self.relations):
             raise ValueError("duplicate relations")
-        self.wx = np.asarray(self.wx, dtype=np.float64)
-        self.ef = np.asarray(self.ef, dtype=np.float64)
-        self.er = np.asarray(self.er, dtype=np.float64)
-        if self.wx.ndim != 2 or self.ef.ndim != 2 or self.er.ndim != 2:
-            raise ValueError("wx, ef, er must be 2-D")
-        d = self.wx.shape[1]
-        if self.ef.shape[1] != d or self.er.shape[1] != d:
-            raise ValueError("inconsistent embedding dims across blocks")
-        if self.er.shape[0] != len(self.relations):
-            raise ValueError(
-                f"er has {self.er.shape[0]} rows for {len(self.relations)} relations"
-            )
-        if self.scorer == "distmult":
-            if self.kernels is not None or self.wc is not None:
-                raise ValueError("distmult takes no convolution blocks")
-        else:
-            if self.kernels is None or self.wc is None:
-                raise ValueError("conve requires kernels and wc")
-            self.kernels = np.asarray(self.kernels, dtype=np.float64)
-            self.wc = np.asarray(self.wc, dtype=np.float64)
-            if self.kernels.ndim != 3 or self.kernels.shape[1:] != (KERNEL_SIZE, KERNEL_SIZE):
-                raise ValueError(f"kernels must be (C, {KERNEL_SIZE}, {KERNEL_SIZE})")
-            flat = conve_flat_size(d, self.kernels.shape[0])
-            if self.wc.shape != (flat, d):
-                raise ValueError(f"wc shape {self.wc.shape} does not match expected ({flat}, {d})")
+        shapes = {}
+        for name in ("wx", "ef", "er", "kernels", "wc"):
+            block = getattr(self, name)
+            if block is not None:
+                setattr(self, name, np.asarray(block, dtype=np.float64))
+                shapes[name] = np.shape(block)
+        # The dims are read off wx, ef and kernels; the table then pins every shape.
+        wx, ef, kernels = (shapes.get(name, ()) for name in ("wx", "ef", "kernels"))
+        if len(wx) != 2 or not ef:
+            raise ValueError(f"wx must be 2-D and ef at least 1-D, got {wx} and {ef}")
+        expected = block_shapes(self.scorer, *wx, ef[0], len(self.relations), (*kernels, 0)[0])
+        if shapes != expected:
+            raise ValueError(f"{self.scorer} blocks have shapes {shapes}, expected {expected}")
         for name, block in self.blocks().items():
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"non-finite values in block {name}")
@@ -141,15 +150,8 @@ class EmbeddingModel:
         return named
 
     def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            scorer=self.scorer,
-            wx=self.wx.copy(),
-            ef=self.ef.copy(),
-            er=self.er.copy(),
-            relations=self.relations,
-            kernels=None if self.kernels is None else self.kernels.copy(),
-            wc=None if self.wc is None else self.wc.copy(),
-        )
+        return EmbeddingModel(self.scorer, relations=self.relations,
+                              **{name: block.copy() for name, block in self.blocks().items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingModel):
@@ -157,10 +159,7 @@ class EmbeddingModel:
         if (self.scorer, self.relations) != (other.scorer, other.relations):
             return False
         mine, theirs = self.blocks(), other.blocks()
-        return all(
-            mine[k].shape == theirs[k].shape and np.array_equal(mine[k], theirs[k])
-            for k in mine
-        )
+        return all(np.array_equal(mine[k], theirs[k]) for k in mine)
 
 
 def init_model(
@@ -174,33 +173,20 @@ def init_model(
 ) -> EmbeddingModel:
     """Uniform initialization in [-a, a], a = sqrt(6 / (fan_in + fan_out)).
 
-    Blocks are drawn in a fixed order (wx, ef, er, kernels, wc) so the model
-    is a deterministic function of the seed. ``seed`` may also be a
+    Blocks are drawn in ``block_shapes`` order (wx, ef, er, kernels, wc) so
+    the model is a deterministic function of the seed. ``seed`` may also be a
     ``np.random.Generator``; the blocks are then drawn from it, advancing it.
     """
-    if scorer not in SCORER_KINDS:
-        raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORER_KINDS}")
-    if feature_dim < 1 or embed_dim < 1 or n_findings < 1:
-        raise ValueError("dims must be positive")
+    relations = tuple(relations)
+    shapes = block_shapes(scorer, feature_dim, embed_dim, n_findings, len(relations), channels)
     rng = np.random.default_rng(seed)
-
-    def draw(shape, fan_in, fan_out):
+    blocks = {}
+    for name, shape in shapes.items():
+        # Glorot fans: a kernel's fan-in is its taps, its fan-out every channel's taps.
+        fan_in, fan_out = (shape[1] * shape[2], math.prod(shape)) if name == "kernels" else shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-
-    n_rel = len(tuple(relations))
-    wx = draw((feature_dim, embed_dim), feature_dim, embed_dim)
-    ef = draw((n_findings, embed_dim), n_findings, embed_dim)
-    er = draw((n_rel, embed_dim), n_rel, embed_dim)
-    kernels = wc = None
-    if scorer == "conve":
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
-        flat = conve_flat_size(embed_dim, channels)
-        taps = KERNEL_SIZE * KERNEL_SIZE
-        kernels = draw((channels, KERNEL_SIZE, KERNEL_SIZE), taps, channels * taps)
-        wc = draw((flat, embed_dim), flat, embed_dim)
-    return EmbeddingModel(scorer, wx, ef, er, tuple(relations), kernels, wc)
+        blocks[name] = rng.uniform(-bound, bound, size=shape)
+    return EmbeddingModel(scorer, relations=relations, **blocks)
 
 
 def embed_subject(model: EmbeddingModel, c_x: np.ndarray) -> np.ndarray:

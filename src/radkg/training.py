@@ -228,19 +228,14 @@ def _batch_gradients(
 
 
 def train_epoch(
-    model: scoring.EmbeddingModel,
-    batches: list[Batch],
-    config: TrainConfig,
-    optimizer=None,
+    model: scoring.EmbeddingModel, batches: list[Batch], optimizer
 ) -> tuple[scoring.EmbeddingModel, float]:
     """One pass over the batches; returns the (mutated) model and mean loss.
 
-    Pass the same optimizer across epochs to keep Adam's moments; a fresh one
-    is created when none is given. A non-finite loss stops the epoch before
-    its batch updates the model, naming the batch and its first such item.
+    Pass the same optimizer across epochs to keep Adam's moments. A
+    non-finite loss stops the epoch before its batch updates the model,
+    naming the batch and its first such item.
     """
-    if optimizer is None:
-        optimizer = make_optimizer(config)
     losses: list[np.ndarray] = []
     for number, batch in enumerate(batches):
         batch_losses, grads = _batch_gradients(model, batch)
@@ -287,7 +282,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         batches = make_batches(kg, features, config, epoch=epoch)
         try:
-            model, mean_loss = train_epoch(model, batches, config, optimizer)
+            model, mean_loss = train_epoch(model, batches, optimizer)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
         report = macro_auc(predict_table(model, val_features), val_truth, config.policy)
@@ -307,7 +302,7 @@ def train(
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic RKG1, little-endian header, length-prefixed
-# float64 blocks in the order wx, ef, er, kernels, wc, one length-prefixed
+# float64 blocks in ``scoring.block_shapes`` order, one length-prefixed
 # UTF-8 metadata block of sorted key=value lines, then a u32 zlib.crc32 of
 # every byte before it.
 # ---------------------------------------------------------------------------
@@ -380,18 +375,12 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
     chunk, offset = _take(buf, offset, 20, path, "dims")
     feature_dim, embed_dim, n_findings, channels, n_rel = struct.unpack("<5I", chunk)
 
-    shapes = [("wx", (feature_dim, embed_dim)), ("ef", (n_findings, embed_dim)),
-              ("er", (n_rel, embed_dim))]
-    if scorer == "conve":
-        k = scoring.KERNEL_SIZE
-        try:
-            flat = scoring.conve_flat_size(embed_dim, channels)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
-        shapes.append(("kernels", (channels, k, k)))
-        shapes.append(("wc", (flat, embed_dim)))
+    try:
+        shapes = scoring.block_shapes(scorer, feature_dim, embed_dim, n_findings, n_rel, channels)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     blocks = {}
-    for name, shape in shapes:
+    for name, shape in shapes.items():
         chunk, offset = _take(buf, offset, 8, path, f"{name} length")
         count = struct.unpack("<Q", chunk)[0]
         expected = int(np.prod(shape))
@@ -431,15 +420,7 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
             f"{path}: header says {n_rel} relations, metadata lists {len(relations)}"
         )
     try:
-        model = scoring.EmbeddingModel(
-            scorer=scorer,
-            wx=blocks["wx"],
-            ef=blocks["ef"],
-            er=blocks["er"],
-            relations=relations,
-            kernels=blocks.get("kernels"),
-            wc=blocks.get("wc"),
-        )
+        model = scoring.EmbeddingModel(scorer, relations=relations, **blocks)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return model, metadata

@@ -330,6 +330,23 @@ def reference_conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndar
     return (grad_inp if batched else grad_inp[0]), grad_kernels
 
 
+def reference_init(scorer, feature_dim, embed_dim, n_findings, n_relations, channels, rng):
+    """``init_model``'s blocks spelled out: Glorot-uniform draws from ``rng``
+    in the order wx, ef, er, then kernels and wc for conve."""
+    shapes = [(feature_dim, embed_dim), (n_findings, embed_dim), (n_relations, embed_dim)]
+    fans = list(shapes)
+    if scorer == "conve":
+        k = math.isqrt(embed_dim)
+        flat = channels * (2 * k - 4) * (k - 4)
+        shapes += [(channels, 5, 5), (flat, embed_dim)]
+        fans += [(25, 25 * channels), (flat, embed_dim)]
+    blocks = []
+    for shape, (fan_in, fan_out) in zip(shapes, fans):
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        blocks.append(rng.uniform(-bound, bound, size=shape))
+    return blocks
+
+
 def reference_conve_pipeline(model, e_s, r_r):
     """``scoring.conve_pipeline`` with the convolution of ``reference_conv2d_fwd``."""
     k = model.reshape_side

@@ -118,7 +118,7 @@ def test_train_epoch_matches_per_item_epoch(scorer, channels):
         model, graph, features, config = random_problem(scorer, channels, seed)
         batches = make_batches(graph, features, config)
         reference = model.copy()
-        _, loss = train_epoch(model, batches, config, Adam(config.learning_rate))
+        _, loss = train_epoch(model, batches, Adam(config.learning_rate))
         _, reference_loss = reference_train_epoch(
             reference, batches, TextbookAdam(config.learning_rate))
         for name, block in reference.blocks().items():
@@ -201,7 +201,7 @@ def test_repeated_epochs_give_byte_identical_checkpoints(tmp_path, scorer, chann
         model, graph, features, config = random_problem(scorer, channels, 7)
         optimizer = Adam(config.learning_rate)
         for epoch in range(3):
-            train_epoch(model, make_batches(graph, features, config, epoch), config, optimizer)
+            train_epoch(model, make_batches(graph, features, config, epoch), optimizer)
         path = tmp_path / f"run{run}.rkg"
         save_checkpoint(model, path)
         assert load_checkpoint(path)[0] == model

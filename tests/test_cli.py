@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def test_synth_writes_aligned_files(tmp_path, capsys):
     annotations = load_annotations(tmp_path / "a.csv")
     assert features.m == annotations.m == 12
     assert features.image_ids == annotations.image_ids
+
+
+@pytest.mark.parametrize("flag", ["prototype-scale", "noise-scale"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_a_scale_that_is_not_finite_before_generating(tmp_path, capsys, flag, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                      "--out-annotations", str(tmp_path / "a.csv"), f"--{flag}", value])
+    assert rc == 2
+    assert f"{flag.replace('-', '_')} must be finite and non-negative" in capsys.readouterr().err
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_echoes_config_into_outputs(tmp_path):

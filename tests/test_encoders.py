@@ -424,3 +424,10 @@ def test_synth_spec_validation():
         SyntheticSpec(uncertain_fraction=1.0)
     with pytest.raises(ValueError):
         SyntheticSpec(noise_scale=-0.1)
+
+
+@pytest.mark.parametrize("field", ["prototype_scale", "noise_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_synth_spec_refuses_scales_that_are_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        SyntheticSpec(**{field: value})

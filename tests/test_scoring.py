@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    finding_grads, image_grads, max_relative_error, score_all_objects, score_all_objects_finding,
+    finding_grads, image_grads, max_relative_error, reference_init, score_all_objects,
+    score_all_objects_finding,
 )
 
 from radkg import (
@@ -16,7 +17,7 @@ from radkg import (
     score_distmult,
 )
 from radkg.kernel import finite_diff_grad
-from radkg.scoring import EmbeddingModel
+from radkg.scoring import EmbeddingModel, block_shapes
 
 HAS = RelationKind.HAS_FINDING
 CO = RelationKind.CO_OCCURS
@@ -135,6 +136,32 @@ def test_model_block_validation():
                        np.zeros((2, 9)), (HAS, HAS))
 
 
+def test_conve_model_refuses_zero_channels():
+    conv = init_model("conve", 4, 25, 3, channels=1, seed=0)
+    with pytest.raises(ValueError, match="channels must be >= 1"):
+        EmbeddingModel("conve", conv.wx, conv.ef, conv.er, (HAS,),
+                       kernels=np.zeros((0, 5, 5)), wc=np.zeros((0, 25)))
+
+
+@pytest.mark.parametrize("args,message", [
+    (("transe", 4, 25, 3, 1, 1), "unknown scorer"),
+    (("distmult", 0, 25, 3, 1, 1), "dims must be positive"),
+    (("distmult", 4, 25, 0, 1, 1), "dims must be positive"),
+    (("distmult", 4, 25, 3, 0, 1), "dims must be positive"),
+    (("conve", 4, 25, 3, 1, 0), "channels must be >= 1"),
+])
+def test_block_shapes_refuses_dims_no_model_has(args, message):
+    with pytest.raises(ValueError, match=message):
+        block_shapes(*args)
+
+
+def test_block_shapes_order_and_shapes():
+    assert block_shapes("distmult", 6, 9, 4, 2, 0) == {"wx": (6, 9), "ef": (4, 9), "er": (2, 9)}
+    conv = block_shapes("conve", 6, 100, 4, 2, 8)
+    assert list(conv.items()) == [("wx", (6, 100)), ("ef", (4, 100)), ("er", (2, 100)),
+                                  ("kernels", (8, 5, 5)), ("wc", (768, 100))]
+
+
 def test_relation_index_unknown_relation():
     model = init_model("distmult", 4, 8, 5, seed=0)
     with pytest.raises(ValueError):
@@ -242,6 +269,24 @@ def test_init_model_bounds():
     ):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.abs(block).max() <= bound, name
+
+
+@pytest.mark.parametrize("scorer", ["distmult", "conve"])
+@pytest.mark.parametrize("seeded", ["int", "generator"])
+def test_init_model_is_the_reference_draw(scorer, seeded):
+    """Bit for bit, in the order wx, ef, er, kernels, wc, and a Generator
+    passed as the seed is advanced by exactly those draws."""
+    generator = np.random.default_rng(17)
+    model = init_model(scorer, 6, 36, 5, relations=(HAS, CO), channels=3,
+                       seed=17 if seeded == "int" else generator)
+    rng = np.random.default_rng(17)
+    reference = reference_init(scorer, 6, 36, 5, 2, 3, rng)
+    names = ["wx", "ef", "er"] + (["kernels", "wc"] if scorer == "conve" else [])
+    assert list(model.blocks()) == names
+    for name, expected in zip(names, reference, strict=True):
+        assert np.array_equal(model.blocks()[name], expected), name
+    if seeded == "generator":
+        assert generator.random() == rng.random()
 
 
 def test_model_copy_is_deep():

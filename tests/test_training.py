@@ -34,6 +34,7 @@ from radkg import (
 from radkg.encoders import FeatureTable
 from radkg.evaluate import Predictions
 from radkg.kernel import finite_diff_grad, sigmoid
+from radkg.scoring import block_shapes
 from radkg.training import (
     Adam, Sgd, _batch_gradients, item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
 )
@@ -262,7 +263,7 @@ def test_zero_learning_rate_leaves_model_unchanged():
         config = TrainConfig(learning_rate=0.0, optimizer=optimizer, seed=0)
         model = init_model("distmult", features.dim, 9, kg.n, seed=1)
         before = {k: v.copy() for k, v in model.blocks().items()}
-        train_epoch(model, make_batches(kg, features, config), config)
+        train_epoch(model, make_batches(kg, features, config), make_optimizer(config))
         for name, block in model.blocks().items():
             assert np.array_equal(block, before[name]), (optimizer, name)
 
@@ -312,7 +313,7 @@ def test_single_item_converges():
     loss = math.inf
     for epoch in range(300):
         batches = make_batches(kg, features, config, epoch=epoch)
-        _, loss = train_epoch(model, batches, config, optimizer)
+        _, loss = train_epoch(model, batches, optimizer)
     assert loss < 1e-2
 
 
@@ -322,7 +323,7 @@ def test_train_epoch_flags_divergence():
     model = init_model("distmult", features.dim, 9, kg.n, seed=1)
     model.wx[0, 0] = np.nan  # poisoned parameter -> NaN loss on first item
     with pytest.raises(TrainingDivergedError):
-        train_epoch(model, make_batches(kg, features, config), config)
+        train_epoch(model, make_batches(kg, features, config), make_optimizer(config))
 
 
 # ---------------------------------------------------------------- train loop
@@ -438,6 +439,16 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("scorer", ["distmult", "conve"])
+def test_initialized_and_loaded_models_have_the_table_shapes(tmp_path, scorer):
+    model = init_model(scorer, 6, 25, 4, relations=(HAS, CO), channels=2, seed=3)
+    save_checkpoint(model, tmp_path / "m.rkg")
+    loaded, _ = load_checkpoint(tmp_path / "m.rkg")
+    expected = list(block_shapes(scorer, 6, 25, 4, 2, 2).items())
+    for built in (model, loaded):
+        assert [(name, block.shape) for name, block in built.blocks().items()] == expected
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.rkg"
     path.write_bytes(b"NOPE" + bytes(64))
@@ -473,6 +484,21 @@ def test_checkpoint_rejects_unknown_scorer_code(tmp_path):
     blob[8] = 9  # scorer code byte
     path.write_bytes(reseal(blob))
     with pytest.raises(CheckpointError, match="unknown scorer code 9"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_zero_channels_is_checkpoint_error(tmp_path):
+    """A conve file whose header says 0 channels, with empty kernels and wc
+    blocks and a valid trailer, is refused rather than loaded."""
+    model = init_model("conve", 4, 25, 3, channels=1, seed=0)
+    parts = [b"RKG1", struct.pack("<IB5I", 2, 2, 4, 25, 3, 0, 1)]
+    for block in (model.wx, model.ef, model.er, np.zeros((0, 5, 5)), np.zeros((0, 25))):
+        parts += [struct.pack("<Q", block.size), block.astype("<f8").tobytes()]
+    meta = b"relations=hasFinding\n"
+    parts += [struct.pack("<Q", len(meta)), meta, bytes(4)]
+    path = tmp_path / "zero.rkg"
+    path.write_bytes(reseal(b"".join(parts)))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: channels must be >= 1")):
         load_checkpoint(path)
 
 
