@@ -395,6 +395,9 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
             for entry in history:
                 fh.write(f"{entry['epoch']},{_render(entry['loss'])},{_render(entry['val_auc'])}\n")
     print(f"trained {len(history)} epochs; best val macro-AUC {_render(best_auc)} at epoch {best_epoch}")
+    if not defined:
+        print(f"no model selection took place: the validation fold ({val_t.m} rows) has no finding "
+              f"with both classes, so every epoch ran and the last model was kept")
     return EXIT_OK
 
 

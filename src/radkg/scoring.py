@@ -9,7 +9,7 @@ scorer, each with exact analytic gradients for every parameter block.
 (subject, relation) queries against all n findings at once. Training and
 the gradient check (at B=1) run through them. Table inference in
 ``evaluate.predict_table``, where every query has the same relation, folds
-the relation's share once per table instead (one (D, n) map for distmult,
+the relation's share once per table instead (one (n, D) map for distmult,
 one constant projection term for conve), and is tested against
 ``forward``. The single-triple scorers ``score_distmult``,
 ``score_conve`` and ``conve_pipeline``, with ``embed_subject``, are the

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernel, scoring
 from .errors import CheckpointError, TrainingDivergedError
 from .artifacts import atomic_open
-from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy
+from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy, relation_grid
 from .encoders import FeatureTable
 
 PROB_CLAMP = 1e-12
@@ -265,6 +265,8 @@ def train(
     training images. After each epoch the validation macro-AUC on hasFinding
     queries is recorded; the best-scoring model snapshot is returned. Training
     stops once the epochs since the last improvement reach the patience.
+    When no finding of the fold has both a positive and a negative row, no
+    epoch can define an AUC: every epoch runs and the last model is returned.
     """
     from .evaluate import macro_auc, predict_table
 
@@ -274,6 +276,8 @@ def train(
     if overlap:
         raise ValueError(f"train/val folds share {len(overlap)} image ids, e.g. {sorted(overlap)[:3]}")
 
+    val_labels = relation_grid(val_truth, config.policy)
+    selects = bool(np.any(val_labels.any(axis=0) & ~val_labels.all(axis=0)))
     optimizer = make_optimizer(config)
     history: list[dict] = []
     best_model = None
@@ -293,7 +297,7 @@ def train(
             stall = 0
         else:
             stall += 1
-        if stall >= config.patience:
+        if selects and stall >= config.patience:
             break
     if best_model is None:
         best_model = model.copy()
@@ -402,12 +406,16 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
     # value at "\r", "\x0c", "\u2028" and the other line boundaries it knows.
     if not text.endswith("\n"):
         raise CheckpointError(f"{path}: metadata does not end with a line break")
+    lines = text[:-1].split("\n")
     metadata: dict[str, str] = {}
-    for line in text[:-1].split("\n"):
+    for line in lines:
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"{path}: malformed metadata line {line!r}")
         metadata[key] = value
+    # The writer sorts its keys; another order or a repeat would not save back the same bytes.
+    if len(metadata) != len(lines) or list(metadata) != sorted(metadata):
+        raise CheckpointError(f"{path}: metadata keys are not unique and sorted")
 
     if "relations" not in metadata:
         raise CheckpointError(f"{path}: metadata lacks the relation list")
@@ -423,4 +431,11 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
         model = scoring.EmbeddingModel(scorer, relations=relations, **blocks)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    # The blocks pin every dim except a distmult file's channels, which no block reads.
+    header = {"feature_dim": feature_dim, "embed_dim": embed_dim, "n_findings": n_findings,
+              "channels": channels}
+    for field, value in header.items():
+        if getattr(model, field) != value:
+            raise CheckpointError(f"{path}: header {field} {value} disagrees with the model's "
+                                  f"{getattr(model, field)}")
     return model, metadata

@@ -195,7 +195,7 @@ def test_train_deterministic_checkpoints(tmp_path, monkeypatch, workspace):
     assert blobs[0] == blobs[1]
 
 
-def test_train_seed_changes_model(tmp_path, workspace):
+def test_train_seed_changes_model(tmp_path, workspace, capsys):
     blobs = []
     for seed in ("4", "5"):
         out = tmp_path / f"m{seed}.rkg"
@@ -207,9 +207,33 @@ def test_train_seed_changes_model(tmp_path, workspace):
             "--embed-dim", "16", "--epochs", "2", "--seed", seed,
         ])
         assert rc == 0
+        assert "no model selection" not in capsys.readouterr().out  # the fold defines an AUC
         model, _ = load_checkpoint(out)
         blobs.append(model)
     assert blobs[0] != blobs[1]
+
+
+@pytest.mark.parametrize("patience", ["5", "0"])
+def test_train_without_a_defined_validation_auc_runs_every_epoch(tmp_path, capsys, patience):
+    """At m=40 the 1% validation fold holds one image, so no finding has both
+    classes there and no epoch can select a model: all 7 epochs run, whatever
+    the patience, and the command says so."""
+    assert run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                    "--out-annotations", str(tmp_path / "a.csv"), "--m", "40", "--dim", "8"]) == 0
+    rc = run_cli(["train", "--features", str(tmp_path / "f.csv"),
+                  "--annotations", str(tmp_path / "a.csv"), "--epochs", "7",
+                  "--ratios", "0.98,0.01,0.01", "--patience", patience,
+                  "--out-checkpoint", str(tmp_path / "m.rkg"),
+                  "--out-history", str(tmp_path / "h.csv")])
+    assert rc == 0
+    rows = [l for l in (tmp_path / "h.csv").read_text().splitlines() if not l.startswith("#")]
+    assert rows[0] == "epoch,loss,val_auc"
+    assert [row.split(",")[0] for row in rows[1:]] == [str(e) for e in range(1, 8)]
+    assert all(row.endswith(",none") for row in rows[1:])
+    out = capsys.readouterr().out
+    assert "trained 7 epochs; best val macro-AUC none at epoch 7" in out
+    assert "no model selection took place: the validation fold (1 rows)" in out
+    assert load_checkpoint(tmp_path / "m.rkg")[1]["epoch"] == "7"
 
 
 def test_train_separate_policy_records_two_relations(tmp_path):

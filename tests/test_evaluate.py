@@ -140,17 +140,23 @@ SHUFFLED_RELATIONS = [
 
 
 def test_distmult_predict_table_matches_the_chunked_forward():
-    """The folded (D, n) map sums in another order than ``scoring.forward``,
+    """The folded (n, D) map sums in another order than ``scoring.forward``,
     so each psi is held to the error bound of a re-associated sum: 1e-12
-    times the same sum taken over absolute values (worst seen 4.7e-16).
+    times the same sum taken over absolute values (worst seen 4.5e-16).
     p is the sigmoid of that psi, bit for bit."""
     rng = np.random.default_rng(88)
-    for case in range(400):
-        m = 0 if case % 20 == 0 else int(rng.integers(1, 301))
-        dim, embed_dim = int(rng.choice([3, 17, 128, 1024])), int(rng.choice([2, 16, 100]))
+    # After the random cases (m <= 300), two with m >> n, where OpenBLAS picks
+    # other kernels: fit-distmult's table and the paper's D, d and n at m=5000.
+    shaped = [(2000, 1024, 100, 14), (5000, 1024, 100, 14)]
+    for case in range(400 + len(shaped)):
+        if case < 400:
+            m = 0 if case % 20 == 0 else int(rng.integers(1, 301))
+            dim, embed_dim = int(rng.choice([3, 17, 128, 1024])), int(rng.choice([2, 16, 100]))
+            n = int(rng.integers(1, 15))
+        else:
+            m, dim, embed_dim, n = shaped[case - 400]
         relations = SHUFFLED_RELATIONS[case % len(SHUFFLED_RELATIONS)]
-        model = init_model("distmult", dim, embed_dim, int(rng.integers(1, 15)),
-                           relations=relations, seed=case)
+        model = init_model("distmult", dim, embed_dim, n, relations=relations, seed=case)
         scale = 10.0 ** rng.uniform(-2, 2)
         features = FeatureTable([f"i{i}" for i in range(m)], scale * rng.normal(size=(m, dim)))
         got, want = predict_table(model, features), reference_predict_table(model, features)

@@ -33,6 +33,7 @@ from radkg import (
 )
 from radkg.encoders import FeatureTable
 from radkg.evaluate import Predictions
+from radkg.kg import AnnotationTable
 from radkg.kernel import finite_diff_grad, sigmoid
 from radkg.scoring import block_shapes
 from radkg.training import (
@@ -414,6 +415,27 @@ def test_early_stopping_halts_before_epoch_budget():
     assert len(history) < 60
 
 
+def test_a_fold_without_a_defined_auc_ignores_patience_and_returns_the_last_model():
+    """When no finding of the validation fold has both classes, every epoch's
+    AUC is undefined, which says nothing about the model: all epochs run and
+    the returned model is the last one, as a run with no validation would."""
+    tr_feat, tr_ann, va_feat, va_ann = synth_folds()
+    kg = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
+    one = va_ann.image_ids[:1]
+    va_feat, va_ann = va_feat.select(one), AnnotationTable(one, va_ann.finding_names, va_ann.labels[:1])
+    for patience in (0, 2):
+        config = TrainConfig(learning_rate=0.02, epochs=6, batch_size=16, patience=patience, seed=0)
+        best, history = train(init_model("distmult", 8, 16, 4, seed=0), kg, tr_feat,
+                              (va_feat, va_ann), config)
+        assert [h["epoch"] for h in history] == list(range(1, 7))
+        assert all(h["val_auc"] is None for h in history)
+        last = init_model("distmult", 8, 16, 4, seed=0)
+        optimizer = make_optimizer(config)
+        for epoch in range(1, 7):
+            train_epoch(last, make_batches(kg, tr_feat, config, epoch=epoch), optimizer)
+        assert best == last
+
+
 # ---------------------------------------------------------------- checkpoints
 
 
@@ -500,6 +522,70 @@ def test_checkpoint_with_zero_channels_is_checkpoint_error(tmp_path):
     path.write_bytes(reseal(b"".join(parts)))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: channels must be >= 1")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("channels", [7, 1])
+def test_distmult_checkpoint_whose_header_names_channels_is_checkpoint_error(tmp_path, channels):
+    """No distmult block reads the channels field, so only the header check
+    can see it; such a file used to load as a 0-channel model that saved
+    back as other bytes."""
+    model = init_model("distmult", 4, 9, 3, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    assert blob[21:25] == struct.pack("<I", 0)  # channels: the 4th header dim, from byte 9
+    blob[21:25] = struct.pack("<I", channels)
+    path.write_bytes(reseal(blob))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: header channels {channels} disagrees with the model's 0")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_unsorted_or_repeated_metadata_keys_is_checkpoint_error(tmp_path):
+    model = init_model("distmult", 4, 9, 3, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path, {"a": "1", "b": "2"})
+    blob = path.read_bytes()
+    assert b"a=1\nb=2\nrelations=" in blob
+    for keys in (b"b=1\na=2\n", b"a=1\na=2\n"):
+        path.write_bytes(reseal(blob.replace(b"a=1\nb=2\n", keys)))
+        with pytest.raises(CheckpointError, match="metadata keys are not unique and sorted"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("scorer", ["distmult", "conve"])
+def test_every_checkpoint_that_loads_saves_back_byte_identical(tmp_path, scorer):
+    """Each byte of the header and of the metadata block set to three other
+    values, and 300 random 1-3 byte mutations anywhere, every file resealed:
+    each one either raises CheckpointError or loads as a model and metadata
+    that ``save_checkpoint`` writes back as the same bytes."""
+    model = init_model(scorer, 4, 25, 3, relations=(HAS, CO), channels=2, seed=0)
+    path = tmp_path / "model.rkg"
+    save_checkpoint(model, path, {"a": "1", "b": "x=y", "c": ""})
+    blob = path.read_bytes()
+    meta_start = blob.index(b"a=1\n") - 8  # from its length prefix
+    rng = np.random.default_rng(7)
+    mutations = [{at: value} for at in [*range(4, 29), *range(meta_start, len(blob) - 4)]
+                 for value in (blob[at] ^ 1, blob[at] ^ 0x20, 0)]
+    for _ in range(300):
+        spots = rng.choice(len(blob) - 4, size=int(rng.integers(1, 4)), replace=False)
+        mutations.append({int(at): int(rng.integers(0, 256)) for at in spots})
+    outcomes = {"refused": 0, "loaded": 0}
+    for mutation in mutations:
+        mutated = bytearray(blob)
+        for at, value in mutation.items():
+            mutated[at] = value
+        mutated = reseal(mutated)
+        path.write_bytes(mutated)
+        try:
+            loaded, metadata = load_checkpoint(path)
+        except CheckpointError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["loaded"] += 1
+        save_checkpoint(loaded, tmp_path / "again.rkg", metadata)
+        assert (tmp_path / "again.rkg").read_bytes() == mutated, mutation
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_checkpoint_trailer_is_crc32_of_the_rest(tmp_path):
