@@ -79,17 +79,21 @@ def check_cells(cells, what: str) -> None:
         raise ValueError(f"{what} {bad!r} holds a line break")
 
 
-def lines(path):
-    """Yield (1-based line number, text without its line end) for every line.
+def data_lines(path):
+    """Yield (1-based line number, text without its line end) for every
+    non-blank, non-comment line.
 
     One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
-    write, is skipped. Bytes that are not UTF-8 raise ParseError at the line
-    that holds them.
+    write, is skipped. A line ends at LF, CRLF or CR alike, which universal
+    newlines read as one LF. Bytes that are not UTF-8 raise ParseError at the
+    line that holds them.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.rstrip("\n").rstrip("\r")
+                text = raw.lstrip()
+                if text and not text.startswith("#"):
+                    yield lineno, raw.rstrip("\n")
             return
         except UnicodeDecodeError:
             pass
@@ -103,14 +107,6 @@ def lines(path):
         head = data[:exc.start].decode("utf-8")
         lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         raise ParseError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
-
-
-def data_lines(path):
-    """Yield (1-based line number, text) for non-blank, non-comment lines,
-    with ``lines``'s ParseError for bytes that are not UTF-8."""
-    for lineno, text in lines(path):
-        if text.strip() and not text.lstrip().startswith("#"):
-            yield lineno, text
 
 
 def split_csv_line(text: str) -> list[str]:

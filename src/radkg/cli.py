@@ -418,8 +418,7 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
     if policy is None:
         policy = UncertainPolicy(metadata.get("config.policy", UncertainPolicy.AS_POSITIVE.value))
         cfg = dict(cfg, policy=policy)
-        echo = [line if not line.startswith("policy = ") else f"policy = {policy.value}"
-                for line in echo]
+        echo = echo_lines("eval", cfg)
     annotations = load_annotations(cfg["annotations"])
     if model.n_findings != annotations.n:
         raise ValueError(

@@ -153,9 +153,10 @@ def macro_auc(
 ) -> EvalReport:
     """Per-finding AUC over all rows; macro = mean over defined findings.
 
-    Rows are matched to truth by image id. ``findings`` restricts the report
-    to a subset of finding names; ``tau`` adds sensitivity/specificity at that
-    threshold, which must lie inside (0, 1).
+    Rows are matched to truth by image id, and the reported findings are the
+    columns of one row-aligned slice. ``findings`` restricts the report to a
+    subset of finding names, each named once; ``tau`` adds
+    sensitivity/specificity at that threshold, which must lie inside (0, 1).
     """
     if tau is not None:
         _check_threshold(tau)
@@ -167,51 +168,32 @@ def macro_auc(
         raise ValueError(f"no predictions for {len(missing)} truth rows, e.g. {missing[:3]}")
     if predictions.psi.shape[1] != truth.n:
         raise ValueError(f"predictions have {predictions.psi.shape[1]} findings, truth has {truth.n}")
+    names = list(truth.finding_names if findings is None else findings)
+    for k, name in enumerate(names):
+        if name not in truth.finding_names:
+            raise ValueError(f"unknown finding {name!r}")
+        if name in names[:k]:
+            raise ValueError(f"finding {name!r} is named twice")
+    if not names and findings is not None:
+        raise ValueError("empty finding subset")
 
-    if findings is None:
-        indices = list(range(truth.n))
-    else:
-        indices = []
-        for name in findings:
-            if name not in truth.finding_names:
-                raise ValueError(f"unknown finding {name!r}")
-            indices.append(truth.finding_names.index(name))
-        if not indices:
-            raise ValueError("empty finding subset")
-
-    y = relation_grid(truth, policy)
     rows = [index[i] for i in truth.image_ids]
-    psi, p = predictions.psi[rows], predictions.p[rows]
-
-    names, aucs, positives, negatives = [], [], [], []
-    sens: list[float | None] = []
-    spec: list[float | None] = []
-    for j in indices:
-        names.append(truth.finding_names[j])
-        col_y = y[:, j]
-        n_pos = int(col_y.sum())
-        n_neg = int(len(col_y) - n_pos)
-        positives.append(n_pos)
-        negatives.append(n_neg)
-        aucs.append(auc_roc(psi[:, j], col_y) if truth.m else None)
-        if tau is not None:
-            pred_pos = p[:, j] > tau
-            tp = int(np.sum(pred_pos & (col_y == 1)))
-            tn = int(np.sum(~pred_pos & (col_y == 0)))
-            sens.append(tp / n_pos if n_pos else None)
-            spec.append(tn / n_neg if n_neg else None)
+    columns = [truth.finding_names.index(name) for name in names]
+    cells = np.ix_(rows, columns)
+    y = relation_grid(truth, policy)[:, columns]
+    positives = y.sum(axis=0).tolist()
+    negatives = [truth.m - count for count in positives]
+    aucs = [auc_roc(scores, labels) for scores, labels in zip(predictions.psi[cells].T, y.T)]
     defined = [a for a in aucs if a is not None]
-    macro = float(np.mean(defined)) if defined else None
-    return EvalReport(
-        finding_names=names,
-        auc=aucs,
-        macro=macro,
-        positives=positives,
-        negatives=negatives,
-        tau=tau,
-        sensitivity=sens if tau is not None else None,
-        specificity=spec if tau is not None else None,
-    )
+    sensitivity = specificity = None
+    if tau is not None:
+        above = predictions.p[cells] > tau
+        sensitivity = [hits / count if count else None
+                       for hits, count in zip((above & y).sum(axis=0).tolist(), positives)]
+        specificity = [hits / count if count else None
+                       for hits, count in zip((~above & ~y).sum(axis=0).tolist(), negatives)]
+    return EvalReport(names, aucs, float(np.mean(defined)) if defined else None,
+                      positives, negatives, tau, sensitivity, specificity)
 
 
 def param_count(model: scoring.EmbeddingModel) -> int:

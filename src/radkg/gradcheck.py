@@ -26,6 +26,8 @@ STEP = 1e-5
 SATURATION_LIMIT = 25.0
 EXHAUSTIVE_LIMIT = 128
 SAMPLES_PER_BLOCK = 48
+#: Instances ``_random_instance`` draws for one seed before it gives up.
+MAX_ATTEMPTS = 200
 
 
 @dataclass
@@ -42,8 +44,7 @@ class GradCheckResult:
     attempts: int
 
 
-def _random_instance(scorer, feature_dim, embed_dim, n_findings, channels, seed,
-                     max_attempts=200):
+def _random_instance(scorer, feature_dim, embed_dim, n_findings, channels, seed):
     """Random model + input + targets suitable for differencing.
 
     The model comes from ``scoring.init_model``, whose fan-scaled bounds keep
@@ -52,7 +53,7 @@ def _random_instance(scorer, feature_dim, embed_dim, n_findings, channels, seed,
     saturates the loss clamp, or (conv scorer) when every ReLU output is dead
     and the deeper gradients would be vacuously zero.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         model = scoring.init_model(scorer, feature_dim, embed_dim, n_findings,
                                    channels=channels, seed=rng)
@@ -66,7 +67,7 @@ def _random_instance(scorer, feature_dim, embed_dim, n_findings, channels, seed,
             continue
         return model, c_x, targets, attempt + 1
     raise RuntimeError(
-        f"no usable instance found in {max_attempts} attempts for seed {seed}"
+        f"no usable instance found in {MAX_ATTEMPTS} attempts for seed {seed}"
     )
 
 
@@ -78,7 +79,6 @@ def check_gradients(
     channels: int = 4,
     seed: int = 0,
     mode: str = "loss",
-    h: float = STEP,
 ) -> GradCheckResult:
     """Compare analytic gradients to central differences on one instance.
 
@@ -88,7 +88,9 @@ def check_gradients(
     into wx and the feature code; the differences are taken on the same B=1
     ``scoring.forward``, one call per probe. Small blocks are checked on
     every coordinate; large blocks on a deterministic sample plus one random
-    directional derivative that touches every coordinate at once.
+    directional derivative that touches every coordinate at once. Each probe
+    moves ``flat[where]`` by STEP along a unit step, 1.0 for one coordinate
+    or the direction for the whole block.
     """
     if mode not in ("loss", "score"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -117,46 +119,32 @@ def check_gradients(
     blocks = dict(model.blocks())
     blocks["c_x"] = c_x
 
-    max_err = 0.0
-    checked = 0
+    errors: list[float] = []
     skipped = 0
-
-    def compare(along: float, hi: float, lo: float, signs_hi, signs_lo) -> None:
-        nonlocal max_err, checked, skipped
-        if signs_hi is not None and not np.array_equal(signs_hi, signs_lo):
-            skipped += 1
-            return
-        fd = (hi - lo) / (2.0 * h)
-        err = abs(along - fd) / max(abs(along), abs(fd), 1e-6)
-        max_err = float(np.maximum(max_err, err))  # a NaN error stays the worst
-        checked += 1
-
     sample_rng = np.random.default_rng([seed, 0xC0FFEE])
     for name, block in blocks.items():
         flat = block.reshape(-1)
         gflat = grads[name].reshape(-1)
         if flat.size <= EXHAUSTIVE_LIMIT:
-            indices = np.arange(flat.size)
+            probes = [(idx, 1.0) for idx in range(flat.size)]
         else:
-            indices = sample_rng.choice(flat.size, SAMPLES_PER_BLOCK, replace=False)
-        for idx in indices:
-            saved = flat[idx]
-            flat[idx] = saved + h
-            hi, signs_hi = probe()
-            flat[idx] = saved - h
-            lo, signs_lo = probe()
-            flat[idx] = saved
-            compare(float(gflat[idx]), hi, lo, signs_hi, signs_lo)
-        if flat.size > EXHAUSTIVE_LIMIT:
+            sample = sample_rng.choice(flat.size, SAMPLES_PER_BLOCK, replace=False)
             direction = sample_rng.uniform(-1.0, 1.0, flat.size)
-            direction /= np.linalg.norm(direction)
-            saved = flat.copy()
-            flat += h * direction
+            probes = [(idx, 1.0) for idx in sample]
+            probes.append((slice(None), direction / np.linalg.norm(direction)))
+        for where, unit in probes:
+            saved = flat[where].copy()
+            flat[where] = saved + STEP * unit
             hi, signs_hi = probe()
-            flat[:] = saved - h * direction
+            flat[where] = saved - STEP * unit
             lo, signs_lo = probe()
-            flat[:] = saved
-            compare(float(gflat @ direction), hi, lo, signs_hi, signs_lo)
+            flat[where] = saved
+            if signs_hi is not None and not np.array_equal(signs_hi, signs_lo):
+                skipped += 1
+                continue
+            along = float(np.dot(gflat[where], unit))
+            fd = (hi - lo) / (2.0 * STEP)
+            errors.append(abs(along - fd) / max(abs(along), abs(fd), 1e-6))
     return GradCheckResult(
         scorer=scorer,
         feature_dim=feature_dim,
@@ -164,8 +152,8 @@ def check_gradients(
         channels=channels if scorer == "conve" else 0,
         seed=seed,
         mode=mode,
-        max_rel_error=max_err,
-        coords_checked=checked,
+        max_rel_error=float(np.max(errors, initial=0.0)),  # a NaN error is the worst
+        coords_checked=len(errors),
         coords_skipped=skipped,
         attempts=attempts,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernel, scoring
 from .errors import CheckpointError, TrainingDivergedError
 from .artifacts import atomic_open
-from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy, relation_grid
+from .kg import EntityKind, KnowledgeGraph, RelationKind, UncertainPolicy
 from .encoders import FeatureTable
 
 PROB_CLAMP = 1e-12
@@ -152,12 +152,8 @@ class Adam:
     ``block -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = ADAM_BETA1,
-                 beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
@@ -165,8 +161,8 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - ADAM_BETA1 ** self.t
+        correct2 = 1.0 - ADAM_BETA2 ** self.t
         for name, block in params.items():
             g = grads[name]
             if name not in self.moment1:
@@ -176,18 +172,18 @@ class Adam:
             m = self.moment1[name]
             v = self.moment2[name]
             update, denom = self._scratch[name]
-            np.multiply(g, 1.0 - self.beta1, out=update)
-            m *= self.beta1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=update)
+            m *= ADAM_BETA1
             m += update
-            np.multiply(g, 1.0 - self.beta2, out=update)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=update)
             update *= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += update
             np.divide(m, correct1, out=update)
             update *= self.learning_rate
             np.divide(v, correct2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             update /= denom
             block -= update
 
@@ -266,18 +262,20 @@ def train(
     queries is recorded; the best-scoring model snapshot is returned. Training
     stops once the epochs since the last improvement reach the patience.
     When no finding of the fold has both a positive and a negative row, no
-    epoch can define an AUC: every epoch runs and the last model is returned.
+    epoch can define an AUC (the report's macro is None): every epoch runs
+    and the last model is returned. The model must hold hasFinding, which
+    validation scores, and every trained relation; that is checked before the
+    first step changes it.
     """
     from .evaluate import macro_auc, predict_table
 
-    model.relation_index(RelationKind.HAS_FINDING)  # validation scores hasFinding
+    for relation in (RelationKind.HAS_FINDING, *resolve_relations(kg, config.relations)):
+        model.relation_index(relation)
     val_features, val_truth = val_fold
     overlap = set(features.image_ids) & set(val_features.image_ids)
     if overlap:
         raise ValueError(f"train/val folds share {len(overlap)} image ids, e.g. {sorted(overlap)[:3]}")
 
-    val_labels = relation_grid(val_truth, config.policy)
-    selects = bool(np.any(val_labels.any(axis=0) & ~val_labels.all(axis=0)))
     optimizer = make_optimizer(config)
     history: list[dict] = []
     best_model = None
@@ -297,7 +295,7 @@ def train(
             stall = 0
         else:
             stall += 1
-        if selects and stall >= config.patience:
+        if report.macro is not None and stall >= config.patience:
             break
     if best_model is None:
         best_model = model.copy()

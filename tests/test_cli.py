@@ -317,6 +317,22 @@ def test_eval_findings_subset_and_tau(workspace, capsys):
     assert [l.split(",")[0] for l in lines[1:-1]] == ["finding_01", "finding_00"]
 
 
+def test_eval_refuses_a_finding_named_twice(workspace, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = run_cli([
+        "eval",
+        "--checkpoint", str(workspace / "model.rkg"),
+        "--features", str(workspace / "features.csv"),
+        "--annotations", str(workspace / "annotations.csv"),
+        "--findings", "finding_01,finding_01", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "finding 'finding_01' is named twice" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tau", ["1.5", "0", "1", "-0.1", "nan"])
 def test_eval_rejects_threshold_outside_unit_interval(workspace, capsys, tau):
     rc = run_cli([

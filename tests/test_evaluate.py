@@ -8,6 +8,7 @@ from helpers import (
     abs_scores,
     auc_bruteforce,
     make_table,
+    random_table,
     reference_midranks,
     reference_predict_table,
     reference_sigmoid,
@@ -256,6 +257,48 @@ def test_macro_auc_finding_subset():
     assert report.auc == [1.0, 1.0]
     with pytest.raises(ValueError):
         macro_auc(rows, truth, findings=["nope"])
+
+
+def test_macro_auc_refuses_a_finding_named_twice():
+    """A repeated name would count its AUC twice in the macro mean."""
+    truth = make_table([[1, 0, 1], [0, 1, 0]])
+    rows = grid(row("img0", [0.9, 0.1, 0.9]), row("img1", [0.1, 0.9, 0.2]))
+    with pytest.raises(ValueError, match="finding 'f0' is named twice"):
+        macro_auc(rows, truth, findings=["f0", "f0", "f1"])
+    with pytest.raises(ValueError, match="finding 'f2' is named twice"):
+        macro_auc(rows, truth, findings=["f2", "f1", "f2"])
+
+
+@pytest.mark.parametrize("policy", list(UncertainPolicy))
+def test_macro_auc_matches_a_per_finding_loop(rng, policy):
+    """The report's column sums equal counts taken one finding and one row at
+    a time, on shuffled rows with extra ids, ties, subsets and m=0."""
+    for m in (0, 1, 7, 40):
+        truth = random_table(rng, m, 5, uncertain=True, unmentioned=True)
+        ids = list(rng.permutation(truth.image_ids + ["x0", "x1", "x2"]))
+        psi = rng.integers(-2, 3, size=(len(ids), 5)).astype(np.float64)
+        rows = Predictions(ids, psi, rng.integers(0, 6, size=psi.shape) / 5.0)
+        at = [ids.index(i) for i in truth.image_ids]
+        y = relation_grid(truth, policy)
+        for findings in (None, ["f3", "f0"], ["f1"]):
+            report = macro_auc(rows, truth, policy, findings=findings, tau=0.6)
+            names = findings or truth.finding_names
+            assert report.finding_names == names
+            aucs = []
+            for k, name in enumerate(names):
+                j = truth.finding_names.index(name)
+                labels = [bool(y[r, j]) for r in range(m)]
+                above = [rows.p[a, j] > 0.6 for a in at]
+                pos = sum(labels)
+                tp = sum(a and t for a, t in zip(above, labels))
+                tn = sum(not a and not t for a, t in zip(above, labels))
+                assert (report.positives[k], report.negatives[k]) == (pos, m - pos)
+                assert report.sensitivity[k] == (tp / pos if pos else None)
+                assert report.specificity[k] == (tn / (m - pos) if m - pos else None)
+                aucs.append(auc_roc([psi[a, j] for a in at], labels))
+            assert report.auc == aucs
+            defined = [a for a in aucs if a is not None]
+            assert report.macro == (float(np.mean(defined)) if defined else None)
 
 
 def test_macro_auc_matches_rows_by_id():

@@ -369,6 +369,20 @@ def test_train_is_deterministic():
     assert runs[0][1] == runs[1][1]
 
 
+def test_train_checks_every_trained_relation_before_the_first_step():
+    """A model without a relation the graph trains on is refused before any
+    optimizer step changes it."""
+    tr_feat, tr_ann, va_feat, va_ann = synth_folds(uncertain=0.3)
+    kg = build_radkg(tr_ann, UncertainPolicy.AS_SEPARATE_RELATION)
+    assert PROB in resolve_relations(kg, None)
+    config = TrainConfig(batch_size=1, policy=UncertainPolicy.AS_SEPARATE_RELATION)
+    model = init_model("distmult", 8, 16, 4, relations=(HAS,), seed=0)
+    before = model.copy()
+    with pytest.raises(ValueError, match="model has no relation probablyHasFinding"):
+        train(model, kg, tr_feat, (va_feat, va_ann), config)
+    assert model == before
+
+
 def test_train_rejects_fold_overlap():
     tr_feat, tr_ann, *_ = synth_folds()
     kg = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
