@@ -109,6 +109,25 @@ def data_lines(path):
         raise ParseError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
+def blocks(lines, size):
+    """Lists of up to ``size`` items of ``lines``. A ParseError from ``lines``
+    is raised after the block of the lines before it, so an error in an
+    earlier line is reported first, as a line-by-line reader reports it."""
+    block = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == size:
+                yield block
+                block = []
+    except ParseError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
 def split_csv_line(text: str) -> list[str]:
     """The cells of one CSV line, as ``csv.reader`` splits them."""
     if '"' not in text:

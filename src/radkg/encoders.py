@@ -7,6 +7,12 @@ writes its rows straight into one float64 grid, so a table costs 8 bytes per
 cell while it is read. A block of plain decimal cells is converted in bulk,
 exactly, from integer mantissas and powers of ten; any other block, and any
 cell that conversion cannot vouch for, is parsed by Python's ``float``.
+
+A block is kept to about 8k cells, some 160 kB of text, so that the
+temporaries it makes stay small enough for malloc to reuse. Blocks of 64k
+cells made about 30 arrays of 0.5 MB or more each, which glibc mapped fresh
+or trimmed back block after block: 20k-30k minor page faults for a
+10k x 128 table read in a fresh process.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line
+from .artifacts import (
+    blocks, check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line,
+)
 from .errors import ParseError
 from .kg import AnnotationTable, LabelValue
 
@@ -27,7 +35,12 @@ INITIAL_ROWS = 1024
 
 #: Cells ``load_features`` reads and converts per block of lines: enough to
 #: spread numpy's per-call cost, few enough to keep a block's buffers small.
-BLOCK_CELLS = 1 << 16
+#: Swept over 2**11..2**16 in the benchmark's call order (2 cores, 1 BLAS
+#: thread, median of 10 fresh processes): a 10k x 128 table read after a
+#: 400-row fit took 0.42, 0.41, 0.43, 0.46 and 0.50 s at 2**12..2**16, with
+#: 1.9k, 3.6k, 5.7k, 15k and 20k minor faults. A 2000 x 1024 table read
+#: first in a process took 0.6-0.8 s at every size, within noise.
+BLOCK_CELLS = 1 << 13
 
 #: Whether long doubles are x87 extended precision (a 64-bit significand),
 #: where 10**27 and every 18-digit mantissa are exact. Without them every
@@ -98,7 +111,7 @@ def load_features(path) -> FeatureTable:
     ids: list[str] = []
     seen: set[str] = set()
     codes = np.empty((INITIAL_ROWS, dim))
-    for block in _blocks(lines, max(1, BLOCK_CELLS // max(dim, 1))):
+    for block in blocks(lines, max(1, BLOCK_CELLS // max(dim, 1))):
         m, end = len(ids), len(ids) + len(block)
         while len(codes) < end:
             grown = np.empty((2 * len(codes), dim))
@@ -108,25 +121,6 @@ def load_features(path) -> FeatureTable:
             _parse_rows(path, block, dim, seen, ids, codes[m:end])
     codes.resize((len(ids), dim), refcheck=False)  # no view of it is left
     return FeatureTable(ids, codes)
-
-
-def _blocks(lines, size):
-    """Lists of up to ``size`` lines of ``lines``. A ParseError from ``lines``
-    is raised after the block of the lines before it, so an error in an
-    earlier line is reported first, as a line-by-line reader reports it."""
-    block = []
-    try:
-        for line in lines:
-            block.append(line)
-            if len(block) == size:
-                yield block
-                block = []
-    except ParseError:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
 
 
 def _parse_rows(path, block, dim, seen, ids, rows) -> None:

@@ -9,14 +9,46 @@ a strided view gives the (B * Ho, k * W) slab grid; the C kernels fill a
 slabs @ band. The backward sums slabs.T @ up over each tap's band positions,
 and for each a < k adds up @ band[a * W:(a + 1) * W].T onto the input, a rows
 down. A single plane is a batch of one. At B = 32 planes of 20 x 10, C = 8 and
-k = 5, the slab grid takes 205 kB, each such product 41 kB and the band 19 kB.
+k = 5, the slab grid takes 205 kB, the output grid and the transposed upstream
+196 kB each, each per-row product 41 kB and the band 19 kB.
+
+Grids that large are past glibc's mmap threshold unless the process has
+already freed a bigger block, so a fresh one costs a page fault per 4 kB on
+every call. A caller that repeats calls of one shape, such as a training
+loop, passes a ``Workspace``, and the grids are allocated once; without one
+every grid is fresh.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+
+
+class Workspace:
+    """Scratch grids one caller reuses from call to call.
+
+    ``take(name, shape)`` gives a C-contiguous float64 array of ``shape`` over
+    the leading cells of the buffer kept under ``name``. The buffer is
+    allocated when the name is first taken, and again only when a larger
+    shape is asked for: after a full batch has sized them, a short batch
+    takes leading views and no later batch allocates a grid. The cells are
+    not cleared; each user writes every cell it reads. An array taken under a
+    name, and every result that is a view of it, holds its values until the
+    next ``take`` of that name.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
 
 
 def linear_fwd(x: np.ndarray, wm: np.ndarray) -> np.ndarray:
@@ -54,57 +86,71 @@ def _band_index(width: int, k: int, channels: int) -> np.ndarray:
     return index
 
 
-def _slabs_and_band(inp: np.ndarray, kernels: np.ndarray):
+def _slabs_and_band(inp: np.ndarray, kernels: np.ndarray, workspace: Workspace):
     """(slabs, band, k) for float64 planes and kernels that fit them: the
-    (B * Ho, k * W) grid whose row (i, y) is rows y..y+k-1 of plane i, and
-    the (k * W, C * Wo) matrix that maps a slab to its C output rows."""
+    (B * Ho, k * W) grid whose row (i, y) is rows y..y+k-1 of plane i, taken
+    from ``workspace``, and the (k * W, C * Wo) matrix that maps a slab to its
+    C output rows."""
     k = _kernel_side(inp, kernels)
     height, width = inp.shape[-2:]
     cells = np.ascontiguousarray(inp)
     strides = (height * width * cells.itemsize, width * cells.itemsize, cells.itemsize)
     view = np.ndarray((cells.size // (height * width), height - k + 1, k * width),
                       cells.dtype, cells, 0, strides)
+    slabs = workspace.take("slabs", view.shape)
+    np.copyto(slabs, view)
     band = np.zeros(k * width * len(kernels) * (width - k + 1))
     band[_band_index(width, k, len(kernels))] = kernels[..., None]
-    return view.reshape(-1, k * width), band.reshape(k * width, -1), k
+    return slabs.reshape(-1, k * width), band.reshape(k * width, -1), k
 
 
-def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+def conv2d_fwd(inp: np.ndarray, kernels: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """Valid cross-correlation of a single-channel 2D input with C kernels.
 
     Args:
         inp: (H, W) input plane, or (B, H, W) for a batch of B planes.
         kernels: (C, k, k) square kernels, applied without flipping.
+        workspace: where the slab and output grids come from; fresh grids
+            when None.
 
     Returns:
         (C, H - k + 1, W - k + 1) output, one plane per kernel, with the
-        leading batch axis kept when the input has one.
+        leading batch axis kept when the input has one. It is a view of the
+        workspace's ``"conv"`` grid.
     """
+    workspace = Workspace() if workspace is None else workspace
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
-    slabs, band, k = _slabs_and_band(inp, kernels)
+    slabs, band, k = _slabs_and_band(inp, kernels, workspace)
     height, width = inp.shape[-2:]
-    out = (slabs @ band).reshape(-1, height - k + 1, len(kernels), width - k + 1).transpose(0, 2, 1, 3)
+    product = np.matmul(slabs, band, out=workspace.take("conv", (len(slabs), band.shape[1])))
+    out = product.reshape(-1, height - k + 1, len(kernels), width - k + 1).transpose(0, 2, 1, 3)
     return out if inp.ndim == 3 else out[0]
 
 
-def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
+def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray,
+               workspace: Workspace | None = None):
     """Gradients of ``sum(upstream * conv2d_fwd(inp, kernels))``.
+
+    The slab grid and the transposed upstream come from ``workspace``, or
+    are fresh when it is None; neither is returned.
 
     Returns:
         (grad_inp, grad_kernels) with the shapes of inp and kernels; for a
         batched input the kernel gradient is summed over the batch.
     """
+    workspace = Workspace() if workspace is None else workspace
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    slabs, band, k = _slabs_and_band(inp, kernels)
+    slabs, band, k = _slabs_and_band(inp, kernels, workspace)
     (height, width), c = inp.shape[-2:], len(kernels)
     ho, wo = height - k + 1, width - k + 1
     out_shape = inp.shape[:-2] + (c, ho, wo)
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {out_shape}")
-    up = upstream.reshape(-1, c, ho, wo).transpose(0, 2, 1, 3).reshape(-1, c * wo)
+    up = workspace.take("up", (len(slabs), c * wo))
+    np.copyto(up.reshape(-1, ho, c, wo), upstream.reshape(-1, c, ho, wo).transpose(0, 2, 1, 3))
     grad_kernels = (slabs.T @ up).reshape(-1)[_band_index(width, k, c)].sum(axis=-1)
     # Band rows a * W..(a + 1) * W carry output row y to input row y + a: k small
     # products, not one (B * Ho, k * W) grid that malloc would map fresh.
@@ -114,18 +160,25 @@ def conv2d_bwd(inp: np.ndarray, kernels: np.ndarray, upstream: np.ndarray):
     return grad_inp.reshape(inp.shape), grad_kernels
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), into ``out`` when it is given."""
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
-def relu_bwd(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """ReLU backward pass; the subgradient at exactly 0 is taken as 0."""
+def relu_bwd(x: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ReLU backward pass; the subgradient at exactly 0 is taken as 0.
+
+    The result goes into ``out`` when it is given: upstream's cell where
+    x > 0, and 0.0 elsewhere, NaN x included.
+    """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if x.shape != upstream.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs upstream {upstream.shape}")
-    return np.where(x > 0.0, upstream, 0.0)
+    out = np.empty(x.shape) if out is None else out
+    np.copyto(out, upstream)
+    np.copyto(out, 0.0, where=~(x > 0.0))
+    return out
 
 
 def sigmoid(x):

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import (
-    check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line,
+    blocks, check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line,
 )
 from .errors import ParseError
 
@@ -59,6 +59,9 @@ LABEL_TOKENS = {
 }
 
 _LABEL_CODES = {token: int(value) for token, value in LABEL_TOKENS.items()}
+
+#: Lines ``load_annotations`` reads per block.
+BLOCK_LINES = 1024
 
 LABEL_WRITE_TOKENS = {
     LabelValue.POSITIVE: "1.0",
@@ -291,6 +294,10 @@ def load_annotations(path) -> AnnotationTable:
     Cell tokens follow the CheXpert convention: ``1.0``/``1`` positive,
     ``0.0``/``0`` negative, ``-1.0``/``-1`` uncertain, blank unmentioned.
     Lines starting with ``#`` are skipped.
+
+    Lines are read ``BLOCK_LINES`` at a time. ``_bulk_labels`` reads a block
+    of well-formed, quote-free lines through one join and split; any other
+    block goes through the row loop, which alone raises ParseError.
     """
     body = data_lines(path)
     header_line, header = read_id_header(path, body, "annotation")
@@ -305,8 +312,51 @@ def load_annotations(path) -> AnnotationTable:
     ids: list[str] = []
     seen: set[str] = set()
     groups: list[str] = []
+    parts = [np.empty((0, len(finding_names)), dtype=np.int8)]
+    for block in blocks(body, BLOCK_LINES):
+        labels = _bulk_labels(block, width, has_group, seen, ids, groups)
+        if labels is None:
+            labels = _label_rows(path, block, width, has_group, seen, ids, groups)
+        parts.append(labels)
+    return AnnotationTable(ids, finding_names, np.concatenate(parts), groups if has_group else None)
+
+
+def _bulk_labels(block, width, has_group, seen, ids, groups):
+    """The (rows, n) int8 labels of a block whose lines all have ``width``
+    quote-free cells, unique ids and label tokens spelled as in
+    ``LABEL_TOKENS``, appending its ids and groups; None, with nothing
+    appended, when any line needs the row loop.
+
+    The lines are joined with a ``\n`` cell after each, so one split gives a
+    (rows, width + 1) grid read by strides; a line with more or fewer cells
+    moves the ``\n`` cells off their column.
+    """
+    joined = ",\n,".join(text for _, text in block) + ",\n"
+    if '"' in joined:
+        return None
+    cells = joined.split(",")
+    step = width + 1
+    row_ids = cells[::step]
+    if (len(cells) != step * len(block) or cells[width::step] != ["\n"] * len(block)
+            or len(set(row_ids)) != len(row_ids) or not seen.isdisjoint(row_ids)):
+        return None
+    try:
+        columns = [list(map(_LABEL_CODES.__getitem__, cells[col::step]))
+                   for col in range(1, width - has_group)]
+    except KeyError:
+        return None
+    ids += row_ids
+    seen.update(row_ids)
+    if has_group:
+        groups += cells[width - 1::step]
+    return np.array(columns, dtype=np.int8).T
+
+
+def _label_rows(path, block, width, has_group, seen, ids, groups):
+    """The row loop: the (rows, n) int8 labels of a block, one line at a
+    time, raising ParseError at the first bad line."""
     rows: list[list[int]] = []
-    for lineno, text in body:
+    for lineno, text in block:
         cells = split_csv_line(text)
         if len(cells) != width:
             raise ParseError(path, lineno, f"expected {width} columns, got {len(cells)}")
@@ -324,9 +374,7 @@ def load_annotations(path) -> AnnotationTable:
         ids.append(image_id)
         if has_group:
             groups.append(cells[-1])
-
-    labels = np.asarray(rows, dtype=np.int8).reshape(len(ids), len(finding_names))
-    return AnnotationTable(ids, finding_names, labels, groups if has_group else None)
+    return np.array(rows, dtype=np.int8).reshape(len(block), width - 1 - has_group)
 
 
 def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str] = ()) -> None:

@@ -256,13 +256,21 @@ class BatchCache:
     pipe: ConvePipeline | None      # batched conv activations; None for distmult
 
 
-def forward(model: EmbeddingModel, e_s: np.ndarray, ridx) -> tuple[np.ndarray, BatchCache]:
+def forward(
+    model: EmbeddingModel, e_s: np.ndarray, ridx, workspace: kernel.Workspace | None = None
+) -> tuple[np.ndarray, BatchCache]:
     """Scores (B, n) of B (subject, relation) queries against every finding.
 
     ``e_s`` holds the subject embeddings, one row per query, and ``ridx`` the
     row of ``model.er`` for each query's relation. This is ConvE's 1-N
     scoring across a batch; distmult is one elementwise product and a matmul.
+
+    The conv scorer's batch-sized grids (slabs, conv output, its ReLU) come
+    from ``workspace``, or are fresh when it is None. The cache's conv
+    activations are views of them: run ``backward`` on the cache before the
+    workspace's next ``forward``.
     """
+    workspace = kernel.Workspace() if workspace is None else workspace
     e_s = np.asarray(e_s, dtype=np.float64)
     ridx = np.asarray(ridx, dtype=np.intp)
     if e_s.ndim != 2 or e_s.shape[1] != model.embed_dim or ridx.shape != e_s.shape[:1]:
@@ -276,8 +284,8 @@ def forward(model: EmbeddingModel, e_s: np.ndarray, ridx) -> tuple[np.ndarray, B
     else:
         b, k = len(e_s), model.reshape_side
         stacked = np.concatenate([e_s.reshape(b, k, k), r.reshape(b, k, k)], axis=1)
-        conv_out = kernel.conv2d_fwd(stacked, model.kernels)
-        flat = kernel.relu(conv_out).reshape(b, -1)
+        conv_out = kernel.conv2d_fwd(stacked, model.kernels, workspace)
+        flat = kernel.relu(conv_out, out=workspace.take("flat", conv_out.shape)).reshape(b, -1)
         z2 = flat @ model.wc
         h = kernel.relu(z2)
         pipe = ConvePipeline(stacked, conv_out, flat, z2, h)
@@ -285,14 +293,18 @@ def forward(model: EmbeddingModel, e_s: np.ndarray, ridx) -> tuple[np.ndarray, B
 
 
 def backward(
-    model: EmbeddingModel, cache: BatchCache, dpsi: np.ndarray
+    model: EmbeddingModel, cache: BatchCache, dpsi: np.ndarray,
+    workspace: kernel.Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradients of sum(dpsi * psi) for the batch ``forward`` cached.
 
     Returns the gradients of ef, er and the conv blocks, summed over the
     batch, and dL/de_s (B, d) for the caller to route into wx (image
-    subjects) or ef rows (finding subjects).
+    subjects) or ef rows (finding subjects). The conv scorer's wc gradient
+    and its batch-sized grids come from ``workspace``, or are fresh when it
+    is None; the wc gradient holds until the workspace's next batch.
     """
+    workspace = kernel.Workspace() if workspace is None else workspace
     dpsi = np.asarray(dpsi, dtype=np.float64)
     if dpsi.shape != (len(cache.e_s), model.n_findings):
         raise ValueError(f"dpsi must have shape ({len(cache.e_s)}, {model.n_findings})")
@@ -304,10 +316,12 @@ def backward(
     else:
         pipe = cache.pipe
         d_z2 = kernel.relu_bwd(pipe.z2, d_h)
-        grads["wc"] = pipe.flat.T @ d_z2
-        d_flat = d_z2 @ model.wc.T
-        d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape))
-        d_stacked, grads["kernels"] = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv)
+        grads["wc"] = np.matmul(pipe.flat.T, d_z2, out=workspace.take("grad_wc", model.wc.shape))
+        d_flat = np.matmul(d_z2, model.wc.T, out=workspace.take("d_flat", pipe.flat.shape))
+        d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape),
+                                 out=workspace.take("d_conv", pipe.conv_out.shape))
+        d_stacked, grads["kernels"] = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv,
+                                                        workspace)
         k = model.reshape_side
         d_es = d_stacked[:, :k].reshape(d_h.shape)
         d_r = d_stacked[:, k:].reshape(d_h.shape)

@@ -5,6 +5,17 @@ vector marks, for all n findings, whether the triple exists. Items are scored
 against every object, pushed through a sigmoid, and fit with mean binary
 cross entropy; gradients are averaged per minibatch and applied with SGD or
 Adam. Model selection tracks validation macro-AUC with early stopping.
+
+``train`` owns one ``kernel.Workspace`` per call and passes it through
+``train_epoch`` and ``_batch_gradients`` to ``scoring.forward``/``backward``
+and the conv kernels. Every batch-sized grid (gathered codes, slabs, conv
+output and its ReLU, their gradients) and the wx and wc gradients are taken
+from it, so the first, full batch allocates them and the rest of the fit
+allocates none: a short last batch takes leading views. A gradient that
+``_batch_gradients`` returns is a view of the workspace, valid until its next
+batch; the optimizer step reads it before then. The grids are filled with
+``out=`` forms of the same numpy calls, so the results are bit-identical to
+fresh arrays, which the functions make when given no workspace.
 """
 
 from __future__ import annotations
@@ -195,27 +206,33 @@ def make_optimizer(config: TrainConfig):
 
 
 def _batch_gradients(
-    model: scoring.EmbeddingModel, batch: Batch
+    model: scoring.EmbeddingModel, batch: Batch, workspace: kernel.Workspace | None = None
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-row losses (B,) and the mean gradient of one batch.
 
     The batch is scored and differentiated in one ``scoring.forward`` and
     ``scoring.backward`` call. Image subjects enter through ``codes @ wx``
     and finding subjects (coOccurs) as ef rows; dL/de_s flows back the same
-    two ways.
+    two ways. The gathered codes and the wx and wc gradients are grids of
+    ``workspace`` (fresh when it is None), valid until its next batch.
     """
+    workspace = kernel.Workspace() if workspace is None else workspace
     images, findings = batch.images, ~batch.images
-    codes = batch.feature_codes[batch.subjects[images]]
+    rows = batch.subjects[images]
+    # The subjects index the grid they were made from, so clipping never
+    # acts; it lets ``take`` gather straight into the workspace grid.
+    codes = np.take(batch.feature_codes, rows, axis=0, mode="clip",
+                    out=workspace.take("codes", (len(batch), model.feature_dim))[:len(rows)])
     finding_idx = batch.subjects[findings]
     e_s = np.empty((len(batch), model.embed_dim))
     e_s[images] = codes @ model.wx
     e_s[findings] = model.ef[finding_idx]
     ridx = [model.relation_index(relation) for relation in batch.relations]
 
-    psi, cache = scoring.forward(model, e_s, ridx)
+    psi, cache = scoring.forward(model, e_s, ridx, workspace)
     losses, dpsi = item_loss(psi, batch.targets)
-    grads, d_es = scoring.backward(model, cache, dpsi)
-    grads["wx"] = codes.T @ d_es[images]
+    grads, d_es = scoring.backward(model, cache, dpsi, workspace)
+    grads["wx"] = np.matmul(codes.T, d_es[images], out=workspace.take("grad_wx", model.wx.shape))
     np.add.at(grads["ef"], finding_idx, d_es[findings])
     scale = 1.0 / len(batch)
     for block in grads.values():
@@ -224,17 +241,20 @@ def _batch_gradients(
 
 
 def train_epoch(
-    model: scoring.EmbeddingModel, batches: list[Batch], optimizer
+    model: scoring.EmbeddingModel, batches: list[Batch], optimizer,
+    workspace: kernel.Workspace | None = None,
 ) -> tuple[scoring.EmbeddingModel, float]:
     """One pass over the batches; returns the (mutated) model and mean loss.
 
-    Pass the same optimizer across epochs to keep Adam's moments. A
-    non-finite loss stops the epoch before its batch updates the model,
+    Pass the same optimizer across epochs to keep Adam's moments, and the
+    same workspace to keep its grids; without one the epoch makes its own.
+    A non-finite loss stops the epoch before its batch updates the model,
     naming the batch and its first such item.
     """
+    workspace = kernel.Workspace() if workspace is None else workspace
     losses: list[np.ndarray] = []
     for number, batch in enumerate(batches):
-        batch_losses, grads = _batch_gradients(model, batch)
+        batch_losses, grads = _batch_gradients(model, batch, workspace)
         diverged = np.flatnonzero(~np.isfinite(batch_losses))
         if diverged.size:
             row = diverged[0]
@@ -277,6 +297,7 @@ def train(
         raise ValueError(f"train/val folds share {len(overlap)} image ids, e.g. {sorted(overlap)[:3]}")
 
     optimizer = make_optimizer(config)
+    workspace = kernel.Workspace()
     history: list[dict] = []
     best_model = None
     best_auc = -math.inf
@@ -284,7 +305,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         batches = make_batches(kg, features, config, epoch=epoch)
         try:
-            model, mean_loss = train_epoch(model, batches, optimizer)
+            model, mean_loss = train_epoch(model, batches, optimizer, workspace)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
         report = macro_auc(predict_table(model, val_features), val_truth, config.policy)

@@ -12,7 +12,7 @@ from radkg import AnnotationTable, ParseError, RelationKind, evaluate, kernel, s
 from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
 from radkg.artifacts import data_lines as _data_lines
-from radkg.kg import EntityKind
+from radkg.kg import LABEL_TOKENS, EntityKind
 from radkg.training import PROB_CLAMP, item_loss as _item_loss, resolve_relations
 
 
@@ -151,6 +151,49 @@ def reference_load_features(path) -> FeatureTable:
         rows.append(row)
     codes = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
     return FeatureTable(ids, codes)
+
+
+def reference_load_annotations(path) -> AnnotationTable:
+    """The row-by-row annotation reader ``load_annotations`` is compared
+    with: every line split by ``csv.reader``, every token stripped and looked
+    up on its own."""
+    lines = _data_lines(path)
+    try:
+        header_line, header_text = next(lines)
+    except StopIteration:
+        raise ParseError(path, 1, "empty annotation file") from None
+    header = reference_split_csv_line(header_text)
+    if not header or header[0] != "id":
+        raise ParseError(path, header_line, f"first header column must be 'id', got {header[:1]}")
+    has_group = len(header) > 2 and header[-1] == "group"
+    finding_names = header[1:-1] if has_group else header[1:]
+    if not finding_names:
+        raise ParseError(path, header_line, "annotation header lists no findings")
+    if len(set(finding_names)) != len(finding_names):
+        raise ParseError(path, header_line, "finding names must be unique")
+    width = 1 + len(finding_names) + (1 if has_group else 0)
+    codes = {token: int(value) for token, value in LABEL_TOKENS.items()}
+
+    ids, seen, groups, rows = [], set(), [], []
+    for lineno, text in lines:
+        cells = reference_split_csv_line(text)
+        if len(cells) != width:
+            raise ParseError(path, lineno, f"expected {width} columns, got {len(cells)}")
+        image_id = cells[0]
+        if image_id in seen:
+            raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
+        seen.add(image_id)
+        row = []
+        for col, token in enumerate(cells[1:width - 1] if has_group else cells[1:]):
+            if token.strip() not in codes:
+                raise ParseError(path, lineno, f"bad label token {token!r} in column {col + 2}")
+            row.append(codes[token.strip()])
+        rows.append(row)
+        ids.append(image_id)
+        if has_group:
+            groups.append(cells[-1])
+    labels = np.asarray(rows, dtype=np.int8).reshape(len(ids), len(finding_names))
+    return AnnotationTable(ids, finding_names, labels, groups if has_group else None)
 
 
 #: Bytes a mutation draws from most of the time: the ones CSV parsing and

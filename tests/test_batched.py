@@ -35,7 +35,7 @@ from radkg import (
     score_distmult,
 )
 from radkg.encoders import FeatureTable
-from radkg.kernel import conv2d_bwd, conv2d_fwd
+from radkg.kernel import Workspace, conv2d_bwd, conv2d_fwd
 from radkg.scoring import backward, forward
 from radkg.training import Adam, _batch_gradients, make_batches, train_epoch
 
@@ -207,3 +207,57 @@ def test_repeated_epochs_give_byte_identical_checkpoints(tmp_path, scorer, chann
         assert load_checkpoint(path)[0] == model
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_conv_with_a_workspace_gives_the_bytes_of_fresh_grids():
+    """One workspace across batch sizes that grow, shrink and grow back, and
+    a single plane: the same bytes as fresh grids, call by call."""
+    rng = np.random.default_rng(41)
+    workspace = Workspace()
+    for channels in (1, 8):
+        kernels = rng.normal(size=(channels, 5, 5))
+        for shape in [(6, 10, 7), (2, 10, 7), (9, 10, 7), (10, 7), (6, 10, 7)]:
+            planes = rng.normal(size=shape)
+            out = conv2d_fwd(planes, kernels, workspace)
+            assert out.tobytes() == conv2d_fwd(planes, kernels).tobytes()
+            upstream = rng.normal(size=out.shape)
+            grads = conv2d_bwd(planes, kernels, upstream, workspace)
+            fresh = conv2d_bwd(planes, kernels, upstream)
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
+
+
+@pytest.mark.parametrize("scorer,channels", CASES)
+def test_forward_and_backward_with_a_workspace_give_the_bytes_of_fresh_grids(scorer, channels):
+    model, *_ = random_problem(scorer, channels, 5)
+    rng = np.random.default_rng(5)
+    workspace = Workspace()
+    for batch in (9, 4, 9, 1, 12):                  # a short batch, then a larger one
+        e_s = rng.normal(size=(batch, model.embed_dim))
+        ridx = rng.integers(0, len(RELATIONS), size=batch)
+        dpsi = rng.normal(size=(batch, model.n_findings))
+        psi, cache = forward(model, e_s, ridx, workspace)
+        grads, d_es = backward(model, cache, dpsi, workspace)
+        fresh_psi, fresh_cache = forward(model, e_s, ridx)
+        fresh_grads, fresh_d_es = backward(model, fresh_cache, dpsi)
+        assert psi.tobytes() == fresh_psi.tobytes()
+        assert d_es.tobytes() == fresh_d_es.tobytes()
+        assert grads.keys() == fresh_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == fresh_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("scorer,channels", [("distmult", 1), ("conve", 8)])
+def test_a_second_epoch_adds_no_workspace_grid(scorer, channels):
+    """The first, full batch sizes every grid; the short last batch and the
+    next epoch take views of the same arrays."""
+    model, graph, features, config = random_problem(scorer, channels, 2)
+    optimizer, workspace = Adam(config.learning_rate), Workspace()
+    train_epoch(model, make_batches(graph, features, config, 1), optimizer, workspace)
+    grids = dict(workspace.buffers)
+    expected = {"codes", "grad_wx"}
+    if scorer == "conve":
+        expected |= {"slabs", "conv", "flat", "grad_wc", "d_flat", "d_conv", "up"}
+    assert grids.keys() == expected
+    train_epoch(model, make_batches(graph, features, config, 2), optimizer, workspace)
+    assert workspace.buffers.keys() == grids.keys()
+    assert all(workspace.buffers[name] is grid for name, grid in grids.items())

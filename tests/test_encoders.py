@@ -314,6 +314,31 @@ def test_multi_block_files_match_per_cell_reader_when_mutated(tmp_path, monkeypa
     assert kinds == {"table", "error"}
 
 
+def test_block_size_changes_no_table_and_no_error_line(tmp_path, monkeypatch):
+    """Blocks under one row, of 64 cells, of the default size and of the
+    whole file read the same bytes, and name the same line and cell for a
+    bad cell in a later block."""
+    sizes = (1, 64, encoders.BLOCK_CELLS, 1 << 20)
+    rng = np.random.default_rng(20)
+    m, dim = 300, 64
+    assert m * dim > 2 * encoders.BLOCK_CELLS        # three blocks at the default
+    codes = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-30, 30, size=(m, dim))
+    path, bad = tmp_path / "feat.csv", tmp_path / "bad.csv"
+    write_features(FeatureTable([f"img{i}" for i in range(m)], codes), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[251].split(",")
+    cells[40] = "oops"
+    bad.write_text("".join(lines[:251] + [",".join(cells)] + lines[252:]))
+    outcomes = []
+    for size in sizes:
+        monkeypatch.setattr(encoders, "BLOCK_CELLS", size)
+        outcomes.append((read_outcome(load_features, path), read_outcome(load_features, bad)))
+    table, error = outcomes[0]
+    assert table[0] == "table" and table[3] == codes.tobytes()
+    assert error == ("error", 252, f"{bad}:252: non-numeric cell 'oops' in column 41")
+    assert outcomes == [outcomes[0]] * len(sizes)
+
+
 def test_features_reject_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "feat.csv"
     path.write_bytes(b"id,f0\r\nimg0,1\rimg1,2\nimg\xff2,3\n")

@@ -107,8 +107,8 @@ def test_corrupted_conv_backward_is_caught(monkeypatch):
     from radkg import kernel
     true_bwd = kernel.conv2d_bwd
 
-    def flipped(inp, kernels, upstream):
-        d_inp, d_kernels = true_bwd(inp, kernels, upstream)
+    def flipped(inp, kernels, upstream, workspace=None):
+        d_inp, d_kernels = true_bwd(inp, kernels, upstream, workspace)
         return d_inp, -d_kernels
 
     monkeypatch.setattr(kernel, "conv2d_bwd", flipped)

@@ -13,6 +13,7 @@ from helpers import (
     make_table,
     mutate,
     random_table,
+    reference_load_annotations,
     reference_split_csv_line,
     reference_write_kg,
 )
@@ -27,6 +28,7 @@ from radkg import (
     cooccurrence_matrix,
     split,
 )
+from radkg import kg
 from radkg.artifacts import csv_cell as _csv_cell, split_csv_line as _split_csv_line
 from radkg.kg import (
     EntityKind,
@@ -351,6 +353,67 @@ def test_annotation_file_mutations_raise_only_parse_error(tmp_path, rng):
             assert isinstance(loaded, AnnotationTable)
             outcomes.add("table")
     assert outcomes == {"table", "error"}
+
+
+def annotation_outcome(loader, path):
+    """The ids, findings, label bytes and groups an annotation reader reads,
+    or the line and message of its ParseError."""
+    try:
+        table = loader(path)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    return ("table", table.image_ids, table.finding_names, table.labels.tobytes(),
+            table.labels.shape, table.groups)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_annotation_blocks_match_the_row_loop_when_mutated(tmp_path, monkeypatch, grouped):
+    """Blocks of 8 lines: a clean file takes the bulk path in every block,
+    and targeted edits in a later block and seeded 1-3 byte mutations give
+    the row-by-row reader's table or error."""
+    monkeypatch.setattr(kg, "BLOCK_LINES", 8)
+    bulk = []
+    bulk_labels = kg._bulk_labels
+    monkeypatch.setattr(kg, "_bulk_labels",
+                        lambda *args: bulk.append(bulk_labels(*args)) or bulk[-1])
+    rng = np.random.default_rng(31 + grouped)
+    table = random_table(rng, m=40, n=5, uncertain=True, unmentioned=True)
+    groups = [f"p{i // 3}" for i in range(40)] if grouped else None
+    table = AnnotationTable(table.image_ids, table.finding_names, table.labels, groups)
+    clean = tmp_path / "ann.csv"
+    write_annotations(table, clean, comments=["policy = positive"])
+    outcome = annotation_outcome(load_annotations, clean)
+    assert [labels is not None for labels in bulk] == [True] * 5
+    assert outcome == annotation_outcome(reference_load_annotations, clean)
+    assert outcome[3] == table.labels.tobytes() and outcome[5] == groups
+    lines = clean.read_text().splitlines(keepends=True)
+    first = 2 + 19                               # row 19, in the third block
+    head, cells = lines[first].split(",", 1)
+    variants = {
+        "ragged pair": [lines[first].replace(",", ",,", 1), lines[first + 2].replace(",", "", 1)],
+        # A cell moved to the line before, under an id that reads as a label.
+        "moved cell": [lines[first].rstrip() + ",1\n",
+                       ",".join(["1", *lines[first + 1].split(",")[1:-1]]) + "\n"],
+        "id of the same block": [lines[first + 2].split(",")[0] + "," + cells],
+        "id of an earlier block": [lines[3].split(",")[0] + "," + cells],
+        "quoted id": [f'"{head}",{cells}'],
+        "spaced token": [head + ", " + cells],
+        "bad token": [head + ",2," + cells.split(",", 1)[1]],
+    }
+    path = tmp_path / "mutated.csv"
+    for name, changed in variants.items():
+        path.write_text("".join(lines[:first] + changed + lines[first + len(changed):]))
+        outcome = annotation_outcome(load_annotations, path)
+        assert outcome == annotation_outcome(reference_load_annotations, path), name
+        assert outcome[0] == ("table" if name in ("quoted id", "spaced token") else "error"), name
+    data = clean.read_bytes()
+    kinds = set()
+    for _ in range(400):
+        path.write_bytes(mutate(data, rng))
+        outcome = annotation_outcome(load_annotations, path)
+        assert outcome == annotation_outcome(reference_load_annotations, path)
+        kinds.add(outcome[0])
+    assert kinds == {"table", "error"}
 
 
 def test_split_csv_line_matches_csv_reader():

@@ -369,6 +369,31 @@ def test_train_is_deterministic():
     assert runs[0][1] == runs[1][1]
 
 
+@pytest.mark.parametrize("scorer,embed_dim", [("distmult", 16), ("conve", 25)])
+def test_train_writes_the_checkpoint_of_a_loop_without_a_workspace(tmp_path, scorer, embed_dim):
+    """``train`` keeps one workspace across its batches and epochs; a loop
+    whose every batch makes fresh grids picks the same model, to the byte."""
+    tr_feat, tr_ann, va_feat, va_ann = synth_folds(uncertain=0.3)
+    policy = UncertainPolicy.AS_SEPARATE_RELATION
+    kg = add_cooccurrence(build_radkg(tr_ann, policy), cooccurrence_matrix(tr_ann, policy))
+    relations = resolve_relations(kg, None)
+    config = TrainConfig(learning_rate=0.01, epochs=4, batch_size=7, seed=3, policy=policy,
+                         patience=4)
+    model = init_model(scorer, 8, embed_dim, 4, relations=relations, channels=3, seed=1)
+    best, history = train(model.copy(), kg, tr_feat, (va_feat, va_ann), config)
+
+    optimizer, snapshots = Adam(config.learning_rate), []
+    for epoch in range(1, len(history) + 1):
+        for batch in make_batches(kg, tr_feat, config, epoch=epoch):
+            _, grads = _batch_gradients(model, batch)
+            optimizer.step(model.blocks(), grads)
+        snapshots.append(model.copy())
+    aucs = [h["val_auc"] for h in history]
+    save_checkpoint(best, tmp_path / "train.rkg")
+    save_checkpoint(snapshots[aucs.index(max(aucs))], tmp_path / "loop.rkg")
+    assert (tmp_path / "train.rkg").read_bytes() == (tmp_path / "loop.rkg").read_bytes()
+
+
 def test_train_checks_every_trained_relation_before_the_first_step():
     """A model without a relation the graph trains on is refused before any
     optimizer step changes it."""
