@@ -5,13 +5,15 @@ Text files are UTF-8 lines; one leading byte-order mark is skipped, and a
 line starting with ``#`` is a comment. Cells are split and quoted as the
 ``csv`` module does. Neither a comment nor a cell may hold a line break,
 which the line reader would take as the line's end, so writers refuse one
-before opening the target. Each format lives beside its data type.
+before opening the target. Each format lives beside its data type; the two
+table readers share one block rule (``blocks``) and one row check (``id_cells``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import os
 import re
@@ -19,6 +21,15 @@ import secrets
 import stat
 
 from .errors import ParseError
+
+#: Cells a table reader converts per block of lines: enough to spread numpy's
+#: per-call cost, few enough to keep a block's buffers small. Swept over
+#: 2**11..2**16 for ``load_features`` in the benchmark's call order (2 cores,
+#: 1 BLAS thread, median of 10 fresh processes): a 10k x 128 table read after
+#: a 400-row fit took 0.42, 0.41, 0.43, 0.46 and 0.50 s at 2**12..2**16, with
+#: 1.9k, 3.6k, 5.7k, 15k and 20k minor faults. A 2000 x 1024 table read first
+#: in a process took 0.6-0.8 s at every size, within noise.
+BLOCK_CELLS = 1 << 13
 
 
 @contextlib.contextmanager
@@ -51,12 +62,27 @@ def atomic_open(path, mode: str, **kwargs):
         raise
 
 
+def check_target(path) -> None:
+    """Raise the OSError that ``atomic_open(path)`` would meet, without
+    writing anything: the directory it writes into is missing, not a
+    directory or not writable, or ``path`` is itself a directory."""
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    try:
+        is_dir = stat.S_ISDIR(os.stat(directory).st_mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    for code, bad in ((errno.ENOTDIR, not is_dir),
+                      (errno.EACCES, not os.access(directory, os.W_OK | os.X_OK)),
+                      (errno.EISDIR, os.path.isdir(target))):
+        if bad:
+            raise OSError(code, os.strerror(code), os.fspath(path))
+
+
 def comment_block(comments) -> str:
     """``comments`` as ``# `` lines, each ending in a newline. A comment with
     a line break raises ValueError, as its tail would read as data."""
-    for line in comments:
-        if "\n" in line or "\r" in line:
-            raise ValueError(f"comment {line!r} holds a line break")
+    check_cells(comments, "comment")
     return "".join(f"# {line}\n" for line in comments)
 
 
@@ -109,10 +135,11 @@ def data_lines(path):
         raise ParseError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def blocks(lines, size):
-    """Lists of up to ``size`` items of ``lines``. A ParseError from ``lines``
-    is raised after the block of the lines before it, so an error in an
-    earlier line is reported first, as a line-by-line reader reports it."""
+def blocks(lines, cells_per_line: int):
+    """Lists of up to ``BLOCK_CELLS // cells_per_line`` (at least 1) items of
+    ``lines``. A ParseError from ``lines`` is raised after the block of the
+    lines before it, so an earlier line's error is reported first."""
+    size = max(1, BLOCK_CELLS // max(cells_per_line, 1))
     block = []
     try:
         for line in lines:
@@ -126,6 +153,18 @@ def blocks(lines, size):
         raise
     if block:
         yield block
+
+
+def id_cells(path, lineno: int, text: str, width: int, ids: dict) -> list[str]:
+    """The cells of the data line ``text``, checked to number ``width`` and
+    to start with an id not yet in ``ids``, which is then added to it."""
+    cells = split_csv_line(text)
+    if len(cells) != width:
+        raise ParseError(path, lineno, f"expected {width} columns, got {len(cells)}")
+    if cells[0] in ids:
+        raise ParseError(path, lineno, f"duplicate image id {cells[0]!r}")
+    ids[cells[0]] = None
+    return cells
 
 
 def split_csv_line(text: str) -> list[str]:
@@ -147,8 +186,10 @@ def csv_cell(text: str, first: bool = False) -> str:
     return text
 
 
-def read_id_header(path, rows, what: str) -> tuple[int, list[str]]:
-    """The line number and cells of the header that starts ``rows``: ``id,...``."""
+def read_id_header(path, what: str):
+    """The ``data_lines`` of ``path`` after its ``id,...`` header, and that
+    header's line number and cells."""
+    rows = data_lines(path)
     try:
         header_line, header_text = next(rows)
     except StopIteration:
@@ -156,4 +197,4 @@ def read_id_header(path, rows, what: str) -> tuple[int, list[str]]:
     header = split_csv_line(header_text)
     if not header or header[0] != "id":
         raise ParseError(path, header_line, f"first header column must be 'id', got {header[:1]}")
-    return header_line, header
+    return rows, header_line, header

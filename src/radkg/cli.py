@@ -5,7 +5,8 @@ train, evaluate, predict, and verify gradients. Option values resolve as
 defaults, then a flat ``key = value`` config file (--config, or the
 RADKG_CONFIG environment variable), then explicit flags; the effective
 configuration is echoed into every output artifact. Exit codes: 0 success,
-1 usage error, 2 data or parse error, 3 numerical failure.
+1 usage error, 2 data or parse error, unwritable output directory or out of
+memory, 3 numerical failure. A command that fails writes none of its outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from . import gradcheck
-from .artifacts import atomic_open, csv_cell, data_lines, open_commented, split_csv_line
+from .artifacts import atomic_open, check_target, csv_cell, data_lines, open_commented, split_csv_line
 from .encoders import SyntheticSpec, load_features, synth_dataset, write_features
 from .errors import CheckpointError, ParseError, TrainingDivergedError
 from .evaluate import format_report, macro_auc, predict_table, write_predictions
@@ -481,14 +482,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         resolved = resolve_options(namespace.command, namespace)
+        for opt in COMMAND_OPTS[namespace.command]:
+            if opt.name.partition("-")[0] == "out" and (opt.required or resolved[opt.key]):
+                check_target(resolved[opt.key])
         echo = echo_lines(namespace.command, resolved)
         return _RUNNERS[namespace.command](resolved, echo)
     except UsageError as exc:
         sys.stderr.write(f"radkg: {exc}\n")
         return EXIT_USAGE
-    except (ParseError, CheckpointError, FileNotFoundError, IsADirectoryError,
-            PermissionError, ValueError) as exc:
-        sys.stderr.write(f"radkg: {exc}\n")
+    except (ParseError, CheckpointError, OSError, ValueError, MemoryError) as exc:
+        sys.stderr.write(f"radkg: {str(exc) or type(exc).__name__}\n")
         return EXIT_DATA
     except TrainingDivergedError as exc:
         sys.stderr.write(f"radkg: {exc}\n")

@@ -3,16 +3,14 @@
 Images arrive as precomputed fixed-length feature vectors, either loaded from
 a CSV produced by an external encoder or synthesized with planted structure
 for end-to-end testing. The CSV reader takes a block of lines at a time and
-writes its rows straight into one float64 grid, so a table costs 8 bytes per
-cell while it is read. A block of plain decimal cells is converted in bulk,
-exactly, from integer mantissas and powers of ten; any other block, and any
-cell that conversion cannot vouch for, is parsed by Python's ``float``.
-
-A block is kept to about 8k cells, some 160 kB of text, so that the
-temporaries it makes stay small enough for malloc to reuse. Blocks of 64k
-cells made about 30 arrays of 0.5 MB or more each, which glibc mapped fresh
-or trimmed back block after block: 20k-30k minor page faults for a
-10k x 128 table read in a fresh process.
+writes its rows straight into one float64 grid, sized by the rows read and
+never by the header, so a table costs 8 bytes per cell while it is read. A
+block of plain decimal cells is converted in bulk, exactly, from integer
+mantissas and powers of ten; any other block, and any cell that conversion
+cannot vouch for, is parsed by Python's ``float``. A block holds about 8k
+cells (``artifacts.BLOCK_CELLS``), some 160 kB of text, whose temporaries
+malloc reuses; 64k-cell blocks made about 30 arrays of 0.5 MB or more each,
+which glibc mapped fresh or trimmed back block after block.
 """
 
 from __future__ import annotations
@@ -23,24 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import (
-    blocks, check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line,
-)
+from .artifacts import blocks, check_cells, csv_cell, id_cells, open_commented, read_id_header
 from .errors import ParseError
 from .kg import AnnotationTable, LabelValue
-
-#: Rows of the grid ``load_features`` starts with; it doubles when full.
-#: ``np.empty`` writes nothing, so the rows no line reaches stay untouched.
-INITIAL_ROWS = 1024
-
-#: Cells ``load_features`` reads and converts per block of lines: enough to
-#: spread numpy's per-call cost, few enough to keep a block's buffers small.
-#: Swept over 2**11..2**16 in the benchmark's call order (2 cores, 1 BLAS
-#: thread, median of 10 fresh processes): a 10k x 128 table read after a
-#: 400-row fit took 0.42, 0.41, 0.43, 0.46 and 0.50 s at 2**12..2**16, with
-#: 1.9k, 3.6k, 5.7k, 15k and 20k minor faults. A 2000 x 1024 table read
-#: first in a process took 0.6-0.8 s at every size, within noise.
-BLOCK_CELLS = 1 << 13
 
 #: Whether long doubles are x87 extended precision (a 64-bit significand),
 #: where 10**27 and every 18-digit mantissa are exact. Without them every
@@ -94,48 +77,39 @@ def load_features(path) -> FeatureTable:
     Rejects ragged rows, non-numeric or non-finite cells, and duplicate ids,
     reporting the offending line. A header-only file is a valid empty table.
 
-    Lines are read a block of about ``BLOCK_CELLS`` cells at a time into a
-    preallocated float64 grid, which doubles when it fills and is trimmed in
-    place to exactly (m, D) at the end. Where long doubles are x87 extended
-    precision, ``_bulk_block`` converts a block of plain decimals; any other
-    block goes through the row loop, which alone raises ParseError. Either
-    way a cell parses exactly as ``float`` parses it.
+    Lines are read a block at a time into a float64 grid that takes the
+    first block's rows, doubles when full and is trimmed in place to exactly
+    (m, D) at the end. Where long doubles are x87 extended precision,
+    ``_bulk_block`` converts a block of plain decimals; any other block goes
+    through the row loop, which alone raises ParseError. Either way a cell
+    parses exactly as ``float`` parses it.
     """
-    lines = data_lines(path)
-    header_line, header = read_id_header(path, lines, "feature")
+    lines, header_line, header = read_id_header(path, "feature")
     dim = len(header) - 1
-    expected = [f"f{k}" for k in range(dim)]
-    if header[1:] != expected:
+    if header[1:] != [f"f{k}" for k in range(dim)]:
         raise ParseError(path, header_line, f"feature columns must be f0..f{dim - 1}")
 
-    ids: list[str] = []
-    seen: set[str] = set()
-    codes = np.empty((INITIAL_ROWS, dim))
-    for block in blocks(lines, max(1, BLOCK_CELLS // max(dim, 1))):
+    ids: dict[str, None] = {}
+    codes = np.empty((0, dim))
+    for block in blocks(lines, dim):
         m, end = len(ids), len(ids) + len(block)
-        while len(codes) < end:
-            grown = np.empty((2 * len(codes), dim))
+        if end > len(codes):
+            grown = np.empty((max(end, 2 * len(codes)), dim))
             grown[:m] = codes[:m]
             codes = grown
-        if not (dim and _EXTENDED and _bulk_block(block, dim, seen, ids, codes[m:end])):
-            _parse_rows(path, block, dim, seen, ids, codes[m:end])
+        if not (dim and _EXTENDED and _bulk_block(block, dim, ids, codes[m:end])):
+            _parse_rows(path, block, dim, ids, codes[m:end])
     codes.resize((len(ids), dim), refcheck=False)  # no view of it is left
-    return FeatureTable(ids, codes)
+    return FeatureTable(list(ids), codes)
 
 
-def _parse_rows(path, block, dim, seen, ids, rows) -> None:
+def _parse_rows(path, block, dim, ids, rows) -> None:
     """The row loop: split each line, check it, and write its cells into the
     matching row of ``rows`` with numpy, which converts each cell with
     ``float``. A row that fails the assignment or the finiteness check is
     scanned again, cell by cell, to name its first bad cell."""
     for (lineno, text), row in zip(block, rows):
-        cells = split_csv_line(text)
-        if len(cells) != dim + 1:
-            raise ParseError(path, lineno, f"expected {dim + 1} columns, got {len(cells)}")
-        image_id = cells[0]
-        if image_id in seen:
-            raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
-        seen.add(image_id)
+        cells = id_cells(path, lineno, text, dim + 1, ids)
         try:
             row[:] = cells[1:]
         except ValueError:
@@ -143,10 +117,9 @@ def _parse_rows(path, block, dim, seen, ids, rows) -> None:
             raise
         if not np.isfinite(row).all():
             _bad_cell(path, lineno, cells)
-        ids.append(image_id)
 
 
-def _bulk_block(block, dim, seen, ids, rows) -> bool:
+def _bulk_block(block, dim, ids, rows) -> bool:
     """Convert a block whose cells are all ``[+-]d[.d][(e|E)[+-]d]``, with a
     digit in the mantissa, into ``rows``, exactly as ``float`` would; False,
     with nothing written, when any line or cell needs the row loop.
@@ -159,12 +132,11 @@ def _bulk_block(block, dim, seen, ids, rows) -> bool:
     """
     if any('"' in text for _, text in block):
         return False
-    heads = [text.partition(",") for _, text in block]
-    block_ids = [head for head, _, _ in heads]
-    tails = [tail for _, _, tail in heads]
+    heads, _, tails = zip(*[text.partition(",") for _, text in block])
+    block_ids = dict.fromkeys(heads)
     joined = ",".join(["", *tails, ""])
-    if (not joined.isascii() or len(set(block_ids)) != len(block_ids)
-            or not seen.isdisjoint(block_ids)):
+    # ids.keys() first: isdisjoint then probes it with the block's ids, not the reverse.
+    if not joined.isascii() or len(block_ids) != len(block) or not ids.keys().isdisjoint(block_ids):
         return False
     data = joined.encode("ascii")
     a = np.frombuffer(data, np.uint8)
@@ -220,8 +192,7 @@ def _bulk_block(block, dim, seen, ids, rows) -> bool:
         if not np.isfinite(out[rest]).all():
             return False
     rows[:] = out.reshape(len(block), dim)
-    ids += block_ids
-    seen.update(block_ids)
+    ids.update(block_ids)
     return True
 
 
@@ -250,12 +221,9 @@ def write_features(table: FeatureTable, path, comments=()) -> None:
     """
     check_cells(table.image_ids, "image id")
     with open_commented(path, comments) as fh:
-        header = ",".join(["id"] + [f"f{k}" for k in range(table.dim)])
-        fh.write(header + "\n")
-        for i, image_id in enumerate(table.image_ids):
-            cells = ",".join(repr(float(v)) for v in table.codes[i])
-            image_id = csv_cell(image_id, first=True)
-            fh.write(f"{image_id},{cells}\n" if table.dim else f"{image_id}\n")
+        fh.write(",".join(["id"] + [f"f{k}" for k in range(table.dim)]) + "\n")
+        for image_id, row in zip(table.image_ids, table.codes):
+            fh.write(",".join([csv_cell(image_id, first=True), *map(repr, row.tolist())]) + "\n")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 Graphs are built from annotation tables under an uncertainty policy, queried
 closed-world (a missing edge is a negative), optionally extended with
 finding-to-finding co-occurrence edges, and split into train/val/test folds.
+The annotation CSV reader shares the feature reader's blocks and row check.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import (
-    blocks, check_cells, csv_cell, data_lines, open_commented, read_id_header, split_csv_line,
-)
+from .artifacts import blocks, check_cells, csv_cell, id_cells, open_commented, read_id_header
 from .errors import ParseError
 
 
@@ -59,9 +58,6 @@ LABEL_TOKENS = {
 }
 
 _LABEL_CODES = {token: int(value) for token, value in LABEL_TOKENS.items()}
-
-#: Lines ``load_annotations`` reads per block.
-BLOCK_LINES = 1024
 
 LABEL_WRITE_TOKENS = {
     LabelValue.POSITIVE: "1.0",
@@ -295,33 +291,32 @@ def load_annotations(path) -> AnnotationTable:
     ``0.0``/``0`` negative, ``-1.0``/``-1`` uncertain, blank unmentioned.
     Lines starting with ``#`` are skipped.
 
-    Lines are read ``BLOCK_LINES`` at a time. ``_bulk_labels`` reads a block
-    of well-formed, quote-free lines through one join and split; any other
-    block goes through the row loop, which alone raises ParseError.
+    Lines are read a block of about ``artifacts.BLOCK_CELLS`` label cells at
+    a time. ``_bulk_labels`` reads a block of well-formed, quote-free lines
+    through one join and split; any other block goes through the row loop,
+    which alone raises ParseError.
     """
-    body = data_lines(path)
-    header_line, header = read_id_header(path, body, "annotation")
+    body, header_line, header = read_id_header(path, "annotation")
     has_group = len(header) > 2 and header[-1] == "group"
     finding_names = header[1:-1] if has_group else header[1:]
     if not finding_names:
         raise ParseError(path, header_line, "annotation header lists no findings")
     if len(set(finding_names)) != len(finding_names):
         raise ParseError(path, header_line, "finding names must be unique")
-    width = 1 + len(finding_names) + (1 if has_group else 0)
+    width = len(header)
 
-    ids: list[str] = []
-    seen: set[str] = set()
+    ids: dict[str, None] = {}
     groups: list[str] = []
     parts = [np.empty((0, len(finding_names)), dtype=np.int8)]
-    for block in blocks(body, BLOCK_LINES):
-        labels = _bulk_labels(block, width, has_group, seen, ids, groups)
+    for block in blocks(body, len(finding_names)):
+        labels = _bulk_labels(block, width, has_group, ids, groups)
         if labels is None:
-            labels = _label_rows(path, block, width, has_group, seen, ids, groups)
+            labels = _label_rows(path, block, width, has_group, ids, groups)
         parts.append(labels)
-    return AnnotationTable(ids, finding_names, np.concatenate(parts), groups if has_group else None)
+    return AnnotationTable(list(ids), finding_names, np.concatenate(parts), groups if has_group else None)
 
 
-def _bulk_labels(block, width, has_group, seen, ids, groups):
+def _bulk_labels(block, width, has_group, ids, groups):
     """The (rows, n) int8 labels of a block whose lines all have ``width``
     quote-free cells, unique ids and label tokens spelled as in
     ``LABEL_TOKENS``, appending its ids and groups; None, with nothing
@@ -336,42 +331,34 @@ def _bulk_labels(block, width, has_group, seen, ids, groups):
         return None
     cells = joined.split(",")
     step = width + 1
-    row_ids = cells[::step]
+    row_ids = dict.fromkeys(cells[::step])  # probed against ids.keys() as in encoders._bulk_block
     if (len(cells) != step * len(block) or cells[width::step] != ["\n"] * len(block)
-            or len(set(row_ids)) != len(row_ids) or not seen.isdisjoint(row_ids)):
+            or len(row_ids) != len(block) or not ids.keys().isdisjoint(row_ids)):
         return None
     try:
         columns = [list(map(_LABEL_CODES.__getitem__, cells[col::step]))
                    for col in range(1, width - has_group)]
     except KeyError:
         return None
-    ids += row_ids
-    seen.update(row_ids)
+    ids.update(row_ids)
     if has_group:
         groups += cells[width - 1::step]
     return np.array(columns, dtype=np.int8).T
 
 
-def _label_rows(path, block, width, has_group, seen, ids, groups):
+def _label_rows(path, block, width, has_group, ids, groups):
     """The row loop: the (rows, n) int8 labels of a block, one line at a
     time, raising ParseError at the first bad line."""
     rows: list[list[int]] = []
     for lineno, text in block:
-        cells = split_csv_line(text)
-        if len(cells) != width:
-            raise ParseError(path, lineno, f"expected {width} columns, got {len(cells)}")
-        image_id = cells[0]
-        if image_id in seen:
-            raise ParseError(path, lineno, f"duplicate image id {image_id!r}")
-        seen.add(image_id)
-        label_cells = cells[1:width - 1] if has_group else cells[1:]
+        cells = id_cells(path, lineno, text, width, ids)
+        label_cells = cells[1:width - has_group]
         try:
             rows.append([_LABEL_CODES[token.strip()] for token in label_cells])
         except KeyError:
             for col, token in enumerate(label_cells):
                 if token.strip() not in _LABEL_CODES:
                     raise ParseError(path, lineno, f"bad label token {token!r} in column {col + 2}") from None
-        ids.append(image_id)
         if has_group:
             groups.append(cells[-1])
     return np.array(rows, dtype=np.int8).reshape(len(block), width - 1 - has_group)

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from radkg import AnnotationTable, ParseError, RelationKind, evaluate, kernel, scoring
 from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
-from radkg.artifacts import data_lines as _data_lines
+from radkg.artifacts import csv_cell, data_lines as _data_lines
 from radkg.kg import LABEL_TOKENS, EntityKind
 from radkg.training import PROB_CLAMP, item_loss as _item_loss, resolve_relations
 
@@ -151,6 +151,18 @@ def reference_load_features(path) -> FeatureTable:
         rows.append(row)
     codes = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
     return FeatureTable(ids, codes)
+
+
+def reference_write_features(table: FeatureTable, path, comments=()) -> None:
+    """The per-cell feature writer ``write_features`` is compared with: each
+    cell written as ``repr(float(v))`` of its numpy scalar."""
+    lines = [f"# {line}\n" for line in comments]
+    lines.append(",".join(["id"] + [f"f{k}" for k in range(table.dim)]) + "\n")
+    for i, image_id in enumerate(table.image_ids):
+        cells = "".join("," + repr(float(v)) for v in table.codes[i])
+        lines.append(csv_cell(image_id, first=True) + cells + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
 
 
 def reference_load_annotations(path) -> AnnotationTable:

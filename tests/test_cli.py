@@ -818,6 +818,66 @@ def test_train_refuses_a_value_out_of_range_before_writing(workspace, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def failed_open(path) -> str:
+    """The message of the OSError that opening ``path`` for writing raises."""
+    with pytest.raises(OSError) as err:
+        open(path, "w")
+    return str(err.value)
+
+
+def test_synth_into_a_missing_directory_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "nodir" / "a.csv"
+    rc = run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                  "--out-annotations", str(target), "--m", "5", "--n", "2", "--dim", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"radkg: {failed_open(target)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_required_output_path_writes_no_file(tmp_path, capsys, monkeypatch):
+    """An empty path names the working directory, which a file cannot replace."""
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(["synth", "--out-features", "f.csv", "--out-annotations", "",
+                  "--m", "5", "--n", "2", "--dim", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == "radkg: [Errno 21] Is a directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["missing directory", "file as directory", "directory"])
+def test_train_with_an_unwritable_history_writes_no_checkpoint(workspace, tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    history = {"missing directory": tmp_path / "nodir" / "h.csv",
+               "file as directory": tmp_path / "file" / "h.csv",
+               "directory": tmp_path / "dir"}[where]
+    rc = run_cli(train_args(workspace, tmp_path / "m.rkg", "--out-history", str(history)))
+    assert rc == 2
+    assert capsys.readouterr().err == f"radkg: {failed_open(history)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 10.2 TiB for an array with shape (100000000000, 14) "
+                 "and data type float64"),
+     "radkg: Unable to allocate 10.2 TiB for an array with shape (100000000000, 14) "
+     "and data type float64\n"),
+    (MemoryError(), "radkg: MemoryError\n"),
+])
+def test_out_of_memory_is_a_data_error_in_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    def too_large(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "synth_dataset", too_large)
+    rc = run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                  "--out-annotations", str(tmp_path / "a.csv")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_refuses_relations_without_has_finding_before_the_first_batch(
         workspace, tmp_path, capsys, monkeypatch):
     def no_epoch(*args, **kwargs):

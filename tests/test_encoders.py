@@ -1,16 +1,17 @@
 """Tests for finding/image encodings and the synthetic dataset generator."""
 
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from radkg import ParseError, SyntheticSpec, synth_dataset
-from radkg import encoders
-from radkg.encoders import INITIAL_ROWS, FeatureTable, load_features, write_features
+from radkg import artifacts, encoders
+from radkg.encoders import FeatureTable, load_features, write_features
 from radkg.evaluate import auc_roc
 
-from helpers import QUOTED_IDS, mutate, reference_load_features
+from helpers import QUOTED_IDS, mutate, reference_load_features, reference_write_features
 
 
 def test_feature_table_validation():
@@ -66,6 +67,39 @@ def test_features_header_only_file(tmp_path):
     assert loaded.m == 0 and loaded.dim == 3
 
 
+def test_a_header_only_wide_file_costs_only_what_its_header_does(tmp_path):
+    """No grid is sized from the header: 100k columns and no rows load as a
+    (0, 100000) table within a few times the header's own objects."""
+    dim = 100_000
+    path = tmp_path / "feat.csv"
+    path.write_text(",".join(["id"] + [f"f{k}" for k in range(dim)]) + "\n")
+    tracemalloc.start()
+    try:
+        loaded = load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.image_ids == [] and loaded.codes.shape == (0, dim)
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_writer_writes_the_bytes_of_the_per_cell_formatter(tmp_path, rng, dim):
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.5e-320,
+                1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+                0.1, 1 / 3, 1e16, 1e22, 123456789.0, -2.5]
+    m = 6 if dim == 0 else len(specials) // dim + 5
+    codes = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-300, 300, size=(m, dim))
+    if dim:
+        codes.ravel()[:len(specials)] = specials
+    table = FeatureTable([*QUOTED_IDS, *(f"img{i}" for i in range(m - len(QUOTED_IDS)))], codes)
+    path, reference = tmp_path / "feat.csv", tmp_path / "reference.csv"
+    write_features(table, path, comments=["seed = 1"])
+    reference_write_features(table, reference, comments=["seed = 1"])
+    assert path.read_bytes() == reference.read_bytes()
+    assert load_features(path).codes.tobytes() == codes.tobytes()
+
+
 def test_features_reject_bad_header(tmp_path):
     path = tmp_path / "feat.csv"
     path.write_text("id,f0,f7\nimg0,1.0,2.0\n")
@@ -107,8 +141,11 @@ def assert_readers_agree(path):
     return outcome
 
 
-@pytest.mark.parametrize("m", [0, 1, INITIAL_ROWS - 1, INITIAL_ROWS, INITIAL_ROWS + 1,
-                               2 * INITIAL_ROWS + 1])
+#: Rows of one block, and so of the first grid, at D=3 and D=64.
+ROWS_3, ROWS_64 = artifacts.BLOCK_CELLS // 3, artifacts.BLOCK_CELLS // 64
+
+
+@pytest.mark.parametrize("m", [0, 1, ROWS_3 - 1, ROWS_3, ROWS_3 + 1, 2 * ROWS_3 + 1])
 def test_grid_reader_matches_per_cell_reader_across_growth(tmp_path, m):
     rng = np.random.default_rng(m)
     codes = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
@@ -118,7 +155,7 @@ def test_grid_reader_matches_per_cell_reader_across_growth(tmp_path, m):
     assert outcome[0] == "table" and outcome[3] == codes.tobytes()
 
 
-@pytest.mark.parametrize("m", [0, 200, INITIAL_ROWS + 1])
+@pytest.mark.parametrize("m", [0, 200, 8 * ROWS_64 + 1])
 def test_loaded_codes_own_exactly_their_rows(tmp_path, m):
     """No grown grid outlives the read: the codes own their data, m x D cells."""
     codes = np.random.default_rng(m).normal(size=(m, 64))
@@ -249,7 +286,7 @@ def bulk_codes(cells, dim=16):
     block = [(i + 2, f"img{i}," + ",".join(cells[i * dim:(i + 1) * dim]))
              for i in range(len(cells) // dim)]
     rows = np.empty((len(block), dim))
-    return cells, rows.ravel() if encoders._bulk_block(block, dim, set(), [], rows) else None
+    return cells, rows.ravel() if encoders._bulk_block(block, dim, {}, rows) else None
 
 
 @pytest.mark.skipif(not encoders._EXTENDED, reason="long doubles are not x87 extended precision")
@@ -265,7 +302,7 @@ def test_block_boundaries_match_per_cell_reader(tmp_path, monkeypatch):
     block, and a fault in a later block, or CRLF lines from there on, give
     the per-cell reader's outcome. Without x87 long doubles, where the row
     loop reads every block, the tables are the same bytes."""
-    monkeypatch.setattr(encoders, "BLOCK_CELLS", 64)
+    monkeypatch.setattr(artifacts, "BLOCK_CELLS", 64)
     bulk_blocks = []
     bulk_block = encoders._bulk_block
     monkeypatch.setattr(encoders, "_bulk_block",
@@ -300,7 +337,7 @@ def test_block_boundaries_match_per_cell_reader(tmp_path, monkeypatch):
 
 def test_multi_block_files_match_per_cell_reader_when_mutated(tmp_path, monkeypatch):
     """Seeded 1-3 byte mutations of a file of five blocks."""
-    monkeypatch.setattr(encoders, "BLOCK_CELLS", 64)
+    monkeypatch.setattr(artifacts, "BLOCK_CELLS", 64)
     rng = np.random.default_rng(9)
     codes = rng.normal(size=(70, 4)) * 10.0 ** rng.integers(-30, 30, size=(70, 4))
     clean = tmp_path / "feat.csv"
@@ -318,10 +355,10 @@ def test_block_size_changes_no_table_and_no_error_line(tmp_path, monkeypatch):
     """Blocks under one row, of 64 cells, of the default size and of the
     whole file read the same bytes, and name the same line and cell for a
     bad cell in a later block."""
-    sizes = (1, 64, encoders.BLOCK_CELLS, 1 << 20)
+    sizes = (1, 64, artifacts.BLOCK_CELLS, 1 << 20)
     rng = np.random.default_rng(20)
     m, dim = 300, 64
-    assert m * dim > 2 * encoders.BLOCK_CELLS        # three blocks at the default
+    assert m * dim > 2 * artifacts.BLOCK_CELLS       # three blocks at the default
     codes = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-30, 30, size=(m, dim))
     path, bad = tmp_path / "feat.csv", tmp_path / "bad.csv"
     write_features(FeatureTable([f"img{i}" for i in range(m)], codes), path)
@@ -331,7 +368,7 @@ def test_block_size_changes_no_table_and_no_error_line(tmp_path, monkeypatch):
     bad.write_text("".join(lines[:251] + [",".join(cells)] + lines[252:]))
     outcomes = []
     for size in sizes:
-        monkeypatch.setattr(encoders, "BLOCK_CELLS", size)
+        monkeypatch.setattr(artifacts, "BLOCK_CELLS", size)
         outcomes.append((read_outcome(load_features, path), read_outcome(load_features, bad)))
     table, error = outcomes[0]
     assert table[0] == "table" and table[3] == codes.tobytes()

@@ -28,7 +28,7 @@ from radkg import (
     cooccurrence_matrix,
     split,
 )
-from radkg import kg
+from radkg import artifacts, kg
 from radkg.artifacts import csv_cell as _csv_cell, split_csv_line as _split_csv_line
 from radkg.kg import (
     EntityKind,
@@ -371,7 +371,7 @@ def test_annotation_blocks_match_the_row_loop_when_mutated(tmp_path, monkeypatch
     """Blocks of 8 lines: a clean file takes the bulk path in every block,
     and targeted edits in a later block and seeded 1-3 byte mutations give
     the row-by-row reader's table or error."""
-    monkeypatch.setattr(kg, "BLOCK_LINES", 8)
+    monkeypatch.setattr(artifacts, "BLOCK_CELLS", 8 * 5)  # 8 lines of 5 findings
     bulk = []
     bulk_labels = kg._bulk_labels
     monkeypatch.setattr(kg, "_bulk_labels",
