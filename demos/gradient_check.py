@@ -10,7 +10,6 @@ verification suite and shows the raw mechanics on a single coordinate.
 import numpy as np
 
 from radkg import check_gradients, default_cases, run_suite
-from radkg.kernel import finite_diff_grad
 
 # ---------------------------------------------------------------------------
 # The mechanics: perturb one parameter by +/- h and difference the outputs.
@@ -25,9 +24,6 @@ def f(theta):
 theta = np.array([2.0])
 numeric = (f(theta + h) - f(theta - h)) / (2.0 * h)
 print(f"d/dx (x^2 + 3x) at x=2: analytic 7, central difference {numeric:.9f}")
-
-grad = finite_diff_grad(f, theta, h=h)
-print(f"finite_diff_grad agrees: {grad[0]:.9f}")
 
 # ---------------------------------------------------------------------------
 # One instance end to end: a random model, random feature code, random

@@ -421,6 +421,10 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
         cfg = dict(cfg, policy=policy)
         echo = echo_lines("eval", cfg)
     annotations = load_annotations(cfg["annotations"])
+    names = split_csv_line(metadata["findings"]) if "findings" in metadata else None
+    if names is not None and names != annotations.finding_names:
+        raise ValueError(f"checkpoint scores findings {names}, annotations list "
+                         f"{annotations.finding_names}")
     if model.n_findings != annotations.n:
         raise ValueError(
             f"checkpoint scores {model.n_findings} findings, annotations list {annotations.n}"
@@ -439,7 +443,7 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
 def _cmd_predict(cfg: dict, echo: list[str]) -> int:
     model, metadata, features = _load_scorer(cfg)
     selected = features.select(cfg["ids"]) if cfg["ids"] is not None else features
-    finding_names = split_csv_line(metadata.get("findings", ""))
+    finding_names = split_csv_line(metadata["findings"]) if "findings" in metadata else []
     if len(finding_names) != model.n_findings:
         finding_names = [f"finding_{j:02d}" for j in range(model.n_findings)]
     predictions = predict_table(model, selected)

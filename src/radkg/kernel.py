@@ -1,8 +1,8 @@
-"""Minimal dense numeric kernel: linear map, valid 2D convolution, ReLU, sigmoid.
+"""Minimal dense numeric kernel: valid 2D convolution, ReLU, sigmoid.
 
 Float64 throughout, "valid" padding only, no autodiff graph: convolution and
-ReLU have analytic backward passes, checked against the central differences
-of ``finite_diff_grad``. The convolution is a row-slab product. Output row y
+ReLU have analytic backward passes, which the tests check against central
+differences. The convolution is a row-slab product. Output row y
 reads input rows y..y+k-1, which are k * W consecutive cells, so one copy of
 a strided view gives the (B * Ho, k * W) slab grid; the C kernels fill a
 (k * W, C * Wo) band matrix with C * k * k * Wo nonzeros. The forward is
@@ -49,15 +49,6 @@ class Workspace:
         if buffer is None or buffer.size < size:
             buffer = self.buffers[name] = np.empty(size)
         return buffer[:size].reshape(shape)
-
-
-def linear_fwd(x: np.ndarray, wm: np.ndarray) -> np.ndarray:
-    """Apply a bias-free linear map: ``y_k = sum_i x_i * wm[i, k]``."""
-    x = np.asarray(x, dtype=np.float64)
-    wm = np.asarray(wm, dtype=np.float64)
-    if x.ndim != 1 or wm.ndim != 2 or wm.shape[0] != x.shape[0]:
-        raise ValueError(f"linear shape mismatch: x {x.shape} vs wm {wm.shape}")
-    return x @ wm
 
 
 def _kernel_side(inp: np.ndarray, kernels: np.ndarray) -> int:
@@ -193,26 +184,4 @@ def sigmoid(x):
     e = np.exp(-np.abs(arr))
     out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
     return float(out) if arr.ndim == 0 else out
-
-
-def finite_diff_grad(scalar_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle for a scalar function.
-
-    Evaluates ``(f(p + h e_i) - f(p - h e_i)) / 2h`` for every coordinate of
-    ``params``.  Quadratic cost in the parameter count; meant for
-    verification, not training.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    for i in range(params.size):
-        bumped = params.copy()
-        bumped.flat[i] += h
-        f_plus = scalar_fn(bumped)
-        bumped = params.copy()
-        bumped.flat[i] -= h
-        f_minus = scalar_fn(bumped)
-        grad.flat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
 

@@ -44,12 +44,6 @@ def _reshape_side(embed_dim: int) -> int:
     return k
 
 
-def conve_flat_size(embed_dim: int, channels: int) -> int:
-    """Length of the vectorized convolution output for the conv scorer."""
-    k = _reshape_side(embed_dim)
-    return channels * (2 * k - (KERNEL_SIZE - 1)) * (k - (KERNEL_SIZE - 1))
-
-
 def block_shapes(
     scorer: str, feature_dim: int, embed_dim: int, n_findings: int, n_relations: int, channels: int
 ) -> dict[str, tuple[int, ...]]:
@@ -68,8 +62,11 @@ def block_shapes(
     if scorer == "conve":
         if channels < 1:
             raise ValueError("channels must be >= 1")
+        k = _reshape_side(embed_dim)
+        # wc maps the flattened conv output, C planes of (2k - 4) x (k - 4), to d.
+        flat = channels * (2 * k - (KERNEL_SIZE - 1)) * (k - (KERNEL_SIZE - 1))
         shapes["kernels"] = (channels, KERNEL_SIZE, KERNEL_SIZE)
-        shapes["wc"] = (conve_flat_size(embed_dim, channels), embed_dim)
+        shapes["wc"] = (flat, embed_dim)
     return shapes
 
 
@@ -192,7 +189,9 @@ def init_model(
 def embed_subject(model: EmbeddingModel, c_x: np.ndarray) -> np.ndarray:
     """Project an image feature code into the embedding space."""
     c_x = np.asarray(c_x, dtype=np.float64)
-    return kernel.linear_fwd(c_x, model.wx)
+    if c_x.shape != (model.feature_dim,):
+        raise ValueError(f"feature code must have shape ({model.feature_dim},), got {c_x.shape}")
+    return c_x @ model.wx
 
 
 def score_distmult(e_s: np.ndarray, r_r: np.ndarray, e_o: np.ndarray) -> float:
@@ -232,7 +231,7 @@ def conve_pipeline(model: EmbeddingModel, e_s: np.ndarray, r_r: np.ndarray) -> C
     stacked = np.concatenate([e_s.reshape(k, k), r_r.reshape(k, k)], axis=0)
     conv_out = kernel.conv2d_fwd(stacked, model.kernels)
     flat = kernel.relu(conv_out).reshape(-1)
-    z2 = kernel.linear_fwd(flat, model.wc)
+    z2 = flat @ model.wc
     a2 = kernel.relu(z2)
     return ConvePipeline(stacked, conv_out, flat, z2, a2)
 

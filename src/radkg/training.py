@@ -8,14 +8,15 @@ Adam. Model selection tracks validation macro-AUC with early stopping.
 
 ``train`` owns one ``kernel.Workspace`` per call and passes it through
 ``train_epoch`` and ``_batch_gradients`` to ``scoring.forward``/``backward``
-and the conv kernels. Every batch-sized grid (gathered codes, slabs, conv
-output and its ReLU, their gradients) and the wx and wc gradients are taken
-from it, so the first, full batch allocates them and the rest of the fit
-allocates none: a short last batch takes leading views. A gradient that
+and the conv kernels. The conv scorer's batch-sized grids (slabs, conv output
+and its ReLU, their gradients) and its wc gradient are taken from it, so the
+first, full batch allocates them and the rest of the fit allocates none: a
+short last batch takes leading views. The wc gradient that
 ``_batch_gradients`` returns is a view of the workspace, valid until its next
 batch; the optimizer step reads it before then. The grids are filled with
 ``out=`` forms of the same numpy calls, so the results are bit-identical to
-fresh arrays, which the functions make when given no workspace.
+fresh arrays, which the functions make when given no workspace. A distmult
+fit takes no workspace grid.
 """
 
 from __future__ import annotations
@@ -213,16 +214,12 @@ def _batch_gradients(
     The batch is scored and differentiated in one ``scoring.forward`` and
     ``scoring.backward`` call. Image subjects enter through ``codes @ wx``
     and finding subjects (coOccurs) as ef rows; dL/de_s flows back the same
-    two ways. The gathered codes and the wx and wc gradients are grids of
-    ``workspace`` (fresh when it is None), valid until its next batch.
+    two ways. The conv scorer's wc gradient is a grid of ``workspace`` (fresh
+    when it is None), valid until its next batch.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     images, findings = batch.images, ~batch.images
-    rows = batch.subjects[images]
-    # The subjects index the grid they were made from, so clipping never
-    # acts; it lets ``take`` gather straight into the workspace grid.
-    codes = np.take(batch.feature_codes, rows, axis=0, mode="clip",
-                    out=workspace.take("codes", (len(batch), model.feature_dim))[:len(rows)])
+    codes = batch.feature_codes[batch.subjects[images]]
     finding_idx = batch.subjects[findings]
     e_s = np.empty((len(batch), model.embed_dim))
     e_s[images] = codes @ model.wx
@@ -232,7 +229,7 @@ def _batch_gradients(
     psi, cache = scoring.forward(model, e_s, ridx, workspace)
     losses, dpsi = item_loss(psi, batch.targets)
     grads, d_es = scoring.backward(model, cache, dpsi, workspace)
-    grads["wx"] = np.matmul(codes.T, d_es[images], out=workspace.take("grad_wx", model.wx.shape))
+    grads["wx"] = codes.T @ d_es[images]
     np.add.at(grads["ef"], finding_idx, d_es[findings])
     scale = 1.0 / len(batch)
     for block in grads.values():
@@ -450,11 +447,8 @@ def load_checkpoint(path) -> tuple[scoring.EmbeddingModel, dict[str, str]]:
         model = scoring.EmbeddingModel(scorer, relations=relations, **blocks)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    # The blocks pin every dim except a distmult file's channels, which no block reads.
-    header = {"feature_dim": feature_dim, "embed_dim": embed_dim, "n_findings": n_findings,
-              "channels": channels}
-    for field, value in header.items():
-        if getattr(model, field) != value:
-            raise CheckpointError(f"{path}: header {field} {value} disagrees with the model's "
-                                  f"{getattr(model, field)}")
+    # The header's dims shaped the blocks, save a distmult file's channels, which no block reads.
+    if model.channels != channels:
+        raise CheckpointError(f"{path}: header channels {channels} disagrees with the model's "
+                              f"{model.channels}")
     return model, metadata

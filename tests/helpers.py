@@ -321,7 +321,7 @@ def reference_batches(kg, features, config, epoch=0):
 
 
 def linear_bwd(x, wm, upstream):
-    """Gradients of ``upstream . kernel.linear_fwd(x, wm)`` with respect to x and wm.
+    """Gradients of ``upstream . (x @ wm)`` with respect to x and wm.
 
     Returns:
         (grad_x, grad_wm) with the shapes of x and wm.
@@ -334,6 +334,28 @@ def linear_bwd(x, wm, upstream):
     grad_x = wm @ upstream
     grad_wm = np.outer(x, upstream)
     return grad_x, grad_wm
+
+
+def finite_diff_grad(scalar_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient oracle for a scalar function.
+
+    Evaluates ``(f(p + h e_i) - f(p - h e_i)) / 2h`` for every coordinate of
+    ``params``.  Quadratic cost in the parameter count; meant for
+    verification, not training.
+    """
+    if h <= 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.zeros_like(params)
+    for i in range(params.size):
+        bumped = params.copy()
+        bumped.flat[i] += h
+        f_plus = scalar_fn(bumped)
+        bumped = params.copy()
+        bumped.flat[i] -= h
+        f_minus = scalar_fn(bumped)
+        grad.flat[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
 
 
 def reference_conv2d_fwd(inp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -408,7 +430,7 @@ def reference_conve_pipeline(model, e_s, r_r):
     stacked = np.concatenate([e_s.reshape(k, k), r_r.reshape(k, k)], axis=0)
     conv_out = reference_conv2d_fwd(stacked, model.kernels)
     flat = kernel.relu(conv_out).reshape(-1)
-    z2 = kernel.linear_fwd(flat, model.wc)
+    z2 = flat @ model.wc
     return scoring.ConvePipeline(stacked, conv_out, flat, z2, kernel.relu(z2))
 
 

@@ -391,6 +391,32 @@ def test_eval_rejects_mismatched_dims(workspace, tmp_path, capsys):
     assert rc == 2
 
 
+def test_eval_refuses_annotations_that_list_the_findings_in_another_order(
+        workspace, tmp_path, capsys):
+    """Columns are matched by position, so a reordered header would score
+    each model column against another finding's truth."""
+    lines = (workspace / "annotations.csv").read_text(encoding="utf-8").splitlines()
+    reordered = tmp_path / "a.csv"
+    reordered.write_text("".join(
+        line + "\n" if line.startswith("#") else
+        ",".join([line.split(",")[0]] + line.split(",")[:0:-1]) + "\n" for line in lines),
+        encoding="utf-8")
+    assert load_annotations(reordered).finding_names == [f"finding_0{j}" for j in (3, 2, 1, 0)]
+    rc = run_cli([
+        "eval",
+        "--checkpoint", str(workspace / "model.rkg"),
+        "--features", str(workspace / "features.csv"),
+        "--annotations", str(reordered),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "radkg: checkpoint scores findings ['finding_00', 'finding_01', 'finding_02', "
+        "'finding_03'], annotations list ['finding_03', 'finding_02', 'finding_01', "
+        "'finding_00']\n")
+
+
 # ---------------------------------------------------------------- predict
 
 
@@ -471,6 +497,21 @@ def test_predict_header_keeps_a_finding_name_that_holds_a_form_feed(tmp_path):
     assert rc == 0
     lines = [l for l in out.read_text(encoding="utf-8").split("\n") if not l.startswith("#")]
     assert lines[0] == "id,a\x0cb,finding_01"
+
+
+@pytest.mark.parametrize("n_findings", [1, 3])
+def test_predict_names_the_findings_of_a_checkpoint_without_names_generically(
+        workspace, tmp_path, n_findings):
+    """A checkpoint saved with no ``findings`` metadata gets finding_00.. in
+    the header, one name per column, even when it scores one finding."""
+    model = scoring.init_model("distmult", 8, 4, n_findings, seed=0)
+    training.save_checkpoint(model, tmp_path / "m.rkg")
+    out = tmp_path / "pred.csv"
+    rc = run_cli(["predict", "--checkpoint", str(tmp_path / "m.rkg"),
+                  "--features", str(workspace / "features.csv"), "--out", str(out)])
+    assert rc == 0
+    header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
+    assert header == ",".join(["id"] + [f"finding_{j:02d}" for j in range(n_findings)])
 
 
 def test_plain_finding_names_are_stored_as_a_bare_comma_join(workspace):

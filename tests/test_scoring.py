@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    finding_grads, image_grads, max_relative_error, reference_init, score_all_objects,
-    score_all_objects_finding,
+    finding_grads, finite_diff_grad, image_grads, max_relative_error, reference_init,
+    score_all_objects, score_all_objects_finding,
 )
 
 from radkg import (
@@ -16,7 +16,6 @@ from radkg import (
     score_conve,
     score_distmult,
 )
-from radkg.kernel import finite_diff_grad
 from radkg.scoring import EmbeddingModel, block_shapes
 
 HAS = RelationKind.HAS_FINDING

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    TextbookAdam, batch_items, bce_loss, make_table, max_relative_error, predict,
+    TextbookAdam, batch_items, bce_loss, finite_diff_grad, make_table, max_relative_error, predict,
     reference_batches, score_all_objects,
 )
 
@@ -34,7 +34,7 @@ from radkg import (
 from radkg.encoders import FeatureTable
 from radkg.evaluate import Predictions
 from radkg.kg import AnnotationTable
-from radkg.kernel import finite_diff_grad, sigmoid
+from radkg.kernel import sigmoid
 from radkg.scoring import block_shapes
 from radkg.training import (
     Adam, Sgd, _batch_gradients, item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
