@@ -31,6 +31,10 @@ from .kg import AnnotationTable, LabelValue
 _EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
 _POW10_LONG = np.multiply.accumulate(np.array([1] + [10] * 27, dtype=np.longdouble))
 _COMMA, _DOT, _PLUS, _MINUS, _ZERO, _E = b",.+-0e"
+#: Cells of the first feature grid (256 kB) when the first block is smaller:
+#: a 10k x 128 table then grows through six doublings, not eight from 64 rows,
+#: and a header-only file still allocates nothing.
+_FIRST_GRID_CELLS = 1 << 15
 
 
 @dataclass
@@ -77,9 +81,10 @@ def load_features(path) -> FeatureTable:
     Rejects ragged rows, non-numeric or non-finite cells, and duplicate ids,
     reporting the offending line. A header-only file is a valid empty table.
 
-    Lines are read a block at a time into a float64 grid that takes the
-    first block's rows, doubles when full and is trimmed in place to exactly
-    (m, D) at the end. Where long doubles are x87 extended precision,
+    Lines are read a block at a time into a float64 grid that first takes
+    the larger of the first block's rows and ``_FIRST_GRID_CELLS`` cells of
+    rows, doubles when full and is trimmed in place to exactly (m, D) at the
+    end. Where long doubles are x87 extended precision,
     ``_bulk_block`` converts a block of plain decimals; any other block goes
     through the row loop, which alone raises ParseError. Either way a cell
     parses exactly as ``float`` parses it.
@@ -94,7 +99,7 @@ def load_features(path) -> FeatureTable:
     for block in blocks(lines, dim):
         m, end = len(ids), len(ids) + len(block)
         if end > len(codes):
-            grown = np.empty((max(end, 2 * len(codes)), dim))
+            grown = np.empty((max(end, 2 * len(codes), _FIRST_GRID_CELLS // max(dim, 1)), dim))
             grown[:m] = codes[:m]
             codes = grown
         if not (dim and _EXTENDED and _bulk_block(block, dim, ids, codes[m:end])):

@@ -167,8 +167,11 @@ def relu_bwd(x: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None)
     if x.shape != upstream.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs upstream {upstream.shape}")
     out = np.empty(x.shape) if out is None else out
-    np.copyto(out, upstream)
-    np.copyto(out, 0.0, where=~(x > 0.0))
+    # An all-ones or all-zeros int64 mask ANDed onto upstream's bits keeps a
+    # cell or makes it +0.0; a masked copy ran 5-6x slower on random signs.
+    mask = (x > 0.0).astype(np.int64)
+    np.negative(mask, out=mask)
+    np.bitwise_and(upstream.view(np.int64), mask, out=out.view(np.int64))
     return out
 
 
@@ -181,7 +184,9 @@ def sigmoid(x):
     NaN.  Scalars in, scalar out.
     """
     arr = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
+    e = np.abs(arr, out=np.empty(arr.shape))
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(arr >= 0.0, 1.0, e)
+    np.divide(out, np.add(1.0, e, out=e), out=out)
     return float(out) if arr.ndim == 0 else out
 

@@ -314,17 +314,21 @@ def backward(
         d_es = model.er[cache.ridx] * d_h
     else:
         pipe = cache.pipe
-        d_z2 = kernel.relu_bwd(pipe.z2, d_h)
+        # A ReLU's output is positive exactly where its input is, and the
+        # contiguous outputs flat and a2 mask faster than the strided conv_out.
+        d_z2 = kernel.relu_bwd(pipe.a2, d_h)
         grads["wc"] = np.matmul(pipe.flat.T, d_z2, out=workspace.take("grad_wc", model.wc.shape))
         d_flat = np.matmul(d_z2, model.wc.T, out=workspace.take("d_flat", pipe.flat.shape))
-        d_conv = kernel.relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape),
-                                 out=workspace.take("d_conv", pipe.conv_out.shape))
-        d_stacked, grads["kernels"] = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv,
-                                                        workspace)
+        d_conv = kernel.relu_bwd(pipe.flat, d_flat, out=workspace.take("d_conv", pipe.flat.shape))
+        d_stacked, grads["kernels"] = kernel.conv2d_bwd(
+            pipe.stacked, model.kernels, d_conv.reshape(pipe.conv_out.shape), workspace)
         k = model.reshape_side
         d_es = d_stacked[:, :k].reshape(d_h.shape)
         d_r = d_stacked[:, k:].reshape(d_h.shape)
-    grads["er"] = np.zeros_like(model.er)
-    np.add.at(grads["er"], cache.ridx, d_r)
+    # One relation's rows, summed in batch order from +0.0 as np.add.at sums
+    # them (at d = 1 numpy sums a single column pairwise instead).
+    grads["er"] = np.empty_like(model.er)
+    for r, row in enumerate(grads["er"]):
+        np.add.reduce(d_r[cache.ridx == r], axis=0, initial=0.0, out=row)
     return grads, d_es
 

@@ -91,7 +91,9 @@ class Batch:
     """Minibatch rows: row k asks (``subjects[k]``, ``relations[k]``, ?) and
     its ``targets`` are that subject's row of the relation's grid. ``images``
     marks image subjects, whose feature rows are gathered from the shared
-    (m, D) ``feature_codes`` when scored, so batches hold no feature copy."""
+    (m, D) ``feature_codes`` when scored, so batches hold no feature copy.
+    A batch is a slice of one permutation of (relation, subject) rows, and
+    only coOccurs has finding subjects, so no finding is a subject twice."""
 
     relations: tuple[RelationKind, ...]
     subjects: np.ndarray
@@ -230,7 +232,7 @@ def _batch_gradients(
     losses, dpsi = item_loss(psi, batch.targets)
     grads, d_es = scoring.backward(model, cache, dpsi, workspace)
     grads["wx"] = codes.T @ d_es[images]
-    np.add.at(grads["ef"], finding_idx, d_es[findings])
+    grads["ef"][finding_idx] += d_es[findings]  # a batch names each finding subject once
     scale = 1.0 / len(batch)
     for block in grads.values():
         block *= scale

@@ -464,6 +464,15 @@ def predict(model, c_x):
     return psi, kernel.sigmoid(psi)
 
 
+def reference_relu_bwd(x, upstream):
+    """``kernel.relu_bwd`` as two copies: upstream, then +0.0 wherever
+    x > 0 fails, NaN x included."""
+    out = np.empty(np.shape(x))
+    np.copyto(out, upstream)
+    np.copyto(out, 0.0, where=~(np.asarray(x) > 0.0))
+    return out
+
+
 def reference_sigmoid(x):
     """``kernel.sigmoid`` by boolean masks: one exp per half of the input.
 
@@ -624,6 +633,49 @@ def reference_batch_grads(model, batch):
     for block in accum.values():
         block *= 1.0 / len(batch)
     return losses, accum
+
+
+def reference_backward(model, cache, dpsi):
+    """``scoring.backward`` with each ReLU mask read off its pre-activation
+    by ``reference_relu_bwd`` and the er rows summed by ``np.add.at``."""
+    grads = {"ef": dpsi.T @ cache.h}
+    d_h = dpsi @ model.ef
+    if model.scorer == "distmult":
+        d_r = cache.e_s * d_h
+        d_es = model.er[cache.ridx] * d_h
+    else:
+        pipe = cache.pipe
+        d_z2 = reference_relu_bwd(pipe.z2, d_h)
+        grads["wc"] = pipe.flat.T @ d_z2
+        d_flat = d_z2 @ model.wc.T
+        d_conv = reference_relu_bwd(pipe.conv_out, d_flat.reshape(pipe.conv_out.shape))
+        d_stacked, grads["kernels"] = kernel.conv2d_bwd(pipe.stacked, model.kernels, d_conv)
+        k = model.reshape_side
+        d_es = d_stacked[:, :k].reshape(d_h.shape)
+        d_r = d_stacked[:, k:].reshape(d_h.shape)
+    grads["er"] = np.zeros_like(model.er)
+    np.add.at(grads["er"], cache.ridx, d_r)
+    return grads, d_es
+
+
+def reference_batch_gradients(model, batch):
+    """``training._batch_gradients`` through ``reference_backward``, with the
+    finding-subject rows of dL/de_s added into ef by ``np.add.at``."""
+    images, findings = batch.images, ~batch.images
+    codes = batch.feature_codes[batch.subjects[images]]
+    finding_idx = batch.subjects[findings]
+    e_s = np.empty((len(batch), model.embed_dim))
+    e_s[images] = codes @ model.wx
+    e_s[findings] = model.ef[finding_idx]
+    ridx = [model.relation_index(relation) for relation in batch.relations]
+    psi, cache = scoring.forward(model, e_s, ridx)
+    losses, dpsi = _item_loss(psi, batch.targets)
+    grads, d_es = reference_backward(model, cache, dpsi)
+    grads["wx"] = codes.T @ d_es[images]
+    np.add.at(grads["ef"], finding_idx, d_es[findings])
+    for block in grads.values():
+        block *= 1.0 / len(batch)
+    return losses, grads
 
 
 def reference_train_epoch(model, batches, optimizer):

@@ -141,11 +141,13 @@ def assert_readers_agree(path):
     return outcome
 
 
-#: Rows of one block, and so of the first grid, at D=3 and D=64.
+#: Rows of one block at D=3 and D=64, and of the first grid at D=3.
 ROWS_3, ROWS_64 = artifacts.BLOCK_CELLS // 3, artifacts.BLOCK_CELLS // 64
+GRID_3 = encoders._FIRST_GRID_CELLS // 3
 
 
-@pytest.mark.parametrize("m", [0, 1, ROWS_3 - 1, ROWS_3, ROWS_3 + 1, 2 * ROWS_3 + 1])
+@pytest.mark.parametrize("m", [0, 1, ROWS_3 - 1, ROWS_3, ROWS_3 + 1, 2 * ROWS_3 + 1,
+                               GRID_3, GRID_3 + 1, 2 * GRID_3 + 1])
 def test_grid_reader_matches_per_cell_reader_across_growth(tmp_path, m):
     rng = np.random.default_rng(m)
     codes = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))

@@ -1,5 +1,8 @@
 """Tests for AUC, macro reports, thresholded metrics, and prediction output."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,10 @@ from helpers import (
     reference_write_predictions,
 )
 
-from radkg import RelationKind, UncertainPolicy, init_model, macro_auc, param_count, predict_table
+from radkg import (
+    RelationKind, UncertainPolicy, evaluate, init_model, kernel, macro_auc, param_count,
+    predict_table,
+)
 from radkg.encoders import FeatureTable
 from radkg.evaluate import (
     EvalReport,
@@ -189,6 +195,100 @@ def test_conve_predict_table_matches_the_chunked_forward():
         assert got.psi.shape == want.psi.shape == (m, model.n_findings)
         assert np.all(np.abs(got.psi - want.psi) <= bound), case
         assert np.array_equal(got.p, reference_sigmoid(got.psi))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def pin_cpus_and_blas(monkeypatch, cpus, env):
+    """The CPUs ``predict_table`` sees, and the BLAS thread variables it reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+
+
+def trace_conv_threads(monkeypatch):
+    """A list that each ``kernel.conv2d_fwd`` call appends its thread to."""
+    threads, conv2d_fwd = [], kernel.conv2d_fwd
+
+    def traced(inp, kernels, workspace=None):
+        threads.append(threading.current_thread())
+        return conv2d_fwd(inp, kernels, workspace)
+
+    monkeypatch.setattr(kernel, "conv2d_fwd", traced)
+    return threads
+
+
+def test_conve_table_is_bitwise_the_same_on_every_cpu_count(monkeypatch):
+    """Each range starts on a chunk boundary, so every chunk runs the
+    products of the one-range loop: psi and p are equal bit for bit at 1 to
+    4 CPUs, and with one BLAS thread a table of c chunks uses
+    min(CPUs, c // 2) threads."""
+    model = init_model("conve", 16, 25, 6, channels=3, seed=5)
+    rng = np.random.default_rng(6)
+    threads = trace_conv_threads(monkeypatch)
+    for m in (0, 1, 63, 64, 65, 255, 256, 257, 1000):
+        features = FeatureTable([f"i{i}" for i in range(m)], rng.normal(size=(m, 16)))
+        tables = []
+        for cpus in (1, 2, 3, 4):
+            pin_cpus_and_blas(monkeypatch, cpus, {"OPENBLAS_NUM_THREADS": "1"})
+            threads.clear()
+            tables.append(predict_table(model, features))
+            chunks = -(-m // evaluate.PREDICT_CHUNK)
+            assert len(set(threads)) == max(1, min(cpus, chunks // 2)), (m, cpus)
+        for got in tables[1:]:
+            assert got.image_ids == tables[0].image_ids
+            assert got.psi.tobytes() == tables[0].psi.tobytes(), m
+            assert got.p.tobytes() == tables[0].p.tobytes(), m
+
+
+@pytest.mark.parametrize("env,cpus,lanes", [
+    ({}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 3, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 4),
+    ({"OMP_NUM_THREADS": "1"}, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 2, 2),
+])
+def test_a_conve_table_leaves_the_blas_threads_their_cpus(monkeypatch, env, cpus, lanes):
+    """Ranges take only the CPUs the BLAS's threads leave: CPUs // the first
+    positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, and
+    one range when none is set, as OpenBLAS then runs on every CPU."""
+    model = init_model("conve", 16, 25, 6, channels=3, seed=5)
+    features = FeatureTable([f"i{i}" for i in range(1000)],
+                            np.random.default_rng(8).normal(size=(1000, 16)))
+    threads = trace_conv_threads(monkeypatch)
+    pin_cpus_and_blas(monkeypatch, cpus, env)
+    predict_table(model, features)
+    assert len(set(threads)) == lanes
+
+
+def test_a_failing_conve_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
+    """An exception in a worker's range reaches the caller, and both a normal
+    call and a failing one join every thread they start."""
+    pin_cpus_and_blas(monkeypatch, 3, {"OPENBLAS_NUM_THREADS": "1"})
+    model = init_model("conve", 16, 25, 6, channels=3, seed=5)
+    features = FeatureTable([f"i{i}" for i in range(1000)],
+                            np.random.default_rng(7).normal(size=(1000, 16)))
+    before = threading.active_count()
+    predict_table(model, features)
+    assert threading.active_count() == before
+    conv2d_fwd = kernel.conv2d_fwd
+
+    def failing_in_workers(inp, kernels, workspace=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker range")
+        return conv2d_fwd(inp, kernels, workspace)
+
+    monkeypatch.setattr(kernel, "conv2d_fwd", failing_in_workers)
+    with pytest.raises(MemoryError, match="worker range"):
+        predict_table(model, features)
+    assert threading.active_count() == before
 
 
 def test_classify_strict_threshold():

@@ -1,5 +1,7 @@
 """Tests for the dense/conv primitives and their hand-written backward passes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from helpers import (
     max_relative_error,
     reference_conv2d_bwd,
     reference_conv2d_fwd,
+    reference_relu_bwd,
     reference_sigmoid,
 )
 
@@ -179,6 +182,23 @@ def test_relu_and_subgradient():
     assert np.array_equal(relu_bwd(x, np.ones(3)), np.array([0.0, 0.0, 1.0]))
 
 
+def test_relu_bwd_is_bitwise_the_masked_copy():
+    """The int64 mask gives the bits the two-copy reference gives: every pair
+    of signed zeros, NaNs, infinities and subnormals, a strided x, and a
+    result written into ``out``."""
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.5, -2.5])
+    x, upstream = np.repeat(specials, len(specials)), np.tile(specials, len(specials))
+    assert relu_bwd(x, upstream).tobytes() == reference_relu_bwd(x, upstream).tobytes()
+    rng = np.random.default_rng(4)
+    grid = rng.normal(size=(6, 8, 10))
+    grid[rng.random(size=grid.shape) < 0.1] = -0.0
+    strided = grid[:, ::2, ::-1]
+    upstream = rng.normal(size=strided.shape)
+    out = np.full(strided.shape, 7.0)
+    assert relu_bwd(strided, upstream, out=out) is out
+    assert out.tobytes() == reference_relu_bwd(strided, upstream).tobytes()
+
+
 def test_relu_idempotent(rng):
     x = rng.normal(size=100)
     assert np.array_equal(relu(relu(x)), relu(x))
@@ -221,6 +241,19 @@ def test_sigmoid_is_bit_identical_to_the_masked_reference():
             got = sigmoid(scalar)
             assert isinstance(got, float)
             assert np.array_equal(got, reference_sigmoid(scalar), equal_nan=True)
+
+
+def test_sigmoid_holds_two_grids_at_most():
+    """Beside its input, the sigmoid of an (m, n) grid holds the exponential
+    and the result, plus a boolean mask, at its peak."""
+    x = np.random.default_rng(5).normal(size=(1000, 100))
+    tracemalloc.start()
+    try:
+        sigmoid(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.nbytes + x.size + (64 << 10)
 
 
 def test_finite_diff_grad_quadratic():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    finding_grads, finite_diff_grad, image_grads, max_relative_error, reference_init,
-    score_all_objects, score_all_objects_finding,
+    finding_grads, finite_diff_grad, image_grads, max_relative_error, reference_backward,
+    reference_init, score_all_objects, score_all_objects_finding,
 )
 
 from radkg import (
@@ -16,7 +16,7 @@ from radkg import (
     score_conve,
     score_distmult,
 )
-from radkg.scoring import EmbeddingModel, block_shapes
+from radkg.scoring import EmbeddingModel, backward, block_shapes, forward
 
 HAS = RelationKind.HAS_FINDING
 CO = RelationKind.CO_OCCURS
@@ -238,6 +238,32 @@ def test_grad_finding_subject_routes_into_ef_row(rng):
     assert max_relative_error(grads["ef"], numeric) < 1e-5
     assert not grads["wx"].any()
     assert "c_x" not in grads
+
+
+@pytest.mark.parametrize("scorer,embed_dim", [("distmult", 2), ("distmult", 16),
+                                               ("conve", 25), ("conve", 100)])
+def test_backward_is_bitwise_the_add_at_form(scorer, embed_dim):
+    """Masking each ReLU by its output and summing er rows per relation gives
+    the bits of the reference's pre-activation masks and ``np.add.at``: on
+    one-row batches, one-relation batches and batches that repeat relations,
+    with signed zeros in the er rows. (At d = 1 numpy sums a relation's
+    single column pairwise, in another order than ``np.add.at``.)"""
+    rng = np.random.default_rng(embed_dim)
+    model = init_model(scorer, 6, embed_dim, 5, relations=tuple(RelationKind), channels=3, seed=2)
+    for case in range(60):
+        b = 1 if case % 4 == 0 else int(rng.integers(2, 40))
+        ridx = np.full(b, case % 3) if case % 4 == 1 else rng.integers(0, 3, size=b)
+        e_s = rng.normal(size=(b, embed_dim))
+        e_s[rng.random(size=e_s.shape) < 0.1] = -0.0
+        dpsi = rng.normal(size=(b, 5))
+        dpsi[rng.random(size=b) < 0.2] = 0.0
+        _, cache = forward(model, e_s, ridx)
+        grads, d_es = backward(model, cache, dpsi)
+        want_grads, want_d_es = reference_backward(model, cache, dpsi)
+        assert d_es.tobytes() == want_d_es.tobytes(), case
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == want_grads[name].tobytes(), (case, name)
 
 
 # ---------------------------------------------------------------- init

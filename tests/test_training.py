@@ -10,7 +10,7 @@ import pytest
 
 from helpers import (
     TextbookAdam, batch_items, bce_loss, finite_diff_grad, make_table, max_relative_error, predict,
-    reference_batches, score_all_objects,
+    reference_batch_gradients, reference_batches, score_all_objects,
 )
 
 from radkg import (
@@ -392,6 +392,32 @@ def test_train_writes_the_checkpoint_of_a_loop_without_a_workspace(tmp_path, sco
     save_checkpoint(best, tmp_path / "train.rkg")
     save_checkpoint(snapshots[aucs.index(max(aucs))], tmp_path / "loop.rkg")
     assert (tmp_path / "train.rkg").read_bytes() == (tmp_path / "loop.rkg").read_bytes()
+
+
+@pytest.mark.parametrize("scorer,embed_dim", [("distmult", 16), ("conve", 25)])
+def test_batch_gradients_are_bitwise_the_add_at_form(scorer, embed_dim):
+    """No batch names a finding subject twice, so adding its rows of dL/de_s
+    into ef with one fancy-index ``+=`` gives the bits ``np.add.at`` gives:
+    at batch sizes 1, 7 and 32, on a graph of three relations (coOccurs
+    among them) and on one of hasFinding alone."""
+    tr_feat, tr_ann, _, _ = synth_folds(uncertain=0.3)
+    policy = UncertainPolicy.AS_SEPARATE_RELATION
+    separate = build_radkg(tr_ann, policy)
+    for kg in (add_cooccurrence(separate, cooccurrence_matrix(tr_ann, policy)),
+               build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)):
+        relations = resolve_relations(kg, None)
+        model = init_model(scorer, 8, embed_dim, 4, relations=relations, channels=3, seed=1)
+        for batch_size in (1, 7, 32):
+            config = TrainConfig(batch_size=batch_size, seed=3, policy=policy)
+            for batch in make_batches(kg, tr_feat, config):
+                findings = batch.subjects[~batch.images]
+                assert len(set(findings.tolist())) == len(findings)
+                losses, grads = _batch_gradients(model, batch)
+                want_losses, want = reference_batch_gradients(model, batch)
+                assert losses.tobytes() == want_losses.tobytes()
+                assert grads.keys() == want.keys()
+                for name, grad in grads.items():
+                    assert grad.tobytes() == want[name].tobytes(), (batch_size, name)
 
 
 def test_train_checks_every_trained_relation_before_the_first_step():
