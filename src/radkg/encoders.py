@@ -16,6 +16,7 @@ which glibc mapped fresh or trimmed back block after block.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -264,7 +265,17 @@ def synth_dataset(spec: SyntheticSpec) -> tuple[FeatureTable, AnnotationTable]:
     noise. Every image has at least one positive. After features are formed,
     a random slice of the positive cells is downgraded to Uncertain, so the
     features always reflect the true (pre-downgrade) findings.
+
+    Raises MemoryError, before any grid is allocated, when the grids held
+    while the codes are formed (prototypes; noise, the product and the codes
+    at (m, dim); the positives as bool and float64) exceed physical memory,
+    which an overcommitting kernel would otherwise grant and fail later.
     """
+    need = 8 * spec.n * spec.dim + spec.m * (24 * spec.dim + 9 * spec.n)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else need
+    if need > memory:
+        raise MemoryError(f"synth needs {need} bytes for its grids, more than the {memory} "
+                          "bytes of physical memory")
     rng = np.random.default_rng(spec.seed)
     prototypes = rng.normal(0.0, spec.prototype_scale, size=(spec.n, spec.dim))
     positive = rng.random((spec.m, spec.n)) < spec.label_sparsity

@@ -3,15 +3,13 @@
 Labels are inferred by scoring the completion (image, hasFinding, F_j) for
 every finding; ``predict_table`` returns the (m, n) grid of scores for m
 images. Every query shares the relation, so its part of the score is
-computed once per table: distmult's score is linear in the image's feature
-code, and a whole table is one (n, D) x (D, m) product with a folded
-(n, D) map, an orientation OpenBLAS runs faster when m >> n; the conv
-scorer folds the convolution rows that see only the relation into one
-constant vector and convolves the rest in chunks, on every usable CPU that
-the BLAS's own threads leave idle, with the same scores at any CPU count.
-Quality is measured per finding by AUC-ROC in the rank-sum formulation and
-summarized as an unweighted macro mean over the findings where AUC is
-defined.
+computed once per table: distmult folds it into one (n, D) map of the
+feature code, and the conv scorer folds the convolution rows that see only
+the relation into one constant vector. Both score a table in chunks on
+every usable CPU that the BLAS's own threads leave idle, with the same
+scores at any CPU count. Quality is measured per finding by AUC-ROC in the
+rank-sum formulation and summarized as an unweighted macro mean over the
+findings where AUC is defined.
 """
 
 from __future__ import annotations
@@ -26,13 +24,16 @@ from . import kernel, scoring
 from .artifacts import check_cells, comment_block, csv_cell, open_commented
 from .kg import AnnotationTable, RelationKind, UncertainPolicy, relation_grid
 
-#: Rows ``predict_table`` convolves at a time for the conv scorer (distmult
-#: tables are not chunked). At D=128, d=100, C=8, chunks of 16 to 256 rows
-#: all scored 8.3-9.2 us per image and 512 rows 11-12 us, and larger chunks
-#: raise the peak memory of a scoring run: at 256 rows the conv slab grid,
-#: the conv output and its ReLU take 1.0 MB each; at 64, 0.25 MB, per CPU.
-#: Every CPU's range of rows starts on a multiple of it.
+#: Rows ``predict_table`` convolves at a time for the conv scorer. At D=128,
+#: d=100, C=8, chunks of 16 to 256 rows all scored 8.3-9.2 us per image and
+#: 512 rows 11-12 us, and larger chunks raise the peak memory of a scoring
+#: run: at 256 rows the conv slab grid, the conv output and its ReLU take
+#: 1.0 MB each; at 64, 0.25 MB, per CPU.
 PREDICT_CHUNK = 64
+#: Rows of a distmult table in one product. At D=1024, n=14, products of
+#: 512 rows took 3-6% longer than one for the table and of 256 rows 5-13%;
+#: with 1024 rows a 2000-row table would have one range.
+DISTMULT_CHUNK = 512
 
 
 @dataclass
@@ -50,72 +51,82 @@ class Predictions:
 
 def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     """Score (image, hasFinding, F_j) for every row of a feature table and
-    apply the sigmoid.
+    apply the sigmoid, a chunk of rows at a time, on every usable CPU that
+    the BLAS's own threads leave idle (``_in_lanes``). psi and p are the
+    same bit for bit at any CPU count; both are views of (n, m) grids.
 
     distmult's psi = ((c @ wx) * r) @ ef.T equals (((ef * r) @ wx.T) @ c.T).T
     up to rounding. Folding that (n, D) map once costs less than scoring n
-    images one by one, and the table is then one product with it, whose
-    only transient is the output. The product is taken as (n, D) x (D, m)
-    because OpenBLAS runs it faster than (m, D) x (D, n) when m >> n
-    (measured on scipy-openblas 0.3.31, 1 thread: 4.6 against 6.4 ms at
-    m=2000, D=1024, n=14); psi is its (m, n) transpose.
+    images one by one, and each chunk is then one (n, D) x (D, rows)
+    product with it, an orientation OpenBLAS runs faster than
+    (rows, D) x (D, n) (scipy-openblas 0.3.31, 1 thread: 4.6 against 6.4 ms
+    for one product at m=2000, D=1024, n=14).
 
     The conv scorer is ``scoring.forward`` up to rounding. Its stacked 2k x k
     input ends in the k x k plane of r, so conv output rows y >= k read only
     r, and their share of z2 is one (d,) vector, ``bias``, folded once. Each
-    chunk of PREDICT_CHUNK rows convolves the image plane and the first 4
-    rows of r (k + 4 input rows, not 2k) and projects the k rows that see the
-    image through ``wc_rows``, the rows of wc for y < k. A table of four or
-    more chunks is scored on every usable CPU that the BLAS's own threads
-    leave idle, with psi and p the same bit for bit as on one.
+    chunk convolves the image plane and the first 4 rows of r (k + 4 input
+    rows, not 2k) and projects the k rows that see the image through
+    ``wc_rows``, the rows of wc for y < k.
     """
     r = model.er[model.relation_index(RelationKind.HAS_FINDING)]
+    codes = features.codes
+    psi_t = np.empty((model.n_findings, len(codes)))
+    p_t = np.empty_like(psi_t)
     if model.scorer == "distmult":
-        psi = (((model.ef * r) @ model.wx.T) @ features.codes.T).T
+        fold, chunk = (model.ef * r) @ model.wx.T, DISTMULT_CHUNK
+
+        def rows(block: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(fold, block.T, out=out)
     else:
-        psi = _conve_table(model, r, features.codes)
-    return Predictions(list(features.image_ids), psi, kernel.sigmoid(psi))
+        rows, chunk = _conve_rows(model, r), PREDICT_CHUNK
+
+    def score(lo: int, hi: int) -> None:
+        for start in range(lo, hi, chunk):
+            rows(codes[start:start + chunk], psi_t[:, start:start + chunk])
+        p_t[:, lo:hi] = kernel.sigmoid(psi_t[:, lo:hi])
+
+    _in_lanes(len(codes), chunk, score)
+    return Predictions(list(features.image_ids), psi_t.T, p_t.T)
 
 
-def _conve_table(model: scoring.EmbeddingModel, r: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The conv scorer's (m, n) psi for relation embedding ``r``.
-
-    The chunks are split into contiguous row ranges of at least two chunks,
-    each starting on a multiple of PREDICT_CHUNK, so every chunk holds the
-    rows and runs the products it would in one loop and psi is the same bit
-    for bit however many ranges there are. There is one range per
-    ``_blas_threads`` usable CPUs: one per CPU when the BLAS runs a product
-    on one thread, and one in all when it runs it on every CPU. The calling
-    thread scores the first range, and threads joined before the return
-    score the others, each into its own rows; a worker's exception is raised
-    here.
-    """
+def _conve_rows(model: scoring.EmbeddingModel, r: np.ndarray):
+    """A function that writes the conv scorer's (n, b) psi of b feature codes,
+    for relation embedding ``r``, into its second argument."""
     k, d, taps = model.reshape_side, model.embed_dim, scoring.KERNEL_SIZE
     wc = model.wc.reshape(model.channels, 2 * k - taps + 1, -1, d)
     r = r.reshape(k, k)
     bias = kernel.relu(kernel.conv2d_fwd(r, model.kernels)).reshape(-1) @ wc[:, k:].reshape(-1, d)
     wc_rows = wc[:, :k].transpose(1, 0, 2, 3).reshape(-1, d)  # conv2d_fwd's (y, c, x) layout
 
-    psi = np.empty((len(codes), model.n_findings))
-
-    def score(lo: int, hi: int) -> None:
-        stacked = np.empty((PREDICT_CHUNK, k + taps - 1, k))
+    def rows(block: np.ndarray, out: np.ndarray) -> None:
+        b = len(block)
+        stacked = np.empty((b, k + taps - 1, k))
+        stacked[:, :k] = (block @ model.wx).reshape(b, k, k)
         stacked[:, k:] = r[:taps - 1]
-        for start in range(lo, hi, PREDICT_CHUNK):
-            chunk = codes[start:start + PREDICT_CHUNK]
-            b = len(chunk)
-            stacked[:b, :k] = (chunk @ model.wx).reshape(b, k, k)
-            conv = kernel.relu(kernel.conv2d_fwd(stacked[:b], model.kernels))
-            z2 = conv.transpose(0, 2, 1, 3).reshape(b, -1) @ wc_rows + bias
-            psi[start:start + b] = kernel.relu(z2) @ model.ef.T
+        conv = kernel.relu(kernel.conv2d_fwd(stacked, model.kernels))
+        z2 = conv.transpose(0, 2, 1, 3).reshape(b, -1) @ wc_rows + bias
+        out[:] = (kernel.relu(z2) @ model.ef.T).T
 
-    chunks = -(-len(codes) // PREDICT_CHUNK)
+    return rows
+
+
+def _in_lanes(m: int, chunk: int, score) -> None:
+    """Call ``score(lo, hi)`` on contiguous ranges that cover rows 0..m, each
+    of at least two chunks of ``chunk`` rows and starting on a multiple of
+    it, so a scorer that works a chunk at a time runs the same products for
+    any number of ranges. There is one range per ``_blas_threads`` usable
+    CPUs: one per CPU when the BLAS runs a product on one thread, one in all
+    when it runs it on every CPU. The calling thread takes the first range,
+    and threads joined before the return the others; a worker's exception
+    is raised here."""
+    chunks = -(-m // chunk)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     lanes = min(cpus // _blas_threads(cpus), chunks // 2)
     if lanes < 2:
-        score(0, len(codes))
-        return psi
-    bounds = [i * chunks // lanes * PREDICT_CHUNK for i in range(lanes)] + [len(codes)]
+        score(0, m)
+        return
+    bounds = [i * chunks // lanes * chunk for i in range(lanes)] + [m]
     errors = []
 
     def lane(lo: int, hi: int) -> None:
@@ -136,7 +147,6 @@ def _conve_table(model: scoring.EmbeddingModel, r: np.ndarray, codes: np.ndarray
             thread.join()
     if errors:
         raise errors[0]
-    return psi
 
 
 def _blas_threads(cpus: int) -> int:

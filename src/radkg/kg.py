@@ -267,14 +267,14 @@ def split(
         )
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(group_rows))
-    targets = [r * m for r in ratios]
+    t0, t1, t2 = (r * m for r in ratios)
     counts = [0, 0, 0]
     folds: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for gi in order:
+    for gi in rng.permutation(len(group_rows)).tolist():
         rows = group_rows[gi]
-        deficits = [targets[f] - counts[f] for f in range(3)]
-        f = max(range(3), key=lambda f: (deficits[f], -f))
+        # The largest deficit (target minus count) wins, a tie the lower fold.
+        d0, d1, d2 = t0 - counts[0], t1 - counts[1], t2 - counts[2]
+        f = 0 if d0 >= d1 and d0 >= d2 else 1 if d1 >= d2 else 2
         folds[f].extend(rows)
         counts[f] += len(rows)
     return tuple(_subtable(annotations, fold) for fold in folds)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,17 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test after which a thread runs that did not run before it:
+    table scoring starts threads, and every one must be joined in the call."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [thread.name for thread in threading.enumerate() if thread not in before]
+    if leaked:
+        pytest.fail(f"threads left running after the test: {leaked}")
 
 
 def pytest_configure(config):

@@ -39,6 +39,27 @@ def random_table(rng, m, n, uncertain=False, unmentioned=False):
     return make_table(labels)
 
 
+def reference_split_folds(annotations, ratios, seed):
+    """``kg.split``'s fold rows, from the per-group loop it replaced: each
+    group, in a seeded shuffle, goes to the fold with the largest deficit
+    (target minus count), a tie to the lowest fold."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(annotations.groups or range(annotations.m)):
+        groups.setdefault(key, []).append(i)
+    group_rows = list(groups.values())
+    order = np.random.default_rng(seed).permutation(len(group_rows))
+    targets = [r * annotations.m for r in ratios]
+    counts = [0, 0, 0]
+    folds = ([], [], [])
+    for gi in order:
+        rows = group_rows[gi]
+        deficits = [targets[f] - counts[f] for f in range(3)]
+        f = max(range(3), key=lambda f: (deficits[f], -f))
+        folds[f].extend(rows)
+        counts[f] += len(rows)
+    return folds
+
+
 #: ``select_features(features, ids)``: the name the acceptance tests call.
 select_features = FeatureTable.select
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import edge_counts, mutate
 
-from radkg import cli, load_checkpoint, scoring, training
+from radkg import cli, encoders, load_checkpoint, scoring, training
 from radkg.cli import main as cli_main
 from radkg.encoders import load_features
 from radkg.kg import UncertainPolicy, load_annotations, relation_grid
@@ -916,6 +916,21 @@ def test_out_of_memory_is_a_data_error_in_one_line(tmp_path, capsys, monkeypatch
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err == line and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_beyond_physical_memory_exits_2_in_one_line_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(encoders.os, "sysconf", memory.__getitem__)
+    rc = run_cli(["synth", "--m", "100000", "--dim", "1024",
+                  "--out-features", str(tmp_path / "f.csv"),
+                  "--out-annotations", str(tmp_path / "a.csv")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("radkg: synth needs 2470314688 bytes for its grids, more than the "
+                            "4194304 bytes of physical memory\n")
     assert list(tmp_path.iterdir()) == []
 
 

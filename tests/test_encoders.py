@@ -422,6 +422,42 @@ def test_synth_dataset_shapes_and_alignment():
     assert features.image_ids == annotations.image_ids
 
 
+def synth_grid_bytes(spec):
+    """The bytes ``synth_dataset`` names: prototypes, three (m, dim) float64
+    grids, and the (m, n) positives as bool and float64."""
+    return 8 * spec.n * spec.dim + spec.m * (24 * spec.dim + 9 * spec.n)
+
+
+def test_synth_refuses_grids_beyond_physical_memory_before_allocating(monkeypatch):
+    """With ``os.sysconf`` reporting 4 MiB, a 100,000 x 1024 request (2.5 GB)
+    raises MemoryError naming its bytes at a tracemalloc peak far below one
+    grid, and a spec that fits generates as before."""
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(encoders.os, "sysconf", memory.__getitem__)
+    spec = SyntheticSpec(m=100_000, dim=1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"needs {synth_grid_bytes(spec)} bytes .* 4194304 "):
+            synth_dataset(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    features, _ = synth_dataset(SyntheticSpec(m=40, n=6, dim=16, seed=3))
+    assert features.codes.shape == (40, 16)
+
+
+def test_synth_takes_exactly_physical_memory_and_not_a_byte_more(monkeypatch):
+    spec = SyntheticSpec(m=30, n=5, dim=8, seed=11)
+    monkeypatch.setattr(encoders.os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                                 "SC_PHYS_PAGES": synth_grid_bytes(spec)}.__getitem__)
+    assert synth_dataset(spec)[0].m == 30
+    monkeypatch.setattr(encoders.os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                                 "SC_PHYS_PAGES": synth_grid_bytes(spec) - 1}.__getitem__)
+    with pytest.raises(MemoryError):
+        synth_dataset(spec)
+
+
 def test_synth_dataset_deterministic():
     spec = SyntheticSpec(m=30, n=5, dim=8, seed=11)
     f1, a1 = synth_dataset(spec)

@@ -209,41 +209,53 @@ def pin_cpus_and_blas(monkeypatch, cpus, env):
         monkeypatch.setenv(var, value)
 
 
-def trace_conv_threads(monkeypatch):
-    """A list that each ``kernel.conv2d_fwd`` call appends its thread to."""
-    threads, conv2d_fwd = [], kernel.conv2d_fwd
+def trace_sigmoid_threads(monkeypatch):
+    """A list that each ``kernel.sigmoid`` call appends its thread to; every
+    range of a table calls it once."""
+    threads, sigmoid = [], kernel.sigmoid
 
-    def traced(inp, kernels, workspace=None):
+    def traced(x):
         threads.append(threading.current_thread())
-        return conv2d_fwd(inp, kernels, workspace)
+        return sigmoid(x)
 
-    monkeypatch.setattr(kernel, "conv2d_fwd", traced)
+    monkeypatch.setattr(kernel, "sigmoid", traced)
     return threads
 
 
-def test_conve_table_is_bitwise_the_same_on_every_cpu_count(monkeypatch):
+# Each scorer's model, its chunk, and table sizes around that chunk's multiples.
+LANE_CASES = {
+    "distmult": (lambda: init_model("distmult", 16, 8, 6, seed=5), "DISTMULT_CHUNK",
+                 (0, 1, 511, 512, 513, 1535, 1536, 1537, 2047, 2048, 2049, 5000)),
+    "conve": (lambda: init_model("conve", 16, 25, 6, channels=3, seed=5), "PREDICT_CHUNK",
+              (0, 1, 63, 64, 65, 255, 256, 257, 1000)),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(LANE_CASES))
+def test_a_table_is_bitwise_the_same_on_every_cpu_count(monkeypatch, scorer):
     """Each range starts on a chunk boundary, so every chunk runs the
     products of the one-range loop: psi and p are equal bit for bit at 1 to
     4 CPUs, and with one BLAS thread a table of c chunks uses
     min(CPUs, c // 2) threads."""
-    model = init_model("conve", 16, 25, 6, channels=3, seed=5)
-    rng = np.random.default_rng(6)
-    threads = trace_conv_threads(monkeypatch)
-    for m in (0, 1, 63, 64, 65, 255, 256, 257, 1000):
+    make_model, chunk, sizes = LANE_CASES[scorer]
+    model, rng = make_model(), np.random.default_rng(6)
+    threads = trace_sigmoid_threads(monkeypatch)
+    for m in sizes:
         features = FeatureTable([f"i{i}" for i in range(m)], rng.normal(size=(m, 16)))
         tables = []
         for cpus in (1, 2, 3, 4):
             pin_cpus_and_blas(monkeypatch, cpus, {"OPENBLAS_NUM_THREADS": "1"})
             threads.clear()
             tables.append(predict_table(model, features))
-            chunks = -(-m // evaluate.PREDICT_CHUNK)
-            assert len(set(threads)) == max(1, min(cpus, chunks // 2)), (m, cpus)
+            lanes = max(1, min(cpus, -(-m // getattr(evaluate, chunk)) // 2))
+            assert len(threads) == len(set(threads)) == lanes, (m, cpus)
         for got in tables[1:]:
             assert got.image_ids == tables[0].image_ids
             assert got.psi.tobytes() == tables[0].psi.tobytes(), m
             assert got.p.tobytes() == tables[0].p.tobytes(), m
 
 
+@pytest.mark.parametrize("scorer", sorted(LANE_CASES))
 @pytest.mark.parametrize("env,cpus,lanes", [
     ({}, 4, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
@@ -255,37 +267,40 @@ def test_conve_table_is_bitwise_the_same_on_every_cpu_count(monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),
     ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 2, 2),
 ])
-def test_a_conve_table_leaves_the_blas_threads_their_cpus(monkeypatch, env, cpus, lanes):
+def test_a_table_leaves_the_blas_threads_their_cpus(monkeypatch, scorer, env, cpus, lanes):
     """Ranges take only the CPUs the BLAS's threads leave: CPUs // the first
     positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, and
     one range when none is set, as OpenBLAS then runs on every CPU."""
-    model = init_model("conve", 16, 25, 6, channels=3, seed=5)
-    features = FeatureTable([f"i{i}" for i in range(1000)],
-                            np.random.default_rng(8).normal(size=(1000, 16)))
-    threads = trace_conv_threads(monkeypatch)
+    make_model, chunk, _ = LANE_CASES[scorer]
+    m = 8 * getattr(evaluate, chunk)
+    features = FeatureTable([f"i{i}" for i in range(m)],
+                            np.random.default_rng(8).normal(size=(m, 16)))
+    threads = trace_sigmoid_threads(monkeypatch)
     pin_cpus_and_blas(monkeypatch, cpus, env)
-    predict_table(model, features)
-    assert len(set(threads)) == lanes
+    predict_table(make_model(), features)
+    assert len(threads) == len(set(threads)) == lanes
 
 
-def test_a_failing_conve_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
+@pytest.mark.parametrize("scorer", sorted(LANE_CASES))
+def test_a_failing_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch, scorer):
     """An exception in a worker's range reaches the caller, and both a normal
     call and a failing one join every thread they start."""
     pin_cpus_and_blas(monkeypatch, 3, {"OPENBLAS_NUM_THREADS": "1"})
-    model = init_model("conve", 16, 25, 6, channels=3, seed=5)
-    features = FeatureTable([f"i{i}" for i in range(1000)],
-                            np.random.default_rng(7).normal(size=(1000, 16)))
+    make_model, chunk, _ = LANE_CASES[scorer]
+    model, m = make_model(), 8 * getattr(evaluate, chunk)
+    features = FeatureTable([f"i{i}" for i in range(m)],
+                            np.random.default_rng(7).normal(size=(m, 16)))
     before = threading.active_count()
     predict_table(model, features)
     assert threading.active_count() == before
-    conv2d_fwd = kernel.conv2d_fwd
+    sigmoid = kernel.sigmoid
 
-    def failing_in_workers(inp, kernels, workspace=None):
+    def failing_in_workers(x):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("worker range")
-        return conv2d_fwd(inp, kernels, workspace)
+        return sigmoid(x)
 
-    monkeypatch.setattr(kernel, "conv2d_fwd", failing_in_workers)
+    monkeypatch.setattr(kernel, "sigmoid", failing_in_workers)
     with pytest.raises(MemoryError, match="worker range"):
         predict_table(model, features)
     assert threading.active_count() == before

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     random_table,
     reference_load_annotations,
     reference_split_csv_line,
+    reference_split_folds,
     reference_write_kg,
 )
 
@@ -227,6 +229,28 @@ def test_split_keeps_groups_together():
     for group in set(groups):
         hits = [f for f in folds if group in (f.groups or [])]
         assert len(hits) == 1
+
+
+def test_split_folds_match_the_per_group_loop():
+    """Over random grouped and ungrouped tables and ratios, ties included
+    (integer targets, equal ratios), every fold holds the rows that the
+    per-group loop of ``reference_split_folds`` gives it."""
+    rng = np.random.default_rng(24)
+    tied = [(0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3), (0.7, 0.1, 0.2), (0.25, 0.25, 0.5)]
+    for case in range(300):
+        m = int(rng.integers(1, 200))
+        groups = None
+        if case % 2:
+            keys = rng.integers(0, int(rng.integers(1, m + 1)), size=m)
+            groups = [f"g{key}" for key in keys.tolist()]
+        ratios = tied[case % 4] if case % 3 else tuple(rng.dirichlet([1.0, 1.0, 1.0]).tolist())
+        table = make_table(np.zeros((m, 1), dtype=np.int8).tolist(), groups=groups)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            folds = split(table, ratios, seed=case)
+        want = reference_split_folds(table, ratios, case)
+        for fold, rows in zip(folds, want):
+            assert fold.image_ids == [table.image_ids[i] for i in sorted(rows)], case
 
 
 def test_split_rejects_bad_ratios():
