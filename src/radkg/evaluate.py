@@ -14,8 +14,7 @@ findings where AUC is defined.
 
 from __future__ import annotations
 
-import os
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,10 @@ class Predictions:
 def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     """Score (image, hasFinding, F_j) for every row of a feature table and
     apply the sigmoid, a chunk of rows at a time, on every usable CPU that
-    the BLAS's own threads leave idle (``_in_lanes``). psi and p are the
-    same bit for bit at any CPU count; both are views of (n, m) grids.
+    the BLAS's own threads leave idle: the shared ``kernel.Lanes``, opened
+    for this call, each lane taking one ``kernel.ranges`` range of at least
+    two chunks. psi and p are the same bit for bit at any CPU count; both
+    are views of (n, m) grids.
 
     distmult's psi = ((c @ wx) * r) @ ef.T equals (((ef * r) @ wx.T) @ c.T).T
     up to rounding. Folding that (n, D) map once costs less than scoring n
@@ -86,7 +87,10 @@ def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
             rows(codes[start:start + chunk], psi_t[:, start:start + chunk])
         p_t[:, lo:hi] = kernel.sigmoid(psi_t[:, lo:hi])
 
-    _in_lanes(len(codes), chunk, score)
+    chunks = -(-len(codes) // chunk)
+    with kernel.Lanes(limit=chunks // 2) as lanes:
+        lanes.run(functools.partial(score, lo, hi)
+                  for lo, hi in kernel.ranges(len(codes), chunk, lanes.count))
     return Predictions(list(features.image_ids), psi_t.T, p_t.T)
 
 
@@ -109,57 +113,6 @@ def _conve_rows(model: scoring.EmbeddingModel, r: np.ndarray):
         out[:] = (kernel.relu(z2) @ model.ef.T).T
 
     return rows
-
-
-def _in_lanes(m: int, chunk: int, score) -> None:
-    """Call ``score(lo, hi)`` on contiguous ranges that cover rows 0..m, each
-    of at least two chunks of ``chunk`` rows and starting on a multiple of
-    it, so a scorer that works a chunk at a time runs the same products for
-    any number of ranges. There is one range per ``_blas_threads`` usable
-    CPUs: one per CPU when the BLAS runs a product on one thread, one in all
-    when it runs it on every CPU. The calling thread takes the first range,
-    and threads joined before the return the others; a worker's exception
-    is raised here."""
-    chunks = -(-m // chunk)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    lanes = min(cpus // _blas_threads(cpus), chunks // 2)
-    if lanes < 2:
-        score(0, m)
-        return
-    bounds = [i * chunks // lanes * chunk for i in range(lanes)] + [m]
-    errors = []
-
-    def lane(lo: int, hi: int) -> None:
-        try:
-            score(lo, hi)
-        except BaseException as error:  # raised again in the calling thread
-            errors.append(error)
-
-    threads = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=lane, args=(lo, hi))
-            thread.start()
-            threads.append(thread)
-        score(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _blas_threads(cpus: int) -> int:
-    """Threads OpenBLAS runs one product on, read as it reads them when it
-    loads: the first positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-    OMP_NUM_THREADS, else ``cpus``. Where every CPU already runs each
-    product, more threads only queue for it: on 2 CPUs with 2 BLAS threads,
-    two ranges took a 10k-row conve table from 70 to 85-90 ms."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
 
 
 def _check_threshold(tau: float) -> None:

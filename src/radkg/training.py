@@ -17,10 +17,19 @@ batch; the optimizer step reads it before then. The grids are filled with
 ``out=`` forms of the same numpy calls, so the results are bit-identical to
 fresh arrays, which the functions make when given no workspace. A distmult
 fit takes no workspace grid.
+
+``train`` also opens one ``kernel.Lanes`` per fit and passes it to every
+optimizer step. ``_update_rows`` cuts each block of ``SPLIT_CELLS`` or more
+into ``GRAD_ROWS``-aligned row ranges, one per lane; the calling thread takes
+the first range and every small block. The wx gradient comes to the step as
+a ``RowProduct``, so each lane computes its rows of ``codes.T @ d_es``,
+scales them by 1/B and runs the update on the same rows. The checkpoint
+bytes are the same at any lane count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
@@ -148,13 +157,70 @@ def make_batches(
     return batches
 
 
+#: Row ranges of a split block start on multiples of this. A range's rows of
+#: the wx gradient are one product, and splits on multiples of 64 rows gave
+#: the whole product's bits at every shape tried (scipy-openblas 0.3.31),
+#: so the bits do not depend on the lane count; splits at other rows did not
+#: always give them.
+GRAD_ROWS = 64
+#: Blocks of this many cells or more are updated by row ranges, one per
+#: lane. Time per batch with the split against without, 2 CPUs, 1 BLAS
+#: thread, B=32, d=100, medians of 25-41 alternating epochs: distmult wx of
+#: 51,200 cells +9 to +11%, 64,000 -3 to +3%, 76,800 -6 to -9%, 102,400
+#: (D=1024) -10 to -13%, 204,800 -29%; conve at D=128 splitting its
+#: 76,800-cell wc -1 to -3%, and its 12,800-cell wx as well 0 to +9%. So a
+#: conve fit at D=128 stays on one lane.
+SPLIT_CELLS = 80_000
+
+
+class RowProduct:
+    """The gradient ``left.T @ right * scale`` of a (D, d) block, left for
+    the optimizer step to compute a range of rows at a time, so the lane
+    that computes rows also updates them. ``rows(lo, hi)`` fills those rows
+    of ``grid`` and returns them."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray, scale: float):
+        self.left, self.right, self.scale = left, right, scale
+        self.grid = np.empty((left.shape[1], right.shape[1]))
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        block = np.matmul(self.left[:, lo:hi].T, self.right, out=self.grid[lo:hi])
+        block *= self.scale
+        return block
+
+
+def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None, apply) -> None:
+    """Call ``apply(name, lo, hi, g)`` over the rows of every block, g being
+    the gradient's rows lo:hi, computed first when it is a ``RowProduct``.
+    A block of ``SPLIT_CELLS`` or more is cut into ``GRAD_ROWS``-aligned
+    ranges, one per lane (the calling thread alone when ``lanes`` is None);
+    the calling thread takes the first range of each and every smaller block
+    whole. The updates are elementwise, so the bits do not depend on the
+    lane count."""
+    lanes = kernel.Lanes(1) if lanes is None else lanes
+    jobs: list[list[tuple[str, int, int]]] = [[] for _ in range(lanes.count)]
+    for name, block in params.items():
+        count = lanes.count if block.size >= SPLIT_CELLS else 1
+        for lane, (lo, hi) in enumerate(kernel.ranges(len(block), GRAD_ROWS, count)):
+            jobs[lane].append((name, lo, hi))
+
+    def work(lane_jobs):
+        for name, lo, hi in lane_jobs:
+            g = grads[name]
+            apply(name, lo, hi, g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi])
+
+    lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
+
+
 class Sgd:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, block in params.items():
-            block -= self.learning_rate * grads[name]
+    def step(self, params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None = None) -> None:
+        def apply(name, lo, hi, g):
+            params[name][lo:hi] -= self.learning_rate * g
+
+        _update_rows(params, grads, lanes, apply)
 
 
 class Adam:
@@ -163,7 +229,9 @@ class Adam:
     The update runs in place through two scratch buffers per block, with the
     operations of the textbook formula in the same order, so it is
     bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``block -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``.
+    ``block -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``. Every operation is
+    elementwise, so a large block is updated by row ranges on ``lanes``
+    (``_update_rows``) with the same bits.
     """
 
     def __init__(self, learning_rate: float):
@@ -173,19 +241,20 @@ class Adam:
         self.moment2: dict[str, np.ndarray] = {}
         self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None = None) -> None:
         self.t += 1
         correct1 = 1.0 - ADAM_BETA1 ** self.t
         correct2 = 1.0 - ADAM_BETA2 ** self.t
         for name, block in params.items():
-            g = grads[name]
             if name not in self.moment1:
                 self.moment1[name] = np.zeros_like(block)
                 self.moment2[name] = np.zeros_like(block)
                 self._scratch[name] = (np.empty_like(block), np.empty_like(block))
-            m = self.moment1[name]
-            v = self.moment2[name]
-            update, denom = self._scratch[name]
+
+        def apply(name, lo, hi, g):
+            m = self.moment1[name][lo:hi]
+            v = self.moment2[name][lo:hi]
+            update, denom = (grid[lo:hi] for grid in self._scratch[name])
             np.multiply(g, 1.0 - ADAM_BETA1, out=update)
             m *= ADAM_BETA1
             m += update
@@ -199,7 +268,9 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
             update /= denom
-            block -= update
+            params[name][lo:hi] -= update
+
+        _update_rows(params, grads, lanes, apply)
 
 
 def make_optimizer(config: TrainConfig):
@@ -210,13 +281,14 @@ def make_optimizer(config: TrainConfig):
 
 def _batch_gradients(
     model: scoring.EmbeddingModel, batch: Batch, workspace: kernel.Workspace | None = None
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, dict]:
     """Per-row losses (B,) and the mean gradient of one batch.
 
     The batch is scored and differentiated in one ``scoring.forward`` and
     ``scoring.backward`` call. Image subjects enter through ``codes @ wx``
     and finding subjects (coOccurs) as ef rows; dL/de_s flows back the same
-    two ways. The conv scorer's wc gradient is a grid of ``workspace`` (fresh
+    two ways. The wx gradient is a ``RowProduct`` that the optimizer step
+    computes. The conv scorer's wc gradient is a grid of ``workspace`` (fresh
     when it is None), valid until its next batch.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
@@ -231,24 +303,26 @@ def _batch_gradients(
     psi, cache = scoring.forward(model, e_s, ridx, workspace)
     losses, dpsi = item_loss(psi, batch.targets)
     grads, d_es = scoring.backward(model, cache, dpsi, workspace)
-    grads["wx"] = codes.T @ d_es[images]
     grads["ef"][finding_idx] += d_es[findings]  # a batch names each finding subject once
     scale = 1.0 / len(batch)
     for block in grads.values():
         block *= scale
+    grads["wx"] = RowProduct(codes, d_es[images], scale)
     return losses, grads
 
 
 def train_epoch(
     model: scoring.EmbeddingModel, batches: list[Batch], optimizer,
-    workspace: kernel.Workspace | None = None,
+    workspace: kernel.Workspace | None = None, lanes: kernel.Lanes | None = None,
 ) -> tuple[scoring.EmbeddingModel, float]:
     """One pass over the batches; returns the (mutated) model and mean loss.
 
     Pass the same optimizer across epochs to keep Adam's moments, and the
     same workspace to keep its grids; without one the epoch makes its own.
-    A non-finite loss stops the epoch before its batch updates the model,
-    naming the batch and its first such item.
+    The optimizer steps run on ``lanes``, opened by the caller, or on the
+    calling thread alone when it is None. A non-finite loss stops the epoch
+    before its batch updates the model, naming the batch and its first such
+    item.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     losses: list[np.ndarray] = []
@@ -263,7 +337,7 @@ def train_epoch(
                 f"({relation.subject_kind.value}:{batch.subjects[row]}, {relation.value})"
             )
         losses.append(batch_losses)
-        optimizer.step(model.blocks(), grads)
+        optimizer.step(model.blocks(), grads, lanes)
     return model, (float(np.mean(np.concatenate(losses))) if losses else 0.0)
 
 
@@ -301,22 +375,23 @@ def train(
     best_model = None
     best_auc = -math.inf
     stall = 0
-    for epoch in range(1, config.epochs + 1):
-        batches = make_batches(kg, features, config, epoch=epoch)
-        try:
-            model, mean_loss = train_epoch(model, batches, optimizer, workspace)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
-        report = macro_auc(predict_table(model, val_features), val_truth, config.policy)
-        history.append({"epoch": epoch, "loss": mean_loss, "val_auc": report.macro})
-        if report.macro is not None and report.macro > best_auc:
-            best_auc = report.macro
-            best_model = model.copy()
-            stall = 0
-        else:
-            stall += 1
-        if report.macro is not None and stall >= config.patience:
-            break
+    with kernel.Lanes() as lanes:
+        for epoch in range(1, config.epochs + 1):
+            batches = make_batches(kg, features, config, epoch=epoch)
+            try:
+                model, mean_loss = train_epoch(model, batches, optimizer, workspace, lanes)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
+            report = macro_auc(predict_table(model, val_features), val_truth, config.policy)
+            history.append({"epoch": epoch, "loss": mean_loss, "val_auc": report.macro})
+            if report.macro is not None and report.macro > best_auc:
+                best_auc = report.macro
+                best_model = model.copy()
+                stall = 0
+            else:
+                stall += 1
+            if report.macro is not None and stall >= config.patience:
+                break
     if best_model is None:
         best_model = model.copy()
     return best_model, history

@@ -12,7 +12,8 @@ def rng():
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test after which a thread runs that did not run before it:
-    table scoring starts threads, and every one must be joined in the call."""
+    table scoring and training start threads, and every one must be joined
+    before the call returns."""
     before = set(threading.enumerate())
     yield
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]

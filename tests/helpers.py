@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
 from radkg.artifacts import csv_cell, data_lines as _data_lines
 from radkg.kg import LABEL_TOKENS, EntityKind
-from radkg.training import PROB_CLAMP, item_loss as _item_loss, resolve_relations
+from radkg.training import PROB_CLAMP, _batch_gradients, item_loss as _item_loss, resolve_relations
 
 
 def make_table(labels, groups=None, names=None, ids=None):
@@ -679,6 +680,13 @@ def reference_backward(model, cache, dpsi):
     return grads, d_es
 
 
+def batch_gradients(model, batch):
+    """``training._batch_gradients`` with its wx ``RowProduct`` computed whole."""
+    losses, grads = _batch_gradients(model, batch)
+    grads["wx"] = grads["wx"].rows(0, len(grads["wx"].grid))
+    return losses, grads
+
+
 def reference_batch_gradients(model, batch):
     """``training._batch_gradients`` through ``reference_backward``, with the
     finding-subject rows of dL/de_s added into ef by ``np.add.at``."""
@@ -737,3 +745,15 @@ class TextbookAdam:
             m_hat = m / (1.0 - self.beta1 ** self.t)
             v_hat = v / (1.0 - self.beta2 ** self.t)
             block -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def pin_cpus_and_blas(monkeypatch, cpus, env):
+    """The CPUs ``kernel.Lanes`` sees, and the BLAS thread variables it reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)

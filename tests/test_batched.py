@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     TextbookAdam,
     abs_scores,
+    batch_gradients,
     batch_items,
     make_table,
     max_relative_error,
@@ -37,7 +38,7 @@ from radkg import (
 from radkg.encoders import FeatureTable
 from radkg.kernel import Workspace, conv2d_bwd, conv2d_fwd
 from radkg.scoring import backward, forward
-from radkg.training import Adam, _batch_gradients, make_batches, train_epoch
+from radkg.training import Adam, make_batches, train_epoch
 
 RELATIONS = (RelationKind.HAS_FINDING, RelationKind.PROBABLY_HAS_FINDING,
              RelationKind.CO_OCCURS)
@@ -104,7 +105,7 @@ def test_batch_gradients_match_per_item_backward(scorer, channels, seed):
     """Every block, with dL/de_s routed into wx and into ef rows."""
     model, graph, features, config = random_problem(scorer, channels, seed)
     for batch in make_batches(graph, features, config):
-        losses, grads = _batch_gradients(model, batch)
+        losses, grads = batch_gradients(model, batch)
         reference_losses, reference = reference_batch_grads(model, batch)
         assert grads.keys() == reference.keys()
         for name, block in reference.items():

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import edge_counts, mutate
+from helpers import BLAS_VARS, edge_counts, mutate, pin_cpus_and_blas
 
 from radkg import cli, encoders, load_checkpoint, scoring, training
 from radkg.cli import main as cli_main
@@ -771,7 +775,124 @@ def test_config_value_with_bad_type_is_usage_error(tmp_path, capsys):
     assert rc == 1
 
 
+# ---------------------------------------------------------------- training lanes
+
+
+# Fits whose largest block is updated by row ranges, one per lane: distmult's
+# 1024 x 100 wx and conve's 640 x 144 wc.
+LANE_FITS = {
+    "distmult": (["--dim", "1024"], ["--scorer", "distmult", "--embed-dim", "100"]),
+    "conve": (["--dim", "64"], ["--scorer", "conve", "--embed-dim", "144", "--channels", "4"]),
+}
+
+
+def lane_fit_args(tmp_path, scorer, *extra):
+    """Synthesize the data of a ``LANE_FITS`` fit; returns its train argv."""
+    data_args, fit_args = LANE_FITS[scorer]
+    assert run_cli(["synth", "--out-features", str(tmp_path / "f.csv"),
+                    "--out-annotations", str(tmp_path / "a.csv"),
+                    "--m", "120", "--n", "4", "--seed", "3", *data_args]) == 0
+    return ["train", "--features", str(tmp_path / "f.csv"),
+            "--annotations", str(tmp_path / "a.csv"), "--out-checkpoint", "m.rkg",
+            *fit_args, "--epochs", "2", "--batch-size", "16", "--seed", "4", *extra]
+
+
+@pytest.mark.parametrize("scorer", sorted(LANE_FITS))
+def test_train_writes_the_same_checkpoint_on_one_lane_two_lanes_and_every_blas_thread(
+        tmp_path, monkeypatch, scorer):
+    """The bytes of a fit do not depend on its lanes: 1 lane, 2 lanes, and a
+    process with no BLAS variable set, where OpenBLAS runs each product on
+    every CPU and the fit keeps one lane."""
+    argv = lane_fit_args(tmp_path, scorer, "--lr", "0.01")
+    shapes = scoring.block_shapes(scorer, 1024 if scorer == "distmult" else 64,
+                                  100 if scorer == "distmult" else 144, 4, 1, 4)
+    assert max(map(np.prod, shapes.values())) >= training.SPLIT_CELLS
+    counts, update_rows = [], training._update_rows
+
+    def counted(params, grads, lanes, update):
+        counts.append(lanes.count)
+        update_rows(params, grads, lanes, update)
+
+    monkeypatch.setattr(training, "_update_rows", counted)
+    blobs = {}
+    for lanes in (1, 2):
+        pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
+        run = tmp_path / f"lanes{lanes}"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        counts.clear()
+        assert run_cli(argv) == 0
+        assert set(counts) == {lanes}
+        blobs[lanes] = (run / "m.rkg").read_bytes()
+    env = {var: value for var, value in os.environ.items() if var not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    (tmp_path / "unset").mkdir()
+    subprocess.run([sys.executable, "-m", "radkg", *argv], cwd=tmp_path / "unset", env=env,
+                   check=True, capture_output=True)
+    assert blobs[1] == blobs[2] == (tmp_path / "unset" / "m.rkg").read_bytes()
+
+
+def test_a_fit_that_diverges_on_two_lanes_says_what_it_says_on_one(tmp_path, monkeypatch,
+                                                                   capsys):
+    """A huge learning rate makes the second batch's loss non-finite: exit 3
+    with the same message at 1 and 2 lanes, and no file written."""
+    argv = lane_fit_args(tmp_path, "distmult", "--lr", "1e300", "--out-history", "h.csv")
+    capsys.readouterr()
+    outcomes = []
+    for lanes in (1, 2):
+        pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
+        run = tmp_path / f"lanes{lanes}"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run_cli(argv)
+        outcomes.append((rc, capsys.readouterr().err))
+        assert list(run.iterdir()) == []
+    assert outcomes[0] == outcomes[1]
+    rc, err = outcomes[0]
+    assert rc == 3 and err.startswith("radkg: epoch 1: non-finite loss ")
+    assert " in batch 1 on item " in err
+
+
 # ---------------------------------------------------------------- option values
+
+
+TRAIN_NUMBERS = ("lr", "epochs", "batch-size", "patience", "embed-dim", "channels", "seed")
+ODD_VALUES = ("nan", "inf", "-0", "0", "-1", "1e400", "", "123456789012345678901234567890")
+
+
+@pytest.mark.parametrize("option", TRAIN_NUMBERS)
+def test_train_ends_in_an_exit_code_for_odd_values_however_they_are_spelled(
+        workspace, tmp_path, monkeypatch, capsys, option):
+    """Each odd value, given as ``--x v``, ``--x=v`` or in a config file,
+    ends in exit 0-3 without a traceback, the same for all three spellings,
+    and a run that fails leaves no file behind. The other options keep the
+    fit to one short epoch."""
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    short = {"epochs": "1", "patience": "0", "embed-dim": "16", "batch-size": "64"}
+    fixed = [token for name, value in short.items() if name != option
+             for token in (f"--{name}", value)]
+    for number, value in enumerate(ODD_VALUES):
+        config = tmp_path / f"{number}.cfg"
+        config.write_text(f"{option} = {value}\n")
+        codes = []
+        spellings = ([f"--{option}", value], [f"--{option}={value}"], ["--config", str(config)])
+        for spelling in spellings:
+            out = tmp_path / f"{number}-{len(codes)}"
+            out.mkdir()
+            rc = run_cli(["train", "--features", str(workspace / "features.csv"),
+                          "--annotations", str(workspace / "annotations.csv"),
+                          "--out-checkpoint", str(out / "m.rkg"),
+                          "--out-history", str(out / "h.csv"), *fixed, *spelling])
+            captured = capsys.readouterr()
+            assert rc in (0, 1, 2, 3), (option, value, spelling)
+            assert "Traceback" not in captured.out + captured.err, (option, value, spelling)
+            if rc != 0:
+                assert list(out.iterdir()) == [], (option, value, spelling)
+            codes.append(rc)
+        assert len(set(codes)) == 1, (option, value, codes)
+
 
 
 def eval_rows(workspace, capsys, *extra):

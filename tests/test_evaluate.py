@@ -1,6 +1,5 @@
 """Tests for AUC, macro reports, thresholded metrics, and prediction output."""
 
-import os
 import threading
 
 import numpy as np
@@ -11,6 +10,7 @@ from helpers import (
     abs_scores,
     auc_bruteforce,
     make_table,
+    pin_cpus_and_blas,
     random_table,
     reference_midranks,
     reference_predict_table,
@@ -195,18 +195,6 @@ def test_conve_predict_table_matches_the_chunked_forward():
         assert got.psi.shape == want.psi.shape == (m, model.n_findings)
         assert np.all(np.abs(got.psi - want.psi) <= bound), case
         assert np.array_equal(got.p, reference_sigmoid(got.psi))
-
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def pin_cpus_and_blas(monkeypatch, cpus, env):
-    """The CPUs ``predict_table`` sees, and the BLAS thread variables it reads."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
 
 
 def trace_sigmoid_threads(monkeypatch):

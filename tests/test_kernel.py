@@ -1,5 +1,8 @@
 """Tests for the dense/conv primitives and their hand-written backward passes."""
 
+import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,7 @@ from helpers import (
     finite_diff_grad,
     linear_bwd,
     max_relative_error,
+    pin_cpus_and_blas,
     reference_conv2d_bwd,
     reference_conv2d_fwd,
     reference_relu_bwd,
@@ -16,13 +20,119 @@ from helpers import (
 )
 
 from radkg.kernel import (
+    Lanes,
     _band_index,
     conv2d_bwd,
     conv2d_fwd,
+    ranges,
     relu,
     relu_bwd,
     sigmoid,
 )
+
+
+@pytest.mark.parametrize("rows,unit,count,want", [
+    (1000, 64, 1, [(0, 1000)]),
+    (1000, 64, 2, [(0, 512), (512, 1000)]),
+    (1000, 64, 3, [(0, 320), (320, 640), (640, 1000)]),
+    (100, 64, 4, [(0, 64), (64, 100)]),
+    (64, 64, 2, [(0, 64)]),
+    (0, 64, 3, [(0, 0)]),
+    (5, 1, 0, [(0, 5)]),
+])
+def test_ranges_cover_the_rows_from_unit_boundaries(rows, unit, count, want):
+    assert ranges(rows, unit, count) == want
+
+
+def test_one_lane_starts_no_thread(monkeypatch):
+    pin_cpus_and_blas(monkeypatch, 4, {})  # the BLAS runs on every CPU
+    before = threading.active_count()
+    with Lanes() as lanes:
+        assert lanes.count == 1 and threading.active_count() == before
+        calls = []
+        lanes.run([lambda: calls.append(threading.current_thread())])
+    assert calls == [threading.current_thread()]
+    assert Lanes(limit=1).count == 1
+
+
+def test_lanes_run_each_task_once_on_its_own_thread_and_stop_at_exit(monkeypatch):
+    """A worker starts with the first task it is given and serves later runs."""
+    pin_cpus_and_blas(monkeypatch, 3, {"OPENBLAS_NUM_THREADS": "1"})
+    before = threading.active_count()
+    with Lanes() as lanes:
+        assert lanes.count == 3 and threading.active_count() == before
+        for tasks in (2, 3, 1, 0, 3):
+            seen = []
+            lanes.run([lambda k=k: seen.append((k, threading.current_thread()))
+                       for k in range(tasks)])
+            assert sorted(k for k, _ in seen) == list(range(tasks))
+            assert len({thread for _, thread in seen}) == tasks
+            assert all(thread is threading.current_thread() for k, thread in seen if k == 0)
+        assert threading.active_count() == before + 2  # started by the first run of 3
+        with pytest.raises(ValueError, match="4 tasks for 3 lanes"):
+            lanes.run([lambda: None] * 4)
+    assert threading.active_count() == before
+    assert Lanes(limit=2).count == 2
+
+
+def test_a_worker_exception_is_raised_in_the_caller_after_every_task_ends(monkeypatch):
+    pin_cpus_and_blas(monkeypatch, 3, {"OPENBLAS_NUM_THREADS": "1"})
+    ended = []
+
+    def fail(message):
+        def task():
+            ended.append(message)
+            raise MemoryError(message)
+        return task
+
+    before = threading.active_count()
+    with Lanes() as lanes:
+        with pytest.raises(MemoryError, match="worker"):
+            lanes.run([lambda: ended.append("caller"), fail("worker"),
+                       lambda: ended.append("last")])
+        assert sorted(ended) == ["caller", "last", "worker"]
+        # The calling thread's own exception wins over a worker's.
+        with pytest.raises(KeyError, match="caller"):
+            lanes.run([lambda: {}["caller"], fail("worker")])
+        lanes.run([lambda: None, lambda: None])  # the lanes still serve
+    assert threading.active_count() == before
+
+
+def test_lanes_lose_no_task_with_more_lanes_than_cores_and_a_short_switch_interval(monkeypatch):
+    """Six lanes hand off 300 runs under a 1 us switch interval: after each
+    run returns, every task of it has run exactly once."""
+    pin_cpus_and_blas(monkeypatch, 6, {"OPENBLAS_NUM_THREADS": "1"})
+    counts, finished = np.zeros(6, dtype=np.int64), []
+
+    def bump(k):
+        counts[k] += 1  # each task writes only its own cell
+
+    def body():
+        with Lanes() as lanes:
+            for run in range(1, 301):
+                lanes.run([functools.partial(bump, k) for k in range(6)])
+                if not (counts == run).all():
+                    return
+        finished.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=body)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert finished == [True], counts
+
+
+def test_a_worker_runs_under_the_callers_errstate(monkeypatch):
+    pin_cpus_and_blas(monkeypatch, 2, {"OPENBLAS_NUM_THREADS": "1"})
+    seen = []
+    with Lanes() as lanes, np.errstate(over="raise"):
+        lanes.run([lambda: None, lambda: seen.append(np.geterr()["over"])])
+    assert seen == ["raise"]
 
 
 def test_linear_bwd_shapes_and_values():

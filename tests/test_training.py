@@ -3,14 +3,16 @@
 import math
 import re
 import struct
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
 from helpers import (
-    TextbookAdam, batch_items, bce_loss, finite_diff_grad, make_table, max_relative_error, predict,
-    reference_batch_gradients, reference_batches, score_all_objects,
+    TextbookAdam, batch_gradients, batch_items, bce_loss, finite_diff_grad, make_table,
+    max_relative_error, pin_cpus_and_blas, predict, reference_batch_gradients, reference_batches,
+    score_all_objects,
 )
 
 from radkg import (
@@ -34,10 +36,12 @@ from radkg import (
 from radkg.encoders import FeatureTable
 from radkg.evaluate import Predictions
 from radkg.kg import AnnotationTable
+from radkg import kernel
 from radkg.kernel import sigmoid
 from radkg.scoring import block_shapes
 from radkg.training import (
-    Adam, Sgd, _batch_gradients, item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
+    GRAD_ROWS, SPLIT_CELLS, Adam, RowProduct, Sgd, _batch_gradients, _update_rows,
+    item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
 )
 
 HAS = RelationKind.HAS_FINDING
@@ -210,22 +214,103 @@ def test_adam_state_persists_across_steps():
     assert params["w"][0] < -0.19  # two near-full steps in the same direction
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("learning_rate", [1e-3, 0.05, 0.0])
-def test_adam_is_bit_identical_to_textbook_formula(rng, learning_rate):
-    shapes = {"wx": (17, 9), "ef": (5, 9), "er": (3, 9), "kernels": (2, 5, 5)}
+def test_adam_is_bit_identical_to_textbook_formula(rng, monkeypatch, learning_rate, lanes):
+    """wc is large enough to be updated by row ranges, one per lane."""
+    shapes = {"wx": (17, 9), "ef": (5, 9), "er": (3, 9), "kernels": (2, 5, 5), "wc": (1000, 90)}
+    assert math.prod(shapes["wc"]) >= SPLIT_CELLS
     params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     reference = {name: block.copy() for name, block in params.items()}
     fast, textbook = Adam(learning_rate), TextbookAdam(learning_rate)
-    for _ in range(50):
-        grads = {name: rng.normal(scale=rng.choice([1e-9, 1e-3, 10.0]), size=shape)
-                 for name, shape in shapes.items()}
-        grads["er"][0] = 0.0
-        fast.step(params, grads)
-        textbook.step(reference, grads)
+    pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
+    with kernel.Lanes() as running:
+        assert running.count == lanes
+        for _ in range(50):
+            grads = {name: rng.normal(scale=rng.choice([1e-9, 1e-3, 10.0]), size=shape)
+                     for name, shape in shapes.items()}
+            grads["er"][0] = 0.0
+            fast.step(params, grads, running)
+            textbook.step(reference, grads)
     for name in shapes:
         assert np.array_equal(params[name], reference[name]), name
         assert np.array_equal(fast.moment1[name], textbook.moment1[name]), name
         assert np.array_equal(fast.moment2[name], textbook.moment2[name]), name
+
+
+@pytest.mark.parametrize("lanes,ranges", [
+    (1, [(0, 1000)]),
+    (2, [(0, 512), (512, 1000)]),
+    (3, [(0, 320), (320, 640), (640, 1000)]),
+])
+def test_a_large_block_is_updated_by_aligned_row_ranges_one_per_lane(monkeypatch, lanes, ranges):
+    """A block of ``SPLIT_CELLS`` or more is cut on multiples of ``GRAD_ROWS``
+    into one range per lane, the calling thread taking the first; a smaller
+    block is updated whole by the calling thread."""
+    params = {"wx": np.zeros((1000, 90)), "ef": np.zeros((999, 80))}
+    assert params["ef"].size < SPLIT_CELLS <= params["wx"].size
+    pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
+    seen = []
+
+    def record(name, lo, hi, g):
+        seen.append((name, lo, hi, threading.current_thread()))
+
+    with kernel.Lanes() as running:
+        _update_rows(params, params, running, record)
+    caller = threading.current_thread()
+    assert sorted((lo, hi) for name, lo, hi, _ in seen if name == "wx") == ranges
+    assert all(lo % GRAD_ROWS == 0 for _, lo, _, _ in seen)
+    threads = {lo: thread for name, lo, _, thread in seen if name == "wx"}
+    assert len(set(threads.values())) == lanes and threads[0] is caller
+    assert [(name, lo, hi, thread) for name, lo, hi, thread in seen if name == "ef"] == [
+        ("ef", 0, 999, caller)]
+
+
+@pytest.mark.parametrize("feature_dim", [64, 128, 1000, 1024, 2048])
+def test_the_wx_gradient_split_into_lane_ranges_is_bitwise_the_whole_product(rng, feature_dim):
+    """Ranges that start on multiples of ``GRAD_ROWS`` give the bits of
+    ``codes.T @ d_es`` scaled by 1/B, at 1 to 4 lanes; a batch without image
+    subjects gives zeros."""
+    for batch_size in (1, 7, 30, 32):
+        for embed_dim in (1, 9, 100):
+            codes = rng.normal(size=(batch_size, feature_dim))
+            d_es = rng.normal(size=(batch_size, embed_dim))
+            want = codes.T @ d_es
+            want *= 1.0 / batch_size
+            for lanes in (1, 2, 3, 4):
+                product = RowProduct(codes, d_es, 1.0 / batch_size)
+                for lo, hi in kernel.ranges(feature_dim, GRAD_ROWS, lanes):
+                    product.rows(lo, hi)
+                assert product.grid.tobytes() == want.tobytes(), (batch_size, embed_dim, lanes)
+    empty = RowProduct(np.empty((0, feature_dim)), np.empty((0, 9)), 1.0)
+    assert not empty.rows(0, feature_dim).any()
+
+
+def test_a_worker_exception_in_a_fit_is_raised_in_the_caller(monkeypatch):
+    """An optimizer step that fails on a worker lane raises in ``train``,
+    and the fit's workers are joined on that path as on a normal return."""
+    tr_feat, tr_ann, va_feat, va_ann = synth_folds()
+    kg = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
+    features = FeatureTable(tr_feat.image_ids, np.tile(tr_feat.codes, (1, 128)))
+    val = (FeatureTable(va_feat.image_ids, np.tile(va_feat.codes, (1, 128))), va_ann)
+    config = TrainConfig(epochs=1, batch_size=16, seed=0)
+    model = init_model("distmult", features.dim, 100, 4, seed=0)
+    assert model.wx.size >= SPLIT_CELLS
+    pin_cpus_and_blas(monkeypatch, 2, {"OPENBLAS_NUM_THREADS": "1"})
+    before = threading.active_count()
+    train(model.copy(), kg, features, val, config)
+    assert threading.active_count() == before
+    rows = RowProduct.rows
+
+    def failing_in_workers(self, lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker lane")
+        return rows(self, lo, hi)
+
+    monkeypatch.setattr(RowProduct, "rows", failing_in_workers)
+    with pytest.raises(MemoryError, match="worker lane"):
+        train(model.copy(), kg, features, val, config)
+    assert threading.active_count() == before
 
 
 def test_make_optimizer_kinds():
@@ -278,7 +363,7 @@ def test_batch_gradient_is_mean_over_items(rng):
     batch = batch_items(rows)
     model = init_model("distmult", 4, 9, 3, seed=8)
 
-    _, accum = _batch_gradients(model, rows)
+    _, accum = batch_gradients(model, rows)
 
     def batch_loss(name):
         block = model.blocks()[name]
@@ -412,7 +497,7 @@ def test_batch_gradients_are_bitwise_the_add_at_form(scorer, embed_dim):
             for batch in make_batches(kg, tr_feat, config):
                 findings = batch.subjects[~batch.images]
                 assert len(set(findings.tolist())) == len(findings)
-                losses, grads = _batch_gradients(model, batch)
+                losses, grads = batch_gradients(model, batch)
                 want_losses, want = reference_batch_gradients(model, batch)
                 assert losses.tobytes() == want_losses.tobytes()
                 assert grads.keys() == want.keys()
