@@ -4,9 +4,13 @@ Subcommands cover the whole pipeline: synthesize data, build the graph,
 train, evaluate, predict, and verify gradients. Option values resolve as
 defaults, then a flat ``key = value`` config file (--config, or the
 RADKG_CONFIG environment variable), then explicit flags; the effective
-configuration is echoed into every output artifact. Exit codes: 0 success,
-1 usage error, 2 data or parse error, unwritable output directory or out of
-memory, 3 numerical failure. A command that fails writes none of its outputs.
+configuration is echoed into every output artifact. ``train`` stores its
+configuration and a digest of its training fold's ids in the checkpoint;
+``eval`` takes the split, and the truth policy unless --policy is given,
+from there, and refuses annotations whose training fold does not match the
+digest. Exit codes: 0 success, 1 usage error, 2 data or parse error,
+unwritable output directory or out of memory, 3 numerical failure. A command
+that fails writes none of its outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+import zlib
 from dataclasses import dataclass
 
 from . import gradcheck
@@ -109,11 +114,6 @@ class Opt:
 
 _CONFIG_OPT = Opt("config", str, None, "path to a key = value config file")
 
-_SPLIT_OPTS = [
-    Opt("ratios", _ratios, (0.7, 0.1, 0.2), "train,val,test proportions"),
-    Opt("split-seed", int, 0, "seed for the fold assignment"),
-]
-
 _KG_OPTS = [
     Opt("policy", UncertainPolicy, UncertainPolicy.AS_POSITIVE,
         "uncertain-label handling", choices=tuple(p.value for p in UncertainPolicy)),
@@ -150,7 +150,8 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
         Opt("embed-dim", int, 100, "embedding dimension d"),
         Opt("channels", int, 8, "convolution channels (conve only)"),
         *_KG_OPTS,
-        *_SPLIT_OPTS,
+        Opt("ratios", _ratios, (0.7, 0.1, 0.2), "train,val,test proportions"),
+        Opt("split-seed", int, 0, "seed for the fold assignment"),
         Opt("lr", float, 1e-3, "learning rate"),
         Opt("epochs", int, 20, "maximum epochs"),
         Opt("batch-size", int, 32, "minibatch size in items"),
@@ -164,7 +165,6 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
         Opt("checkpoint", str, required=True, help="checkpoint to read"),
         Opt("features", str, required=True, help="feature CSV"),
         Opt("annotations", str, required=True, help="annotation CSV"),
-        *_SPLIT_OPTS,
         Opt("fold", str, "test", "which fold to evaluate",
             choices=("train", "val", "test", "all")),
         Opt("policy", UncertainPolicy, None,
@@ -350,6 +350,13 @@ def _split_fold(annotations, cfg, fold: str):
     return folds[fold]
 
 
+def _ids_digest(table) -> str:
+    """zlib.crc32, as 8 hex digits, of a fold's image ids one per line; no id
+    holds a line break."""
+    ids = "\n".join(table.image_ids).encode("utf-8")
+    return f"{zlib.crc32(ids):08x}"
+
+
 def _cmd_train(cfg: dict, echo: list[str]) -> int:
     features = load_features(cfg["features"])
     annotations = load_annotations(cfg["annotations"])
@@ -388,6 +395,7 @@ def _cmd_train(cfg: dict, echo: list[str]) -> int:
         "seed": str(cfg["seed"]),
         "epoch": str(best_epoch),
         "val_auc": _render(best_auc),
+        "train-ids": _ids_digest(train_t),
     })
     save_checkpoint(best, cfg["out_checkpoint"], metadata)
     if cfg["out_history"]:
@@ -415,11 +423,15 @@ def _load_scorer(cfg: dict):
 
 def _cmd_eval(cfg: dict, echo: list[str]) -> int:
     model, metadata, features = _load_scorer(cfg)
-    policy = cfg["policy"]
-    if policy is None:
-        policy = UncertainPolicy(metadata.get("config.policy", UncertainPolicy.AS_POSITIVE.value))
-        cfg = dict(cfg, policy=policy)
-        echo = echo_lines("eval", cfg)
+    # The fit's split, and its truth policy unless --policy is given, or train's defaults.
+    for opt in COMMAND_OPTS["train"]:
+        if opt.name in ("policy", "ratios", "split-seed") and cfg.get(opt.key) is None:
+            stored = metadata.get(f"config.{opt.name}")
+            try:
+                cfg[opt.key] = opt.default if stored is None else opt.convert(stored)
+            except ValueError as exc:
+                raise CheckpointError(f"{cfg['checkpoint']}: config.{opt.name}: {exc}") from None
+    echo = echo_lines("eval", cfg)
     annotations = load_annotations(cfg["annotations"])
     names = split_csv_line(metadata["findings"]) if "findings" in metadata else None
     if names is not None and names != annotations.finding_names:
@@ -430,8 +442,15 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
             f"checkpoint scores {model.n_findings} findings, annotations list {annotations.n}"
         )
     fold_t = _split_fold(annotations, cfg, cfg["fold"])
+    trained_on = metadata.get("train-ids")
+    if cfg["fold"] != "all" and trained_on is not None:
+        digest = _ids_digest(_split_fold(annotations, cfg, "train"))
+        if digest != trained_on:
+            raise ValueError(f"{cfg['annotations']}: the training fold's ids digest {digest} is "
+                             f"not the checkpoint's {trained_on}: these are not the annotations "
+                             f"the model was trained on")
     predictions = predict_table(model, features.select(fold_t.image_ids))
-    report = macro_auc(predictions, fold_t, policy, findings=cfg["findings"], tau=cfg["tau"])
+    report = macro_auc(predictions, fold_t, cfg["policy"], findings=cfg["findings"], tau=cfg["tau"])
     text = format_report(report, echo=echo)
     sys.stdout.write(text)
     if cfg["out"]:

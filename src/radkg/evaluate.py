@@ -88,9 +88,9 @@ def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
         p_t[:, lo:hi] = kernel.sigmoid(psi_t[:, lo:hi])
 
     chunks = -(-len(codes) // chunk)
-    with kernel.Lanes(limit=chunks // 2) as lanes:
+    with kernel.Lanes() as lanes:
         lanes.run(functools.partial(score, lo, hi)
-                  for lo, hi in kernel.ranges(len(codes), chunk, lanes.count))
+                  for lo, hi in kernel.ranges(len(codes), chunk, min(lanes.count, chunks // 2)))
     return Predictions(list(features.image_ids), psi_t.T, p_t.T)
 
 

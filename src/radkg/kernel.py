@@ -64,18 +64,17 @@ class Lanes:
     the calling thread.
 
     There is one lane per ``_blas_threads`` usable CPUs
-    (``os.sched_getaffinity``), at most ``limit``: one per CPU when the BLAS
-    runs a product on one thread, one in all when it runs it on every CPU.
+    (``os.sched_getaffinity``): one per CPU when the BLAS runs a product on
+    one thread, one in all when it runs it on every CPU.
     ``run`` hands its tasks to the lanes and returns when all are done. A
     worker starts with its first task and then waits for the next; the
     block's exit stops and joins every worker, on every path. A one-lane
     object starts no thread.
     """
 
-    def __init__(self, limit: int | None = None):
+    def __init__(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        count = cpus // _blas_threads(cpus)
-        self.count = max(1, count if limit is None else min(count, limit))
+        self.count = max(1, cpus // _blas_threads(cpus))
         self._workers: list[tuple] = []  # (thread, go, done, [task, error]) each
 
     def __enter__(self) -> "Lanes":

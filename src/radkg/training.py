@@ -197,11 +197,11 @@ def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | Non
     the calling thread takes the first range of each and every smaller block
     whole. The updates are elementwise, so the bits do not depend on the
     lane count."""
-    lanes = kernel.Lanes(1) if lanes is None else lanes
-    jobs: list[list[tuple[str, int, int]]] = [[] for _ in range(lanes.count)]
+    count = 1 if lanes is None else lanes.count
+    jobs: list[list[tuple[str, int, int]]] = [[] for _ in range(count)]
     for name, block in params.items():
-        count = lanes.count if block.size >= SPLIT_CELLS else 1
-        for lane, (lo, hi) in enumerate(kernel.ranges(len(block), GRAD_ROWS, count)):
+        split = count if block.size >= SPLIT_CELLS else 1
+        for lane, (lo, hi) in enumerate(kernel.ranges(len(block), GRAD_ROWS, split)):
             jobs[lane].append((name, lo, hi))
 
     def work(lane_jobs):
@@ -209,7 +209,10 @@ def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | Non
             g = grads[name]
             apply(name, lo, hi, g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi])
 
-    lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
+    if lanes is None:
+        work(jobs[0])
+    else:
+        lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
 
 
 class Sgd:
@@ -322,12 +325,22 @@ def train_epoch(
     The optimizer steps run on ``lanes``, opened by the caller, or on the
     calling thread alone when it is None. A non-finite loss stops the epoch
     before its batch updates the model, naming the batch and its first such
-    item.
+    item. Under ``np.errstate(over="raise", invalid="raise")``, as ``train``
+    runs it, a ``FloatingPointError`` stops it too: one in scoring a batch
+    is named by that check when the batch, scored again with the faults
+    ignored, has a non-finite loss, else as the batch's forward or backward
+    pass; one in a step names the optimizer step of its batch.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     losses: list[np.ndarray] = []
     for number, batch in enumerate(batches):
-        batch_losses, grads = _batch_gradients(model, batch, workspace)
+        fault = None
+        try:
+            batch_losses, grads = _batch_gradients(model, batch, workspace)
+        except FloatingPointError as exc:
+            with np.errstate(all="ignore"):
+                batch_losses, _ = _batch_gradients(model, batch, workspace)
+            fault = f"{exc} in the forward or backward pass of batch {number}"
         diverged = np.flatnonzero(~np.isfinite(batch_losses))
         if diverged.size:
             row = diverged[0]
@@ -336,8 +349,13 @@ def train_epoch(
                 f"non-finite loss {batch_losses[row]} in batch {number} on item "
                 f"({relation.subject_kind.value}:{batch.subjects[row]}, {relation.value})"
             )
+        if fault is not None:
+            raise TrainingDivergedError(fault)
         losses.append(batch_losses)
-        optimizer.step(model.blocks(), grads, lanes)
+        try:
+            optimizer.step(model.blocks(), grads, lanes)
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(f"{exc} in the optimizer step of batch {number}") from None
     return model, (float(np.mean(np.concatenate(losses))) if losses else 0.0)
 
 
@@ -358,7 +376,9 @@ def train(
     epoch can define an AUC (the report's macro is None): every epoch runs
     and the last model is returned. The model must hold hasFinding, which
     validation scores, and every trained relation; that is checked before the
-    first step changes it.
+    first step changes it. A non-finite loss, or a floating-point overflow or
+    invalid operation in a batch, a step or validation, raises
+    ``TrainingDivergedError`` naming the epoch.
     """
     from .evaluate import macro_auc, predict_table
 
@@ -375,14 +395,20 @@ def train(
     best_model = None
     best_auc = -math.inf
     stall = 0
-    with kernel.Lanes() as lanes:
+    # Overflow and invalid operations raise, on every lane, so parameters that
+    # blow up stop the fit although item_loss clamps p; sigmoid's exp(-|x|)
+    # underflows by design, so underflow stays ignored.
+    with kernel.Lanes() as lanes, np.errstate(over="raise", invalid="raise"):
         for epoch in range(1, config.epochs + 1):
             batches = make_batches(kg, features, config, epoch=epoch)
             try:
                 model, mean_loss = train_epoch(model, batches, optimizer, workspace, lanes)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(f"epoch {epoch}: {exc}") from None
-            report = macro_auc(predict_table(model, val_features), val_truth, config.policy)
+            try:
+                report = macro_auc(predict_table(model, val_features), val_truth, config.policy)
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(f"epoch {epoch}: {exc} in validation") from None
             history.append({"epoch": epoch, "loss": mean_loss, "val_auc": report.macro})
             if report.macro is not None and report.macro > best_auc:
                 best_auc = report.macro

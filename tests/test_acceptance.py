@@ -205,7 +205,7 @@ def test_synthetic_end_to_end(tmp_path, capsys):
             "--checkpoint", str(checkpoint),
             "--features", str(tmp_path / "features.csv"),
             "--annotations", str(tmp_path / "annotations.csv"),
-            "--split-seed", "0", "--fold", "test", "--out", str(report),
+            "--fold", "test", "--out", str(report),
         ])
         elapsed = time.perf_counter() - start
         assert elapsed < budget, f"{scorer} pipeline took {elapsed:.1f} s"

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from helpers import BLAS_VARS, edge_counts, mutate, pin_cpus_and_blas
 from radkg import cli, encoders, load_checkpoint, scoring, training
 from radkg.cli import main as cli_main
 from radkg.encoders import load_features
-from radkg.kg import UncertainPolicy, load_annotations, relation_grid
+from radkg.kg import UncertainPolicy, load_annotations, relation_grid, split
 
 
 def run_cli(args):
@@ -681,6 +682,25 @@ def test_bad_choice_is_usage_error():
     assert rc == 1
 
 
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``radkg`` command in the README's ``## Command line``
+    sh block, its backslash continuations joined and its comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("radkg ")]
+
+
+def test_every_command_of_the_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """The documented pipeline runs as written, in order, in one directory."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    commands = readme_commands()
+    assert sorted({argv[0] for argv in commands}) == sorted(cli.COMMAND_OPTS)
+    for argv in commands:
+        assert run_cli(argv) == 0, (argv, capsys.readouterr().err)
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert run_cli(["train", "--help"]) == 0
@@ -855,36 +875,49 @@ def test_a_fit_that_diverges_on_two_lanes_says_what_it_says_on_one(tmp_path, mon
     assert " in batch 1 on item " in err
 
 
+def test_a_fit_whose_parameters_overflow_exits_3_in_one_line_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    """At --lr 1e100 every loss stays finite, since item_loss clamps p, but
+    Adam's update overflows: the fit stops there, with no numpy warning."""
+    argv = lane_fit_args(tmp_path, "distmult", "--lr", "1e100", "--out-history", "h.csv")
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert caught == []
+    assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+    assert captured.err.startswith("radkg: epoch 1: overflow encountered in ")
+    assert " in the optimizer step of batch " in captured.err
+    assert list(run.iterdir()) == []
+
+
 # ---------------------------------------------------------------- option values
 
 
 TRAIN_NUMBERS = ("lr", "epochs", "batch-size", "patience", "embed-dim", "channels", "seed")
-ODD_VALUES = ("nan", "inf", "-0", "0", "-1", "1e400", "", "123456789012345678901234567890")
+HOSTILE_VALUES = ("nan", "inf", "-0", "0", "-1", "1e400", "", "123456789012345678901234567890",
+                  "-inf", "-1e-4", ",", "Ünïcode")
 
 
-@pytest.mark.parametrize("option", TRAIN_NUMBERS)
-def test_train_ends_in_an_exit_code_for_odd_values_however_they_are_spelled(
-        workspace, tmp_path, monkeypatch, capsys, option):
-    """Each odd value, given as ``--x v``, ``--x=v`` or in a config file,
-    ends in exit 0-3 without a traceback, the same for all three spellings,
-    and a run that fails leaves no file behind. The other options keep the
-    fit to one short epoch."""
-    monkeypatch.delenv("RADKG_CONFIG", raising=False)
-    short = {"epochs": "1", "patience": "0", "embed-dim": "16", "batch-size": "64"}
-    fixed = [token for name, value in short.items() if name != option
-             for token in (f"--{name}", value)]
-    for number, value in enumerate(ODD_VALUES):
+def sweep_spellings(tmp_path, capsys, option, values, argv):
+    """Each value, given as ``--x v``, ``--x=v`` or in a config file, ends in
+    exit 0-3 without a traceback, the same for all three spellings, and a
+    run that fails leaves no file behind. ``argv(out)`` is the command line
+    without the swept option, writing its outputs into directory ``out``."""
+    for number, value in enumerate(values):
         config = tmp_path / f"{number}.cfg"
-        config.write_text(f"{option} = {value}\n")
+        config.write_text(f"{option} = {value}\n", encoding="utf-8")
         codes = []
         spellings = ([f"--{option}", value], [f"--{option}={value}"], ["--config", str(config)])
         for spelling in spellings:
             out = tmp_path / f"{number}-{len(codes)}"
             out.mkdir()
-            rc = run_cli(["train", "--features", str(workspace / "features.csv"),
-                          "--annotations", str(workspace / "annotations.csv"),
-                          "--out-checkpoint", str(out / "m.rkg"),
-                          "--out-history", str(out / "h.csv"), *fixed, *spelling])
+            rc = run_cli([*argv(out), *spelling])
             captured = capsys.readouterr()
             assert rc in (0, 1, 2, 3), (option, value, spelling)
             assert "Traceback" not in captured.out + captured.err, (option, value, spelling)
@@ -894,35 +927,56 @@ def test_train_ends_in_an_exit_code_for_odd_values_however_they_are_spelled(
         assert len(set(codes)) == 1, (option, value, codes)
 
 
+@pytest.mark.parametrize("option", TRAIN_NUMBERS)
+def test_train_ends_in_an_exit_code_for_odd_values_however_they_are_spelled(
+        workspace, tmp_path, monkeypatch, capsys, option):
+    """``sweep_spellings`` over train's numeric options. The other options
+    keep the fit to one short epoch."""
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    short = {"epochs": "1", "patience": "0", "embed-dim": "16", "batch-size": "64"}
+    fixed = [token for name, value in short.items() if name != option
+             for token in (f"--{name}", value)]
+    sweep_spellings(tmp_path, capsys, option, HOSTILE_VALUES, lambda out: [
+        "train", "--features", str(workspace / "features.csv"),
+        "--annotations", str(workspace / "annotations.csv"),
+        "--out-checkpoint", str(out / "m.rkg"), "--out-history", str(out / "h.csv"), *fixed])
 
-def eval_rows(workspace, capsys, *extra):
+
+@pytest.mark.parametrize("command, option", [
+    ("eval", "fold"), ("eval", "policy"), ("eval", "findings"), ("eval", "tau"),
+    ("predict", "ids"), ("predict", "tau"),
+    ("build-kg", "policy"), ("build-kg", "cooccur-threshold"),
+])
+def test_reading_commands_end_in_an_exit_code_for_hostile_values_however_they_are_spelled(
+        workspace, tmp_path, monkeypatch, capsys, command, option):
+    """``sweep_spellings`` over the options of the commands that read a
+    checkpoint or annotations; build-kg adds co-occurrence edges, so that
+    its threshold is read."""
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    checkpoint, features, annotations = (str(workspace / name) for name in
+                                         ("model.rkg", "features.csv", "annotations.csv"))
+    argv = {
+        "eval": lambda out: ["eval", "--checkpoint", checkpoint, "--features", features,
+                             "--annotations", annotations, "--out", str(out / "r.csv")],
+        "predict": lambda out: ["predict", "--checkpoint", checkpoint, "--features", features,
+                                "--out", str(out / "p.csv")],
+        "build-kg": lambda out: ["build-kg", "--annotations", annotations, "--cooccurrence",
+                                 "--out", str(out / "g.tsv")],
+    }[command]
+    sweep_spellings(tmp_path, capsys, option, HOSTILE_VALUES, argv)
+
+
+
+def eval_rows(workspace, capsys, *extra, checkpoint=None):
     rc = run_cli([
         "eval",
-        "--checkpoint", str(workspace / "model.rkg"),
+        "--checkpoint", str(checkpoint or workspace / "model.rkg"),
         "--features", str(workspace / "features.csv"),
         "--annotations", str(workspace / "annotations.csv"),
         *extra,
     ])
     assert rc == 0
     return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-
-
-def test_ratios_flag_sets_the_fold_sizes(workspace, capsys):
-    for fold, size in (("train", 30), ("val", 18), ("test", 12)):
-        first = eval_rows(workspace, capsys, "--ratios", "0.5,0.3,0.2", "--fold", fold)[1]
-        assert int(first.split(",")[1]) + int(first.split(",")[2]) == size
-
-
-def test_ratios_need_three_values(workspace, capsys):
-    rc = run_cli([
-        "eval",
-        "--checkpoint", str(workspace / "model.rkg"),
-        "--features", str(workspace / "features.csv"),
-        "--annotations", str(workspace / "annotations.csv"),
-        "--ratios", "0.5,0.5",
-    ])
-    assert rc == 1
-    assert "--ratios" in capsys.readouterr().err
 
 
 def train_args(workspace, out, *extra):
@@ -933,6 +987,127 @@ def train_args(workspace, out, *extra):
         "--out-checkpoint", str(out),
         "--embed-dim", "16", "--epochs", "1", *extra,
     ]
+
+
+def test_ratios_flag_sets_the_fold_sizes(workspace, tmp_path, capsys):
+    """train's --ratios sizes the folds that eval then scores."""
+    checkpoint = tmp_path / "m.rkg"
+    assert run_cli(train_args(workspace, checkpoint, "--ratios", "0.5,0.3,0.2")) == 0
+    capsys.readouterr()
+    for fold, size in (("train", 30), ("val", 18), ("test", 12)):
+        first = eval_rows(workspace, capsys, "--fold", fold, checkpoint=checkpoint)[1]
+        assert int(first.split(",")[1]) + int(first.split(",")[2]) == size
+
+
+def test_ratios_need_three_values(workspace, tmp_path, capsys):
+    """--ratios is train's: two values are a usage error there, and eval,
+    which takes its split from the checkpoint, does not know the option."""
+    rc = run_cli(train_args(workspace, tmp_path / "m.rkg", "--ratios", "0.5,0.5"))
+    assert rc == 1
+    assert "--ratios" in capsys.readouterr().err
+    for option, value in (("ratios", "0.5,0.5"), ("ratios", "0.5,0.3,0.2"), ("split-seed", "5")):
+        rc = run_cli(["eval", "--checkpoint", str(workspace / "model.rkg"),
+                      "--features", str(workspace / "features.csv"),
+                      "--annotations", str(workspace / "annotations.csv"),
+                      f"--{option}", value, "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_scores_the_test_fold_of_the_split_the_fit_made(workspace, tmp_path, capsys,
+                                                             monkeypatch):
+    """A fit with --split-seed 5, scored by ``eval --fold test`` with no
+    split option, scores exactly the rows that split(annotations, ratios, 5)
+    puts in test, none of them training rows, which the default seed's test
+    fold would hold, and echoes the checkpoint's split."""
+    checkpoint = tmp_path / "m.rkg"
+    assert run_cli(train_args(workspace, checkpoint, "--split-seed", "5")) == 0
+    scored, score = [], cli.predict_table
+    monkeypatch.setattr(cli, "predict_table",
+                        lambda model, features: scored.append(features.image_ids) or
+                        score(model, features))
+    capsys.readouterr()
+    assert run_cli(["eval", "--checkpoint", str(checkpoint),
+                    "--features", str(workspace / "features.csv"),
+                    "--annotations", str(workspace / "annotations.csv"), "--fold", "test"]) == 0
+    echo = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    annotations = load_annotations(workspace / "annotations.csv")
+    train_t, _, test_t = split(annotations, (0.7, 0.1, 0.2), 5)
+    assert scored == [test_t.image_ids]
+    assert not set(test_t.image_ids) & set(train_t.image_ids)
+    assert set(split(annotations, (0.7, 0.1, 0.2), 0)[2].image_ids) & set(train_t.image_ids)
+    assert {"# ratios = 0.7,0.1,0.2", "# split-seed = 5", "# policy = positive"} <= set(echo)
+
+
+def test_an_eval_config_file_that_sets_the_split_leaves_the_folds_alone(workspace, tmp_path,
+                                                                         capsys):
+    """``ratios`` and ``split-seed`` are train's keys, so a config file that
+    sets them still parses for eval, which scores the checkpoint's folds."""
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("ratios = 0.2,0.1,0.7\nsplit-seed = 5\n")
+    assert eval_rows(workspace, capsys, "--config", str(cfg)) == eval_rows(workspace, capsys)
+
+
+def test_eval_takes_train_defaults_for_a_checkpoint_without_a_stored_split(workspace, tmp_path,
+                                                                            capsys):
+    """A checkpoint written by ``save_checkpoint`` with no ``config.*`` keys
+    and no training-fold digest is scored on train's default split and
+    policy, the same folds as a CLI fit with those defaults."""
+    model, metadata = load_checkpoint(workspace / "model.rkg")
+    training.save_checkpoint(model, tmp_path / "m.rkg", {"findings": metadata["findings"]})
+    for fold in ("train", "val", "test"):
+        assert (eval_rows(workspace, capsys, "--fold", fold, checkpoint=tmp_path / "m.rkg")
+                == eval_rows(workspace, capsys, "--fold", fold))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("config.ratios", "0.5,0.5"), ("config.split-seed", "five"), ("config.policy", "bogus"),
+])
+def test_eval_refuses_a_stored_split_or_policy_that_does_not_parse(workspace, tmp_path, capsys,
+                                                                   key, value):
+    model, metadata = load_checkpoint(workspace / "model.rkg")
+    training.save_checkpoint(model, tmp_path / "m.rkg", {**metadata, key: value})
+    rc = run_cli(["eval", "--checkpoint", str(tmp_path / "m.rkg"),
+                  "--features", str(workspace / "features.csv"),
+                  "--annotations", str(workspace / "annotations.csv"),
+                  "--out", str(tmp_path / "r.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"radkg: {tmp_path / 'm.rkg'}: {key}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_eval_refuses_annotations_that_changed_since_training(workspace, tmp_path, capsys):
+    """One row appended to both inputs after the fit moves its training
+    fold: every fold but ``all`` is refused in one line that names the
+    annotation file, and no report is written. The file as trained passes."""
+    digest = load_checkpoint(workspace / "model.rkg")[1]["train-ids"]
+    assert len(digest) == 8 and int(digest, 16) >= 0
+    features, annotations = tmp_path / "features.csv", tmp_path / "annotations.csv"
+    for path in (features, annotations):
+        text = (workspace / path.name).read_text(encoding="utf-8")
+        last = text.splitlines()[-1]
+        path.write_text(text + "img99999" + last[last.index(","):] + "\n", encoding="utf-8")
+    out = tmp_path / "r.csv"
+    for fold in ("test", "val", "train"):
+        rc = run_cli(["eval", "--checkpoint", str(workspace / "model.rkg"),
+                      "--features", str(features), "--annotations", str(annotations),
+                      "--fold", fold, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"radkg: {annotations}: the training fold's ids digest ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+    # --fold all splits nothing, so it has no training fold to compare.
+    assert run_cli(["eval", "--checkpoint", str(workspace / "model.rkg"),
+                    "--features", str(features), "--annotations", str(annotations),
+                    "--fold", "all"]) == 0
+    capsys.readouterr()
+    assert eval_rows(workspace, capsys, "--fold", "test")
 
 
 def test_relations_flag_lands_in_the_checkpoint(workspace, tmp_path, capsys):

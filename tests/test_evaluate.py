@@ -244,6 +244,22 @@ def test_a_table_is_bitwise_the_same_on_every_cpu_count(monkeypatch, scorer):
 
 
 @pytest.mark.parametrize("scorer", sorted(LANE_CASES))
+@pytest.mark.parametrize("chunks", [1, 3, 4, 9])
+def test_a_table_takes_a_lane_per_two_chunks_up_to_the_lanes_there_are(monkeypatch, scorer,
+                                                                         chunks):
+    """At 4 lanes a table of c chunks runs on min(4, max(1, c // 2)) threads:
+    ``predict_table`` caps its range count, not the lanes it opens."""
+    make_model, chunk, _ = LANE_CASES[scorer]
+    m = chunks * getattr(evaluate, chunk)
+    features = FeatureTable([f"i{i}" for i in range(m)],
+                            np.random.default_rng(9).normal(size=(m, 16)))
+    threads = trace_sigmoid_threads(monkeypatch)
+    pin_cpus_and_blas(monkeypatch, 4, {"OPENBLAS_NUM_THREADS": "1"})
+    predict_table(make_model(), features)
+    assert len(threads) == len(set(threads)) == min(4, max(1, chunks // 2))
+
+
+@pytest.mark.parametrize("scorer", sorted(LANE_CASES))
 @pytest.mark.parametrize("env,cpus,lanes", [
     ({}, 4, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),

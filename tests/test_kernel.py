@@ -52,7 +52,6 @@ def test_one_lane_starts_no_thread(monkeypatch):
         calls = []
         lanes.run([lambda: calls.append(threading.current_thread())])
     assert calls == [threading.current_thread()]
-    assert Lanes(limit=1).count == 1
 
 
 def test_lanes_run_each_task_once_on_its_own_thread_and_stop_at_exit(monkeypatch):
@@ -72,7 +71,6 @@ def test_lanes_run_each_task_once_on_its_own_thread_and_stop_at_exit(monkeypatch
         with pytest.raises(ValueError, match="4 tasks for 3 lanes"):
             lanes.run([lambda: None] * 4)
     assert threading.active_count() == before
-    assert Lanes(limit=2).count == 2
 
 
 def test_a_worker_exception_is_raised_in_the_caller_after_every_task_ends(monkeypatch):
