@@ -342,14 +342,6 @@ def _cmd_build_kg(cfg: dict, echo: list[str]) -> int:
     return EXIT_OK
 
 
-def _split_fold(annotations, cfg, fold: str):
-    if fold == "all":
-        return annotations
-    folds = dict(zip(("train", "val", "test"),
-                     split(annotations, cfg["ratios"], cfg["split_seed"])))
-    return folds[fold]
-
-
 def _ids_digest(table) -> str:
     """zlib.crc32, as 8 hex digits, of a fold's image ids one per line; no id
     holds a line break."""
@@ -441,11 +433,12 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
         raise ValueError(
             f"checkpoint scores {model.n_findings} findings, annotations list {annotations.n}"
         )
-    fold_t = _split_fold(annotations, cfg, cfg["fold"])
-    trained_on = metadata.get("train-ids")
-    if cfg["fold"] != "all" and trained_on is not None:
-        digest = _ids_digest(_split_fold(annotations, cfg, "train"))
-        if digest != trained_on:
+    fold_t, trained_on = annotations, metadata.get("train-ids")
+    if cfg["fold"] != "all":
+        folds = dict(zip(("train", "val", "test"),
+                         split(annotations, cfg["ratios"], cfg["split_seed"])))
+        fold_t, digest = folds[cfg["fold"]], _ids_digest(folds["train"])
+        if trained_on is not None and digest != trained_on:
             raise ValueError(f"{cfg['annotations']}: the training fold's ids digest {digest} is "
                              f"not the checkpoint's {trained_on}: these are not the annotations "
                              f"the model was trained on")
@@ -460,6 +453,8 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
 
 
 def _cmd_predict(cfg: dict, echo: list[str]) -> int:
+    if cfg["ids"] == []:
+        raise ValueError("--ids: empty image id list (none selects every row)")
     model, metadata, features = _load_scorer(cfg)
     selected = features.select(cfg["ids"]) if cfg["ids"] is not None else features
     finding_names = split_csv_line(metadata["findings"]) if "findings" in metadata else []

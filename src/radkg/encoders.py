@@ -71,8 +71,7 @@ class FeatureTable:
         index = {image_id: i for i, image_id in enumerate(self.image_ids)}
         missing = [i for i in ids if i not in index]
         if missing:
-            listing = "\n".join(f"  missing features for {i!r}" for i in missing)
-            raise ValueError(f"{len(missing)} image ids lack feature rows:\n{listing}")
+            raise ValueError(f"{len(missing)} image ids lack feature rows, e.g. {missing[:3]}")
         return FeatureTable(list(ids), self.codes[[index[i] for i in ids]])
 
 

@@ -20,8 +20,10 @@ every grid is fresh.
 
 ``Lanes`` runs a caller's work on every usable CPU that the BLAS's own
 threads leave idle: table scoring opens it for one table, training for one
-fit. ``ranges`` cuts rows into one contiguous range per lane, each starting
-on a multiple of a fixed unit.
+fit. Its workers take tasks from their own inbox queue and put each task's
+outcome into their own outbox, so caller and worker share no mutable state.
+``ranges`` cuts rows into one contiguous range per lane, each starting on a
+multiple of a fixed unit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import contextvars
 import functools
 import math
 import os
+import queue
 import threading
 
 import numpy as np
@@ -66,24 +69,24 @@ class Lanes:
     There is one lane per ``_blas_threads`` usable CPUs
     (``os.sched_getaffinity``): one per CPU when the BLAS runs a product on
     one thread, one in all when it runs it on every CPU.
-    ``run`` hands its tasks to the lanes and returns when all are done. A
-    worker starts with its first task and then waits for the next; the
-    block's exit stops and joins every worker, on every path. A one-lane
-    object starts no thread.
+    ``run`` hands its tasks to the lanes and returns when all are done. Each
+    worker owns an inbox of tasks and an outbox of their outcomes, and no
+    other state is shared. A worker starts with its first task and then
+    waits on its inbox for the next; the block's exit stops and joins every
+    worker, on every path. A one-lane object starts no thread.
     """
 
     def __init__(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         self.count = max(1, cpus // _blas_threads(cpus))
-        self._workers: list[tuple] = []  # (thread, go, done, [task, error]) each
+        self._workers: list[tuple] = []  # (thread, inbox, outbox) each
 
     def __enter__(self) -> "Lanes":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for _, go, _, slot in self._workers:
-            slot[0] = None
-            go.release()
+        for _, inbox, _ in self._workers:
+            inbox.put(None)
         for thread, *_ in self._workers:
             thread.join()
         self._workers.clear()
@@ -97,42 +100,36 @@ class Lanes:
         tasks = list(tasks)
         if len(tasks) > self.count:
             raise ValueError(f"{len(tasks)} tasks for {self.count} lanes")
-        busy = []
+        for _ in range(len(self._workers), len(tasks[1:])):
+            inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(inbox, outbox), daemon=True)
+            thread.start()
+            self._workers.append((thread, inbox, outbox))
+        busy = self._workers[:len(tasks[1:])]
         try:
-            for lane, task in enumerate(tasks[1:]):
-                task = functools.partial(contextvars.copy_context().run, task)
-                if lane < len(self._workers):
-                    _, go, done, slot = self._workers[lane]
-                    slot[:] = [task, None]
-                    go.release()
-                else:
-                    go, done, slot = threading.Semaphore(0), threading.Semaphore(0), [task, None]
-                    thread = threading.Thread(target=_serve, args=(go, done, slot), daemon=True)
-                    thread.start()
-                    self._workers.append((thread, go, done, slot))
-                busy.append((done, slot))
+            for (_, inbox, _), task in zip(busy, tasks[1:]):
+                inbox.put(functools.partial(contextvars.copy_context().run, task))
             if tasks:
                 tasks[0]()
         finally:
-            for done, _ in busy:
-                done.acquire()
-        for _, slot in busy:
-            if slot[1] is not None:
-                raise slot[1]
+            errors = [outbox.get() for _, _, outbox in busy]
+        for error in errors:
+            if error is not None:
+                raise error
 
 
-def _serve(go: threading.Semaphore, done: threading.Semaphore, slot: list) -> None:
-    """A worker's loop: run the task in ``slot[0]``, keeping its exception in
-    ``slot[1]``, release ``done``, and wait on ``go`` for the next task, until
-    that is None."""
-    while slot[0] is not None:
+def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+    """A worker's loop: run each task from ``inbox`` until None comes, and
+    put its exception, or None, into ``outbox``. The task is dropped first,
+    so no finished task's data outlives its run."""
+    for task in iter(inbox.get, None):
+        error = None
         try:
-            slot[0]()
-        except BaseException as error:  # raised again in the calling thread
-            slot[1] = error
-        slot[0] = None
-        done.release()
-        go.acquire()
+            task()
+        except BaseException as caught:  # raised again in the calling thread
+            error = caught
+        del task
+        outbox.put(error)
 
 
 def ranges(rows: int, unit: int, count: int) -> list[tuple[int, int]]:

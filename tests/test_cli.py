@@ -923,6 +923,8 @@ def sweep_spellings(tmp_path, capsys, option, values, argv):
             assert "Traceback" not in captured.out + captured.err, (option, value, spelling)
             if rc != 0:
                 assert list(out.iterdir()) == [], (option, value, spelling)
+                assert len(captured.err.splitlines()) == 1 and captured.err.startswith("radkg: "), (
+                    option, value, spelling, captured.err)
             codes.append(rc)
         assert len(set(codes)) == 1, (option, value, codes)
 
@@ -964,6 +966,63 @@ def test_reading_commands_end_in_an_exit_code_for_hostile_values_however_they_ar
                                  "--out", str(out / "g.tsv")],
     }[command]
     sweep_spellings(tmp_path, capsys, option, HOSTILE_VALUES, argv)
+
+
+# A 30-digit --m, --n or --dim asks synth for grids beyond physical memory,
+# which test_synth_beyond_physical_memory_exits_2_in_one_line_and_writes_nothing
+# covers; a 30-digit --trials asks gradcheck for about 10^29 checks, which is
+# work requested, not a fault. Those four cases are left out of the sweep.
+HUGE_SIZES = {("synth", "m"), ("synth", "n"), ("synth", "dim"), ("gradcheck", "trials")}
+
+
+@pytest.mark.parametrize("command, option", [
+    *(("synth", option) for option in ("m", "n", "dim", "prototype-scale", "noise-scale",
+                                       "sparsity", "uncertain-fraction", "seed")),
+    *(("gradcheck", option) for option in ("scorer", "dim", "embed-dim", "channels", "n",
+                                           "trials", "seed", "tolerance")),
+    *(("train", option) for option in ("ratios", "split-seed", "cooccur-threshold",
+                                       "relations")),
+])
+def test_writing_commands_end_in_an_exit_code_for_hostile_values_however_they_are_spelled(
+        workspace, tmp_path, monkeypatch, capsys, command, option):
+    """``sweep_spellings`` over synth's and gradcheck's options and train's
+    non-numeric ones, at tiny sizes; train adds co-occurrence edges, so that
+    its threshold is read."""
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    sizes = {
+        "synth": {"m": "20", "n": "3", "dim": "4"},
+        "gradcheck": {"dim": "8", "embed-dim": "16", "n": "3", "trials": "1"},
+        "train": {"epochs": "1", "patience": "0", "embed-dim": "16", "batch-size": "64"},
+    }[command]
+    fixed = [token for name, value in sizes.items() if name != option
+             for token in (f"--{name}", value)]
+    argv = {
+        "synth": lambda out: ["synth", "--out-features", str(out / "f.csv"),
+                              "--out-annotations", str(out / "a.csv"), *fixed],
+        "gradcheck": lambda out: ["gradcheck", *fixed],
+        "train": lambda out: ["train", "--features", str(workspace / "features.csv"),
+                              "--annotations", str(workspace / "annotations.csv"),
+                              "--out-checkpoint", str(out / "m.rkg"), "--cooccurrence", *fixed],
+    }[command]
+    values = [value for value in HOSTILE_VALUES
+              if (command, option) not in HUGE_SIZES or value != "123456789012345678901234567890"]
+    sweep_spellings(tmp_path, capsys, option, values, argv)
+
+
+@pytest.mark.parametrize("ids", ["", ","])
+def test_predict_refuses_an_empty_id_list_before_reading_the_checkpoint(
+        workspace, tmp_path, monkeypatch, capsys, ids):
+    def no_checkpoint(path):
+        raise AssertionError("read the checkpoint")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_checkpoint)
+    rc = run_cli(["predict", "--checkpoint", str(workspace / "model.rkg"),
+                  "--features", str(workspace / "features.csv"),
+                  "--out", str(tmp_path / "p.csv"), "--ids", ids])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "radkg: --ids: empty image id list (none selects every row)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 

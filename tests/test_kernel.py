@@ -96,6 +96,29 @@ def test_a_worker_exception_is_raised_in_the_caller_after_every_task_ends(monkey
     assert threading.active_count() == before
 
 
+def test_a_worker_system_exit_reaches_the_caller_and_the_lanes_still_serve(monkeypatch):
+    """A worker passes on any BaseException, not only an Exception, and its
+    thread lives on to serve the next run."""
+    pin_cpus_and_blas(monkeypatch, 3, {"OPENBLAS_NUM_THREADS": "1"})
+    ended = []
+
+    def leave():
+        ended.append("worker")
+        raise SystemExit(4)
+
+    before = threading.active_count()
+    with Lanes() as lanes:
+        with pytest.raises(SystemExit) as caught:
+            lanes.run([lambda: ended.append("caller"), leave, lambda: ended.append("last")])
+        assert caught.value.code == 4
+        assert sorted(ended) == ["caller", "last", "worker"]
+        seen = []
+        lanes.run([lambda: seen.append(threading.current_thread())] * 3)
+        assert len(set(seen)) == 3
+        assert threading.active_count() == before + 2
+    assert threading.active_count() == before
+
+
 def test_lanes_lose_no_task_with_more_lanes_than_cores_and_a_short_switch_interval(monkeypatch):
     """Six lanes hand off 300 runs under a 1 us switch interval: after each
     run returns, every task of it has run exactly once."""
