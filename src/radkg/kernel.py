@@ -22,6 +22,8 @@ every grid is fresh.
 threads leave idle: table scoring opens it for one table, training for one
 fit. Its workers take tasks from their own inbox queue and put each task's
 outcome into their own outbox, so caller and worker share no mutable state.
+A caller may start a task and collect its outcome later, as training does
+with an update that overlaps the rest of its batch.
 ``ranges`` cuts rows into one contiguous range per lane, each starting on a
 multiple of a fixed unit.
 """
@@ -68,18 +70,31 @@ class Lanes:
 
     There is one lane per ``_blas_threads`` usable CPUs
     (``os.sched_getaffinity``): one per CPU when the BLAS runs a product on
-    one thread, one in all when it runs it on every CPU.
-    ``run`` hands its tasks to the lanes and returns when all are done. Each
-    worker owns an inbox of tasks and an outbox of their outcomes, and no
-    other state is shared. A worker starts with its first task and then
-    waits on its inbox for the next; the block's exit stops and joins every
-    worker, on every path. A one-lane object starts no thread.
+    one thread, one in all when it runs it on every CPU. Each worker owns an
+    inbox of tasks and an outbox of their outcomes, and no other state is
+    shared. The hand-off has two halves: ``start`` puts a task into an idle
+    worker's inbox and returns at once, and ``collect`` waits for its
+    outcome; a worker is idle again only once its task is collected, so no
+    later ``start`` or ``run`` reads a late outcome. ``run`` is the two
+    halves around the calling thread's own task. A task for which no worker
+    is left runs in the calling thread inside ``start``, so a one-lane
+    object starts no thread and serves the same calls. A worker starts with
+    its first task and then waits on its inbox for the next; the block's
+    exit stops and joins every worker, on every path, one whose task was
+    never collected included.
     """
 
     def __init__(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         self.count = max(1, cpus // _blas_threads(cpus))
         self._workers: list[tuple] = []  # (thread, inbox, outbox) each
+        self._idle: list[tuple] = []  # the workers with no task to collect
+
+    @property
+    def free(self) -> int:
+        """Lanes no started task holds: the calling thread's and every idle
+        or not yet started worker's."""
+        return self.count - len(self._workers) + len(self._idle)
 
     def __enter__(self) -> "Lanes":
         return self
@@ -90,32 +105,70 @@ class Lanes:
         for thread, *_ in self._workers:
             thread.join()
         self._workers.clear()
+        self._idle.clear()
+
+    def start(self, tasks) -> list:
+        """Hand each task to an idle worker, starting one while fewer than
+        ``count - 1`` run, and return without waiting; pass the result to
+        ``collect``. A worker runs its task in a copy of the caller's
+        context, so the caller's ``np.errstate`` holds there too. A task for
+        which no worker is left runs here before ``start`` returns, and its
+        outcome waits for ``collect`` as a worker's does."""
+        started = []
+        for task in tasks:
+            task = functools.partial(contextvars.copy_context().run, task)
+            if not self._idle and len(self._workers) < self.count - 1:
+                inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
+                thread = threading.Thread(target=_serve, args=(inbox, outbox), daemon=True)
+                thread.start()
+                self._workers.append((thread, inbox, outbox))
+                self._idle.append(self._workers[-1])
+            if self._idle:
+                worker = self._idle.pop()
+                worker[1].put(task)
+                started.append((worker, worker[2]))
+            else:
+                outcome = queue.SimpleQueue()
+                outcome.put(_outcome(task))
+                started.append((None, outcome))
+        return started
+
+    def collect(self, started) -> BaseException | None:
+        """Wait until every task of a ``start`` has ended, make its workers
+        idle, and return the first task's exception, or None; a caller
+        with an exception of its own drops it."""
+        errors = []
+        for worker, outcome in started:
+            errors.append(outcome.get())
+            if worker is not None:
+                self._idle.append(worker)
+        return next((error for error in errors if error is not None), None)
 
     def run(self, tasks) -> None:
         """Call every task, the first in the calling thread and one per
-        worker for the rest, and return once all have ended. A worker runs
-        its task in a copy of the caller's context, so the caller's
-        ``np.errstate`` holds there too. An exception of the first task is
-        raised as it is; else a worker's is raised here."""
+        idle worker for the rest, and return once all have ended. An
+        exception of the first task is raised as it is; else a worker's is
+        raised here."""
         tasks = list(tasks)
-        if len(tasks) > self.count:
-            raise ValueError(f"{len(tasks)} tasks for {self.count} lanes")
-        for _ in range(len(self._workers), len(tasks[1:])):
-            inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(inbox, outbox), daemon=True)
-            thread.start()
-            self._workers.append((thread, inbox, outbox))
-        busy = self._workers[:len(tasks[1:])]
+        if len(tasks) > self.free:
+            raise ValueError(f"{len(tasks)} tasks for {self.free} lanes")
+        started = self.start(tasks[1:])
         try:
-            for (_, inbox, _), task in zip(busy, tasks[1:]):
-                inbox.put(functools.partial(contextvars.copy_context().run, task))
             if tasks:
                 tasks[0]()
         finally:
-            errors = [outbox.get() for _, _, outbox in busy]
-        for error in errors:
-            if error is not None:
-                raise error
+            error = self.collect(started)
+        if error is not None:
+            raise error
+
+
+def _outcome(task) -> BaseException | None:
+    """Call ``task`` and return its exception, or None."""
+    try:
+        task()
+    except BaseException as caught:  # raised again in the calling thread
+        return caught
+    return None
 
 
 def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
@@ -123,11 +176,7 @@ def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
     put its exception, or None, into ``outbox``. The task is dropped first,
     so no finished task's data outlives its run."""
     for task in iter(inbox.get, None):
-        error = None
-        try:
-            task()
-        except BaseException as caught:  # raised again in the calling thread
-            error = caught
+        error = _outcome(task)
         del task
         outbox.put(error)
 

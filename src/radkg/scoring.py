@@ -293,7 +293,7 @@ def forward(
 
 def backward(
     model: EmbeddingModel, cache: BatchCache, dpsi: np.ndarray,
-    workspace: kernel.Workspace | None = None,
+    workspace: kernel.Workspace | None = None, ready=None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradients of sum(dpsi * psi) for the batch ``forward`` cached.
 
@@ -302,6 +302,11 @@ def backward(
     subjects) or ef rows (finding subjects). The conv scorer's wc gradient
     and its batch-sized grids come from ``workspace``, or are fresh when it
     is None; the wc gradient holds until the workspace's next batch.
+
+    ``ready(name, grad)``, when given, takes a block's gradient as soon as
+    it is final and the rest of the pass no longer reads the block, and
+    that block is left out of the returned gradients. Only conve's wc
+    qualifies: every distmult block is final only once dL/de_s is.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     dpsi = np.asarray(dpsi, dtype=np.float64)
@@ -317,8 +322,12 @@ def backward(
         # A ReLU's output is positive exactly where its input is, and the
         # contiguous outputs flat and a2 mask faster than the strided conv_out.
         d_z2 = kernel.relu_bwd(pipe.a2, d_h)
-        grads["wc"] = np.matmul(pipe.flat.T, d_z2, out=workspace.take("grad_wc", model.wc.shape))
+        grad_wc = np.matmul(pipe.flat.T, d_z2, out=workspace.take("grad_wc", model.wc.shape))
         d_flat = np.matmul(d_z2, model.wc.T, out=workspace.take("d_flat", pipe.flat.shape))
+        if ready is None:
+            grads["wc"] = grad_wc
+        else:
+            ready("wc", grad_wc)  # d_flat was wc's last read
         d_conv = kernel.relu_bwd(pipe.flat, d_flat, out=workspace.take("d_conv", pipe.flat.shape))
         d_stacked, grads["kernels"] = kernel.conv2d_bwd(
             pipe.stacked, model.kernels, d_conv.reshape(pipe.conv_out.shape), workspace)

@@ -7,24 +7,30 @@ cross entropy; gradients are averaged per minibatch and applied with SGD or
 Adam. Model selection tracks validation macro-AUC with early stopping.
 
 ``train`` owns one ``kernel.Workspace`` per call and passes it through
-``train_epoch`` and ``_batch_gradients`` to ``scoring.forward``/``backward``
-and the conv kernels. The conv scorer's batch-sized grids (slabs, conv output
-and its ReLU, their gradients) and its wc gradient are taken from it, so the
-first, full batch allocates them and the rest of the fit allocates none: a
-short last batch takes leading views. The wc gradient that
-``_batch_gradients`` returns is a view of the workspace, valid until its next
-batch; the optimizer step reads it before then. The grids are filled with
-``out=`` forms of the same numpy calls, so the results are bit-identical to
-fresh arrays, which the functions make when given no workspace. A distmult
-fit takes no workspace grid.
+``train_epoch``, ``_batch_losses`` and ``_batch_gradients`` to
+``scoring.forward``/``backward`` and the conv kernels. The conv scorer's
+batch-sized grids (slabs, conv output and its ReLU, their gradients) and its
+wc gradient are taken from it, so the first, full batch allocates them and
+the rest of the fit allocates none: a short last batch takes leading views.
+The wc gradient is a view of the workspace, valid until its next batch; its
+update reads it before then. The grids are filled with ``out=`` forms of the
+same numpy calls, so the results are bit-identical to fresh arrays, which
+the functions make when given no workspace. A distmult fit takes no
+workspace grid.
 
 ``train`` also opens one ``kernel.Lanes`` per fit and passes it to every
-optimizer step. ``_update_rows`` cuts each block of ``SPLIT_CELLS`` or more
-into ``GRAD_ROWS``-aligned row ranges, one per lane; the calling thread takes
-the first range and every small block. The wx gradient comes to the step as
-a ``RowProduct``, so each lane computes its rows of ``codes.T @ d_es``,
-scales them by 1/B and runs the update on the same rows. The checkpoint
-bytes are the same at any lane count.
+batch. A block whose gradient backward finishes early, conve's wc (its last
+read is ``d_z2 @ wc.T``), has its 1/B scaling and update started on an idle
+lane (``_Optimizer.start``) while the calling thread finishes backward; the
+batch's optimizer step then updates the other blocks on the lanes still
+free and collects it. On 2 CPUs the rest of the step thus runs on the
+calling thread, and on one lane the started update runs inline. With more
+than one free lane, ``_update_rows`` cuts each block of ``SPLIT_CELLS`` or
+more into ``GRAD_ROWS``-aligned row ranges, one per free lane; the calling
+thread takes the first range and every small block. The wx gradient comes
+to the step as a ``RowProduct``, so each lane computes its rows of
+``codes.T @ d_es``, scales them by 1/B and runs the update on the same rows.
+The checkpoint bytes are the same at any lane count.
 """
 
 from __future__ import annotations
@@ -192,12 +198,22 @@ class RowProduct:
 def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None, apply) -> None:
     """Call ``apply(name, lo, hi, g)`` over the rows of every block, g being
     the gradient's rows lo:hi, computed first when it is a ``RowProduct``.
-    A block of ``SPLIT_CELLS`` or more is cut into ``GRAD_ROWS``-aligned
-    ranges, one per lane (the calling thread alone when ``lanes`` is None);
-    the calling thread takes the first range of each and every smaller block
-    whole. The updates are elementwise, so the bits do not depend on the
+    With more than one free lane, a block of ``SPLIT_CELLS`` or more is cut
+    into ``GRAD_ROWS``-aligned ranges, one per free lane, and the calling
+    thread takes the first range of each and every smaller block whole;
+    when no block is cut, every block is updated whole on the calling
+    thread. The updates are elementwise, so the bits do not depend on the
     lane count."""
-    count = 1 if lanes is None else lanes.count
+
+    def rows(name, lo, hi):
+        g = grads[name]
+        return g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi]
+
+    count = 1 if lanes is None else lanes.free
+    if count == 1 or all(block.size < SPLIT_CELLS for block in params.values()):
+        for name, block in params.items():
+            apply(name, 0, len(block), rows(name, 0, len(block)))
+        return
     jobs: list[list[tuple[str, int, int]]] = [[] for _ in range(count)]
     for name, block in params.items():
         split = count if block.size >= SPLIT_CELLS else 1
@@ -206,74 +222,121 @@ def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | Non
 
     def work(lane_jobs):
         for name, lo, hi in lane_jobs:
-            g = grads[name]
-            apply(name, lo, hi, g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi])
+            apply(name, lo, hi, rows(name, lo, hi))
 
-    if lanes is None:
-        work(jobs[0])
-    else:
-        lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
+    lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
 
 
-class Sgd:
+class _Optimizer:
+    """The batch flow Sgd and Adam share: both update a block elementwise,
+    ``_apply`` a range of its rows at a time.
+
+    ``start`` hands one block's update to an idle lane as soon as the
+    block's gradient is final, while the caller still runs the rest of
+    backward. ``step`` updates every other block, on the lanes that no
+    started update holds, then collects the started updates. A batch's
+    first ``start``, or its ``step`` when nothing started, begins it
+    (``_begin``). ``collect`` waits for the started updates of a batch that
+    ends before its step.
+    """
+
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
+        self._started: dict[str, list] = {}  # block -> its update's ``Lanes.start`` result
+
+    def _begin(self, params: dict[str, np.ndarray]) -> None:
+        """Ready the state the batch's updates read."""
+
+    def start(self, params: dict[str, np.ndarray], name: str, grad: np.ndarray, scale: float,
+              lanes: kernel.Lanes) -> None:
+        """Scale ``grad`` by ``scale`` in place and update block ``name`` by
+        it, on an idle lane of ``lanes``; return without waiting. The batch's
+        ``step`` or ``collect`` waits for it. Only that lane touches the
+        block, its gradient and its optimizer state until then."""
+        if not self._started:
+            self._begin(params)
+
+        def update():
+            np.multiply(grad, scale, out=grad)
+            self._apply(params, name, 0, len(grad), grad)
+
+        self._started[name] = lanes.start([update])
 
     def step(self, params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None = None) -> None:
-        def apply(name, lo, hi, g):
-            params[name][lo:hi] -= self.learning_rate * g
+        """Update every block no ``start`` of this batch took by its gradient
+        in ``grads`` (the wx gradient may be a ``RowProduct``), on the free
+        lanes of ``lanes`` or on the calling thread alone when it is None.
+        Then wait for the started updates; an exception of the caller's
+        updates is raised first, else one of a started update."""
+        if not self._started:
+            self._begin(params)
+        try:
+            _update_rows({name: block for name, block in params.items()
+                          if name not in self._started},
+                         grads, lanes, functools.partial(self._apply, params))
+        finally:
+            error = self.collect(lanes)
+        if error is not None:
+            raise error
 
-        _update_rows(params, grads, lanes, apply)
+    def collect(self, lanes: kernel.Lanes | None) -> BaseException | None:
+        """Wait for the batch's started updates to end and return the first
+        one's exception, or None."""
+        started, self._started = self._started, {}
+        return lanes.collect(sum(started.values(), [])) if started else None
 
 
-class Adam:
+class Sgd(_Optimizer):
+    def _apply(self, params, name, lo, hi, g):
+        params[name][lo:hi] -= self.learning_rate * g
+
+
+class Adam(_Optimizer):
     """Adam with bias correction; state is kept per parameter block.
 
     The update runs in place through two scratch buffers per block, with the
     operations of the textbook formula in the same order, so it is
     bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``block -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``. Every operation is
-    elementwise, so a large block is updated by row ranges on ``lanes``
-    (``_update_rows``) with the same bits.
+    elementwise, so a block is updated by row ranges on lanes, or on a lane
+    of its own, with the same bits. ``t`` counts the batches begun.
     """
 
     def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
+        super().__init__(learning_rate)
         self.t = 0
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
         self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None = None) -> None:
+    def _begin(self, params):
         self.t += 1
-        correct1 = 1.0 - ADAM_BETA1 ** self.t
-        correct2 = 1.0 - ADAM_BETA2 ** self.t
+        self._correct1 = 1.0 - ADAM_BETA1 ** self.t
+        self._correct2 = 1.0 - ADAM_BETA2 ** self.t
         for name, block in params.items():
             if name not in self.moment1:
                 self.moment1[name] = np.zeros_like(block)
                 self.moment2[name] = np.zeros_like(block)
                 self._scratch[name] = (np.empty_like(block), np.empty_like(block))
 
-        def apply(name, lo, hi, g):
-            m = self.moment1[name][lo:hi]
-            v = self.moment2[name][lo:hi]
-            update, denom = (grid[lo:hi] for grid in self._scratch[name])
-            np.multiply(g, 1.0 - ADAM_BETA1, out=update)
-            m *= ADAM_BETA1
-            m += update
-            np.multiply(g, 1.0 - ADAM_BETA2, out=update)
-            update *= g
-            v *= ADAM_BETA2
-            v += update
-            np.divide(m, correct1, out=update)
-            update *= self.learning_rate
-            np.divide(v, correct2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            update /= denom
-            params[name][lo:hi] -= update
-
-        _update_rows(params, grads, lanes, apply)
+    def _apply(self, params, name, lo, hi, g):
+        m = self.moment1[name][lo:hi]
+        v = self.moment2[name][lo:hi]
+        update, denom = (grid[lo:hi] for grid in self._scratch[name])
+        np.multiply(g, 1.0 - ADAM_BETA1, out=update)
+        m *= ADAM_BETA1
+        m += update
+        np.multiply(g, 1.0 - ADAM_BETA2, out=update)
+        update *= g
+        v *= ADAM_BETA2
+        v += update
+        np.divide(m, self._correct1, out=update)
+        update *= self.learning_rate
+        np.divide(v, self._correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        params[name][lo:hi] -= update
 
 
 def make_optimizer(config: TrainConfig):
@@ -282,36 +345,49 @@ def make_optimizer(config: TrainConfig):
     return Adam(config.learning_rate)
 
 
-def _batch_gradients(
+def _batch_losses(
     model: scoring.EmbeddingModel, batch: Batch, workspace: kernel.Workspace | None = None
-) -> tuple[np.ndarray, dict]:
-    """Per-row losses (B,) and the mean gradient of one batch.
-
-    The batch is scored and differentiated in one ``scoring.forward`` and
-    ``scoring.backward`` call. Image subjects enter through ``codes @ wx``
-    and finding subjects (coOccurs) as ef rows; dL/de_s flows back the same
-    two ways. The wx gradient is a ``RowProduct`` that the optimizer step
-    computes. The conv scorer's wc gradient is a grid of ``workspace`` (fresh
-    when it is None), valid until its next batch.
-    """
+) -> tuple[np.ndarray, tuple]:
+    """Per-row losses (B,) of one batch, scored in one ``scoring.forward``
+    call, and what ``_batch_gradients`` needs to differentiate them. Image
+    subjects enter through ``codes @ wx`` and finding subjects (coOccurs)
+    as ef rows. The conv scorer's grids come from ``workspace`` (fresh when
+    it is None): differentiate before its next batch."""
     workspace = kernel.Workspace() if workspace is None else workspace
     images, findings = batch.images, ~batch.images
     codes = batch.feature_codes[batch.subjects[images]]
-    finding_idx = batch.subjects[findings]
     e_s = np.empty((len(batch), model.embed_dim))
     e_s[images] = codes @ model.wx
-    e_s[findings] = model.ef[finding_idx]
+    e_s[findings] = model.ef[batch.subjects[findings]]
     ridx = [model.relation_index(relation) for relation in batch.relations]
-
     psi, cache = scoring.forward(model, e_s, ridx, workspace)
     losses, dpsi = item_loss(psi, batch.targets)
-    grads, d_es = scoring.backward(model, cache, dpsi, workspace)
-    grads["ef"][finding_idx] += d_es[findings]  # a batch names each finding subject once
+    return losses, (codes, cache, dpsi)
+
+
+def _batch_gradients(
+    model: scoring.EmbeddingModel, batch: Batch, scored: tuple,
+    workspace: kernel.Workspace | None = None, ready=None,
+) -> dict:
+    """The mean gradient of the losses ``_batch_losses`` scored, from one
+    ``scoring.backward`` call; dL/de_s flows back into wx and ef rows as
+    the subjects came in. The wx gradient is a ``RowProduct`` that the
+    optimizer step computes. The conv scorer's wc gradient is a grid of
+    ``workspace`` (fresh when it is None), valid until its next batch.
+    ``ready(name, grad)``, when given, takes each block that
+    ``scoring.backward`` finishes early, with its gradient summed over the
+    batch; that block is left out of the result.
+    """
+    workspace = kernel.Workspace() if workspace is None else workspace
+    codes, cache, dpsi = scored
+    images, findings = batch.images, ~batch.images
     scale = 1.0 / len(batch)
+    grads, d_es = scoring.backward(model, cache, dpsi, workspace, ready)
+    grads["ef"][batch.subjects[findings]] += d_es[findings]  # a batch names each finding subject once
     for block in grads.values():
         block *= scale
     grads["wx"] = RowProduct(codes, d_es[images], scale)
-    return losses, grads
+    return grads
 
 
 def train_epoch(
@@ -323,24 +399,30 @@ def train_epoch(
     Pass the same optimizer across epochs to keep Adam's moments, and the
     same workspace to keep its grids; without one the epoch makes its own.
     The optimizer steps run on ``lanes``, opened by the caller, or on the
-    calling thread alone when it is None. A non-finite loss stops the epoch
-    before its batch updates the model, naming the batch and its first such
+    calling thread alone when it is None. With ``lanes``, a block that
+    backward finishes early (conve's wc) starts its update on an idle lane
+    while backward goes on, and the step collects it.
+
+    A non-finite loss stops the epoch before its batch is differentiated,
+    so the batch updates no block, naming the batch and its first such
     item. Under ``np.errstate(over="raise", invalid="raise")``, as ``train``
     runs it, a ``FloatingPointError`` stops it too: one in scoring a batch
     is named by that check when the batch, scored again with the faults
     ignored, has a non-finite loss, else as the batch's forward or backward
-    pass; one in a step names the optimizer step of its batch.
+    pass, as is one in backward, once a started update has ended; one in a
+    step, on any lane, names the optimizer step of its batch.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
+    params = model.blocks()
     losses: list[np.ndarray] = []
     for number, batch in enumerate(batches):
         fault = None
         try:
-            batch_losses, grads = _batch_gradients(model, batch, workspace)
+            batch_losses, scored = _batch_losses(model, batch, workspace)
         except FloatingPointError as exc:
             with np.errstate(all="ignore"):
-                batch_losses, _ = _batch_gradients(model, batch, workspace)
-            fault = f"{exc} in the forward or backward pass of batch {number}"
+                batch_losses, _ = _batch_losses(model, batch, workspace)
+            fault = exc
         diverged = np.flatnonzero(~np.isfinite(batch_losses))
         if diverged.size:
             row = diverged[0]
@@ -350,10 +432,20 @@ def train_epoch(
                 f"({relation.subject_kind.value}:{batch.subjects[row]}, {relation.value})"
             )
         if fault is not None:
-            raise TrainingDivergedError(fault)
+            raise TrainingDivergedError(f"{fault} in the forward or backward pass of batch {number}")
         losses.append(batch_losses)
+        ready = None if lanes is None else functools.partial(
+            optimizer.start, params, scale=1.0 / len(batch), lanes=lanes)
+        grads = None
         try:
-            optimizer.step(model.blocks(), grads, lanes)
+            grads = _batch_gradients(model, batch, scored, workspace, ready)
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(f"{exc} in the forward or backward pass of batch {number}") from None
+        finally:
+            if grads is None:
+                optimizer.collect(lanes)  # a started update ends before the batch does
+        try:
+            optimizer.step(params, grads, lanes)
         except FloatingPointError as exc:
             raise TrainingDivergedError(f"{exc} in the optimizer step of batch {number}") from None
     return model, (float(np.mean(np.concatenate(losses))) if losses else 0.0)

@@ -14,7 +14,9 @@ from radkg.encoders import FeatureTable
 from radkg.kernel import _kernel_side
 from radkg.artifacts import csv_cell, data_lines as _data_lines
 from radkg.kg import LABEL_TOKENS, EntityKind
-from radkg.training import PROB_CLAMP, _batch_gradients, item_loss as _item_loss, resolve_relations
+from radkg.training import (
+    PROB_CLAMP, _batch_gradients, _batch_losses, item_loss as _item_loss, resolve_relations,
+)
 
 
 def make_table(labels, groups=None, names=None, ids=None):
@@ -681,8 +683,10 @@ def reference_backward(model, cache, dpsi):
 
 
 def batch_gradients(model, batch):
-    """``training._batch_gradients`` with its wx ``RowProduct`` computed whole."""
-    losses, grads = _batch_gradients(model, batch)
+    """``training._batch_losses`` and ``_batch_gradients``, with the wx
+    ``RowProduct`` computed whole."""
+    losses, scored = _batch_losses(model, batch)
+    grads = _batch_gradients(model, batch, scored)
     grads["wx"] = grads["wx"].rows(0, len(grads["wx"].grid))
     return losses, grads
 

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -822,18 +823,27 @@ def test_train_writes_the_same_checkpoint_on_one_lane_two_lanes_and_every_blas_t
         tmp_path, monkeypatch, scorer):
     """The bytes of a fit do not depend on its lanes: 1 lane, 2 lanes, and a
     process with no BLAS variable set, where OpenBLAS runs each product on
-    every CPU and the fit keeps one lane."""
+    every CPU and the fit keeps one lane. On 2 lanes distmult's steps run
+    on both, and conve's wc update runs on the worker while the calling
+    thread finishes backward."""
     argv = lane_fit_args(tmp_path, scorer, "--lr", "0.01")
     shapes = scoring.block_shapes(scorer, 1024 if scorer == "distmult" else 64,
                                   100 if scorer == "distmult" else 144, 4, 1, 4)
     assert max(map(np.prod, shapes.values())) >= training.SPLIT_CELLS
     counts, update_rows = [], training._update_rows
+    wc_threads, apply = [], training.Adam._apply
 
     def counted(params, grads, lanes, update):
         counts.append(lanes.count)
         update_rows(params, grads, lanes, update)
 
+    def traced(self, params, name, lo, hi, g):
+        if name == "wc":
+            wc_threads.append(threading.current_thread())
+        apply(self, params, name, lo, hi, g)
+
     monkeypatch.setattr(training, "_update_rows", counted)
+    monkeypatch.setattr(training.Adam, "_apply", traced)
     blobs = {}
     for lanes in (1, 2):
         pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
@@ -841,8 +851,13 @@ def test_train_writes_the_same_checkpoint_on_one_lane_two_lanes_and_every_blas_t
         run.mkdir()
         monkeypatch.chdir(run)
         counts.clear()
+        wc_threads.clear()
         assert run_cli(argv) == 0
-        assert set(counts) == {lanes}
+        if scorer == "distmult":
+            assert set(counts) == {lanes}
+        else:
+            assert wc_threads and {thread is threading.main_thread()
+                                   for thread in wc_threads} == {lanes == 1}
         blobs[lanes] = (run / "m.rkg").read_bytes()
     env = {var: value for var, value in os.environ.items() if var not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
@@ -875,25 +890,34 @@ def test_a_fit_that_diverges_on_two_lanes_says_what_it_says_on_one(tmp_path, mon
     assert " in batch 1 on item " in err
 
 
+@pytest.mark.parametrize("scorer, rate", [("distmult", "1e100"), ("conve", "1e60")])
 def test_a_fit_whose_parameters_overflow_exits_3_in_one_line_and_writes_nothing(
-        tmp_path, monkeypatch, capsys):
-    """At --lr 1e100 every loss stays finite, since item_loss clamps p, but
-    Adam's update overflows: the fit stops there, with no numpy warning."""
-    argv = lane_fit_args(tmp_path, "distmult", "--lr", "1e100", "--out-history", "h.csv")
-    run = tmp_path / "run"
-    run.mkdir()
-    monkeypatch.chdir(run)
+        tmp_path, monkeypatch, capsys, scorer, rate):
+    """At these rates every loss stays finite, since item_loss clamps p, but
+    Adam's update overflows: the fit stops there, with no numpy warning, and
+    says the same at 1 and 2 lanes. On 2 lanes conve's wc update, which
+    overflows too, runs on a worker; the calling thread's wx fault is the
+    one named, as on 1 lane. A higher rate makes conve's loss non-finite."""
+    argv = lane_fit_args(tmp_path, scorer, "--lr", rate, "--out-history", "h.csv")
     capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = run_cli(argv)
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert caught == []
-    assert captured.err.count("\n") == 1 and "Warning" not in captured.err
-    assert captured.err.startswith("radkg: epoch 1: overflow encountered in ")
-    assert " in the optimizer step of batch " in captured.err
-    assert list(run.iterdir()) == []
+    errors = []
+    for lanes in (1, 2):
+        pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
+        run = tmp_path / f"lanes{lanes}"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert caught == []
+        assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+        assert list(run.iterdir()) == []
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("radkg: epoch 1: overflow encountered in ")
+    assert " in the optimizer step of batch " in errors[0]
 
 
 # ---------------------------------------------------------------- option values
@@ -980,8 +1004,8 @@ HUGE_SIZES = {("synth", "m"), ("synth", "n"), ("synth", "dim"), ("gradcheck", "t
                                        "sparsity", "uncertain-fraction", "seed")),
     *(("gradcheck", option) for option in ("scorer", "dim", "embed-dim", "channels", "n",
                                            "trials", "seed", "tolerance")),
-    *(("train", option) for option in ("ratios", "split-seed", "cooccur-threshold",
-                                       "relations")),
+    *(("train", option) for option in ("scorer", "optimizer", "policy", "ratios", "split-seed",
+                                       "cooccur-threshold", "relations")),
 ])
 def test_writing_commands_end_in_an_exit_code_for_hostile_values_however_they_are_spelled(
         workspace, tmp_path, monkeypatch, capsys, command, option):

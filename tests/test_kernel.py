@@ -3,6 +3,7 @@
 import functools
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,9 +120,71 @@ def test_a_worker_system_exit_reaches_the_caller_and_the_lanes_still_serve(monke
     assert threading.active_count() == before
 
 
+def test_a_started_task_hands_its_exception_over_when_collected_and_the_lanes_still_serve(
+        monkeypatch):
+    """``start`` returns while the task runs on a worker; that worker takes
+    no other task until ``collect`` has waited for it and returned its
+    exception, and then it serves the next run."""
+    pin_cpus_and_blas(monkeypatch, 2, {"OPENBLAS_NUM_THREADS": "1"})
+    release, ran = threading.Event(), []
+
+    def fail():
+        release.wait(timeout=60)
+        ran.append(threading.current_thread())
+        raise MemoryError("started")
+
+    before = threading.active_count()
+    with Lanes() as lanes:
+        started = lanes.start([fail])
+        assert ran == [] and lanes.free == 1
+        with pytest.raises(ValueError, match="2 tasks for 1 lanes"):
+            lanes.run([lambda: None] * 2)
+        lanes.run([lambda: ran.append("caller")])
+        release.set()
+        error = lanes.collect(started)
+        assert isinstance(error, MemoryError) and error.args == ("started",)
+        assert ran[0] == "caller" and ran[1] is not threading.current_thread()
+        assert lanes.free == 2
+        seen = []
+        lanes.run([lambda: None, lambda: seen.append(threading.current_thread())])
+        assert seen == [ran[1]] and threading.active_count() == before + 1
+    assert threading.active_count() == before
+
+
+def test_a_one_lane_object_runs_a_started_task_inline(monkeypatch):
+    """With no worker to take it, a started task runs before ``start``
+    returns, and its exception waits for ``collect``."""
+    pin_cpus_and_blas(monkeypatch, 4, {})  # the BLAS runs on every CPU
+    before = threading.active_count()
+    seen = []
+    with Lanes() as lanes:
+        started = lanes.start([lambda: seen.append(threading.current_thread()),
+                               lambda: {}["inline"]])
+        assert seen == [threading.current_thread()] and threading.active_count() == before
+        assert isinstance(lanes.collect(started), KeyError) and lanes.free == 1
+    assert threading.active_count() == before
+
+
+def test_the_block_exit_joins_a_worker_whose_started_task_was_never_collected(monkeypatch):
+    pin_cpus_and_blas(monkeypatch, 2, {"OPENBLAS_NUM_THREADS": "1"})
+    ended = []
+
+    def slow():
+        time.sleep(0.05)
+        ended.append(True)
+
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="before collecting"):
+        with Lanes() as lanes:
+            lanes.start([slow])
+            raise KeyError("before collecting")
+    assert ended == [True] and threading.active_count() == before
+
+
 def test_lanes_lose_no_task_with_more_lanes_than_cores_and_a_short_switch_interval(monkeypatch):
-    """Six lanes hand off 300 runs under a 1 us switch interval: after each
-    run returns, every task of it has run exactly once."""
+    """Six lanes hand off 300 runs under a 1 us switch interval, every other
+    one beside a task started before it and collected after: once the run
+    and the collection return, every task has run exactly once."""
     pin_cpus_and_blas(monkeypatch, 6, {"OPENBLAS_NUM_THREADS": "1"})
     counts, finished = np.zeros(6, dtype=np.int64), []
 
@@ -131,8 +194,10 @@ def test_lanes_lose_no_task_with_more_lanes_than_cores_and_a_short_switch_interv
     def body():
         with Lanes() as lanes:
             for run in range(1, 301):
-                lanes.run([functools.partial(bump, k) for k in range(6)])
-                if not (counts == run).all():
+                early = run % 2
+                started = lanes.start([functools.partial(bump, 5)] * early)
+                lanes.run([functools.partial(bump, k) for k in range(6 - early)])
+                if lanes.collect(started) is not None or not (counts == run).all():
                     return
         finished.append(True)
 

@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -40,7 +41,7 @@ from radkg import kernel
 from radkg.kernel import sigmoid
 from radkg.scoring import block_shapes
 from radkg.training import (
-    GRAD_ROWS, SPLIT_CELLS, Adam, RowProduct, Sgd, _batch_gradients, _update_rows,
+    GRAD_ROWS, SPLIT_CELLS, Adam, RowProduct, Sgd, _batch_gradients, _batch_losses, _update_rows,
     item_loss as _item_loss, make_batches, make_optimizer, train_epoch,
 )
 
@@ -313,6 +314,110 @@ def test_a_worker_exception_in_a_fit_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def conve_epoch(monkeypatch, lanes):
+    """A conve model, its epoch of hasFinding batches, and ``lanes`` lanes."""
+    tr_feat, tr_ann, _, _ = synth_folds()
+    kg = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
+    batches = make_batches(kg, tr_feat, TrainConfig(batch_size=16, seed=0))
+    pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
+    return init_model("conve", 8, 25, 4, channels=3, seed=0), batches
+
+
+@pytest.mark.parametrize("kind", [Adam, Sgd])
+def test_a_conve_step_starts_wc_on_a_worker_once_per_batch(monkeypatch, kind):
+    """On 2 lanes every batch hands wc's update to the worker during
+    backward and the other blocks' to the calling thread; Adam's t counts
+    the batches; the bits are those of the calling thread alone."""
+    model, batches = conve_epoch(monkeypatch, 2)
+    alone = model.copy()
+    threads, apply = [], kind._apply
+
+    def traced(self, params, name, lo, hi, g):
+        threads.append((name, threading.current_thread() is threading.main_thread()))
+        apply(self, params, name, lo, hi, g)
+
+    monkeypatch.setattr(kind, "_apply", traced)
+    optimizer = kind(0.01)
+    with kernel.Lanes() as lanes, np.errstate(over="raise", invalid="raise"):
+        train_epoch(model, batches, optimizer, kernel.Workspace(), lanes)
+        assert lanes.free == 2
+    assert kind is Sgd or optimizer.t == len(batches)
+    assert threads.count(("wc", False)) == len(batches)
+    assert {name for name, main in threads if main} == {"wx", "ef", "er", "kernels"}
+    train_epoch(alone, batches, kind(0.01))
+    assert model == alone
+
+
+def test_a_conve_batch_with_a_non_finite_loss_updates_no_block_on_two_lanes(monkeypatch):
+    """The loss check comes before backward, so no update of the batch
+    has started on the worker when the check stops the epoch."""
+    model, batches = conve_epoch(monkeypatch, 2)
+    batches[1].feature_codes[batches[1].subjects[3]] = np.inf
+    optimizer, first = Adam(0.01), model.copy()
+    train_epoch(first, batches[:1], Adam(0.01))
+    with kernel.Lanes() as lanes, np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss nan in batch 1 on item"):
+            train_epoch(model, batches, optimizer, kernel.Workspace(), lanes)
+        assert lanes.free == 2
+    assert optimizer.t == 1
+    for name, block in model.blocks().items():
+        assert block.tobytes() == first.blocks()[name].tobytes(), name
+
+
+def test_a_fault_in_wc_update_on_the_worker_names_the_optimizer_step(monkeypatch):
+    model, batches = conve_epoch(monkeypatch, 2)
+    apply = Adam._apply
+
+    def failing_on_the_worker(self, params, name, lo, hi, g):
+        if threading.current_thread() is not threading.main_thread() and self.t == 3:
+            raise FloatingPointError("overflow encountered in multiply")
+        apply(self, params, name, lo, hi, g)
+
+    monkeypatch.setattr(Adam, "_apply", failing_on_the_worker)
+    before = threading.active_count()
+    with kernel.Lanes() as lanes, np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_epoch(model, batches, Adam(0.01), kernel.Workspace(), lanes)
+        assert lanes.free == 2
+    assert str(caught.value) == "overflow encountered in multiply in the optimizer step of batch 2"
+    assert threading.active_count() == before
+
+
+def test_a_fault_in_the_rest_of_backward_waits_for_the_wc_update_and_names_backward(monkeypatch):
+    """wc's update has started when conv2d_bwd faults; the epoch raises
+    once it has ended, and no other block of the batch is updated."""
+    model, batches = conve_epoch(monkeypatch, 2)
+    conv2d_bwd, calls, ended = kernel.conv2d_bwd, [], []
+    apply = Adam._apply
+
+    def slow_wc(self, params, name, lo, hi, g):
+        if name == "wc" and self.t == 2:
+            time.sleep(0.05)
+            ended.append(True)
+        apply(self, params, name, lo, hi, g)
+
+    def failing_second(*args, **kwargs):
+        calls.append(True)
+        if len(calls) == 2:
+            assert ended == []  # the update runs beside backward
+            raise FloatingPointError("invalid value encountered in matmul")
+        return conv2d_bwd(*args, **kwargs)
+
+    monkeypatch.setattr(Adam, "_apply", slow_wc)
+    monkeypatch.setattr(kernel, "conv2d_bwd", failing_second)
+    first = model.copy()
+    train_epoch(first, batches[:1], Adam(0.01))
+    calls.clear()
+    with kernel.Lanes() as lanes, np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_epoch(model, batches, Adam(0.01), kernel.Workspace(), lanes)
+        assert ended == [True] and lanes.free == 2
+    assert str(caught.value) == ("invalid value encountered in matmul in the forward or "
+                                 "backward pass of batch 1")
+    for name, block in model.blocks().items():
+        assert (block.tobytes() == first.blocks()[name].tobytes()) == (name != "wc"), name
+
+
 def test_make_optimizer_kinds():
     assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), Sgd)
     assert isinstance(make_optimizer(TrainConfig(optimizer="adam")), Adam)
@@ -470,8 +575,8 @@ def test_train_writes_the_checkpoint_of_a_loop_without_a_workspace(tmp_path, sco
     optimizer, snapshots = Adam(config.learning_rate), []
     for epoch in range(1, len(history) + 1):
         for batch in make_batches(kg, tr_feat, config, epoch=epoch):
-            _, grads = _batch_gradients(model, batch)
-            optimizer.step(model.blocks(), grads)
+            _, scored = _batch_losses(model, batch)
+            optimizer.step(model.blocks(), _batch_gradients(model, batch, scored))
         snapshots.append(model.copy())
     aucs = [h["val_auc"] for h in history]
     save_checkpoint(best, tmp_path / "train.rkg")
