@@ -303,10 +303,11 @@ def backward(
     and its batch-sized grids come from ``workspace``, or are fresh when it
     is None; the wc gradient holds until the workspace's next batch.
 
-    ``ready(name, grad)``, when given, takes a block's gradient as soon as
-    it is final and the rest of the pass no longer reads the block, and
-    that block is left out of the returned gradients. Only conve's wc
-    qualifies: every distmult block is final only once dL/de_s is.
+    ``ready(name, grad)``, when given, is offered a block's gradient as
+    soon as it is final and the rest of the pass no longer reads the block;
+    a block it takes (returning True) is left out of the returned
+    gradients. Only conve's wc is offered: every distmult block is final
+    only once dL/de_s is.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     dpsi = np.asarray(dpsi, dtype=np.float64)
@@ -324,10 +325,8 @@ def backward(
         d_z2 = kernel.relu_bwd(pipe.a2, d_h)
         grad_wc = np.matmul(pipe.flat.T, d_z2, out=workspace.take("grad_wc", model.wc.shape))
         d_flat = np.matmul(d_z2, model.wc.T, out=workspace.take("d_flat", pipe.flat.shape))
-        if ready is None:
+        if ready is None or not ready("wc", grad_wc):  # d_flat was wc's last read
             grads["wc"] = grad_wc
-        else:
-            ready("wc", grad_wc)  # d_flat was wc's last read
         d_conv = kernel.relu_bwd(pipe.flat, d_flat, out=workspace.take("d_conv", pipe.flat.shape))
         d_stacked, grads["kernels"] = kernel.conv2d_bwd(
             pipe.stacked, model.kernels, d_conv.reshape(pipe.conv_out.shape), workspace)

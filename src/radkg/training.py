@@ -21,13 +21,14 @@ workspace grid.
 ``train`` also opens one ``kernel.Lanes`` per fit and passes it to every
 batch. A block whose gradient backward finishes early, conve's wc (its last
 read is ``d_z2 @ wc.T``), has its 1/B scaling and update started on an idle
-lane (``_Optimizer.start``) while the calling thread finishes backward; the
-batch's optimizer step then updates the other blocks on the lanes still
-free and collects it. On 2 CPUs the rest of the step thus runs on the
-calling thread, and on one lane the started update runs inline. With more
-than one free lane, ``_update_rows`` cuts each block of ``SPLIT_CELLS`` or
-more into ``GRAD_ROWS``-aligned row ranges, one per free lane; the calling
-thread takes the first range and every small block. The wx gradient comes
+lane (``_Optimizer.start``) while the calling thread finishes backward,
+when it has fewer than ``SPLIT_CELLS`` cells; the batch's optimizer step
+then updates the other blocks on the lanes still free and collects it. On
+2 CPUs the rest of the step thus runs on the calling thread, and on one
+lane the started update runs inline. ``_update_rows`` cuts each block of
+``SPLIT_CELLS`` or more, a large wc included, into ``GRAD_ROWS``-aligned
+row ranges, one per free lane; the calling thread takes the first range
+and every small block. The wx gradient comes
 to the step as a ``RowProduct``, so each lane computes its rows of
 ``codes.T @ d_es``, scales them by 1/B and runs the update on the same rows.
 The checkpoint bytes are the same at any lane count.
@@ -175,7 +176,8 @@ GRAD_ROWS = 64
 #: 51,200 cells +9 to +11%, 64,000 -3 to +3%, 76,800 -6 to -9%, 102,400
 #: (D=1024) -10 to -13%, 204,800 -29%; conve at D=128 splitting its
 #: 76,800-cell wc -1 to -3%, and its 12,800-cell wx as well 0 to +9%. So a
-#: conve fit at D=128 stays on one lane.
+#: conve fit at D=128 is not cut; its wc update overlaps backward instead
+#: (``_Optimizer.start``).
 SPLIT_CELLS = 80_000
 
 
@@ -198,22 +200,12 @@ class RowProduct:
 def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None, apply) -> None:
     """Call ``apply(name, lo, hi, g)`` over the rows of every block, g being
     the gradient's rows lo:hi, computed first when it is a ``RowProduct``.
-    With more than one free lane, a block of ``SPLIT_CELLS`` or more is cut
-    into ``GRAD_ROWS``-aligned ranges, one per free lane, and the calling
-    thread takes the first range of each and every smaller block whole;
-    when no block is cut, every block is updated whole on the calling
-    thread. The updates are elementwise, so the bits do not depend on the
-    lane count."""
-
-    def rows(name, lo, hi):
-        g = grads[name]
-        return g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi]
-
+    A block of ``SPLIT_CELLS`` or more is cut into ``GRAD_ROWS``-aligned
+    ranges, one per free lane (the calling thread alone when ``lanes`` is
+    None); the calling thread takes the first range of each and every
+    smaller block whole. The updates are elementwise, so the bits do not
+    depend on the lane count."""
     count = 1 if lanes is None else lanes.free
-    if count == 1 or all(block.size < SPLIT_CELLS for block in params.values()):
-        for name, block in params.items():
-            apply(name, 0, len(block), rows(name, 0, len(block)))
-        return
     jobs: list[list[tuple[str, int, int]]] = [[] for _ in range(count)]
     for name, block in params.items():
         split = count if block.size >= SPLIT_CELLS else 1
@@ -222,57 +214,67 @@ def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | Non
 
     def work(lane_jobs):
         for name, lo, hi in lane_jobs:
-            apply(name, lo, hi, rows(name, lo, hi))
+            g = grads[name]
+            apply(name, lo, hi, g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi])
 
-    lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
+    if lanes is None:
+        work(jobs[0])
+    else:
+        lanes.run(functools.partial(work, lane_jobs) for lane_jobs in jobs if lane_jobs)
 
 
 class _Optimizer:
     """The batch flow Sgd and Adam share: both update a block elementwise,
     ``_apply`` a range of its rows at a time.
 
-    ``start`` hands one block's update to an idle lane as soon as the
-    block's gradient is final, while the caller still runs the rest of
-    backward. ``step`` updates every other block, on the lanes that no
-    started update holds, then collects the started updates. A batch's
-    first ``start``, or its ``step`` when nothing started, begins it
-    (``_begin``). ``collect`` waits for the started updates of a batch that
-    ends before its step.
+    ``start`` may take one block's update as soon as the block's gradient
+    is final and hand it to an idle lane, while the caller still runs the
+    rest of backward. ``step`` updates every other block, on the lanes that
+    the started update does not hold, then collects it. A batch's ``start``,
+    or its ``step`` when nothing started, begins it (``_begin``).
+    ``collect`` waits for the started update of a batch that ends before
+    its step.
     """
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self._started: dict[str, list] = {}  # block -> its update's ``Lanes.start`` result
+        self._early: tuple[str, list] | None = None  # block, its ``Lanes.start`` result
 
     def _begin(self, params: dict[str, np.ndarray]) -> None:
         """Ready the state the batch's updates read."""
 
     def start(self, params: dict[str, np.ndarray], name: str, grad: np.ndarray, scale: float,
-              lanes: kernel.Lanes) -> None:
+              lanes: kernel.Lanes) -> bool:
         """Scale ``grad`` by ``scale`` in place and update block ``name`` by
-        it, on an idle lane of ``lanes``; return without waiting. The batch's
-        ``step`` or ``collect`` waits for it. Only that lane touches the
-        block, its gradient and its optimizer state until then."""
-        if not self._started:
-            self._begin(params)
+        it, on an idle lane of ``lanes``; return True without waiting. The
+        batch's ``step`` or ``collect`` waits for it, and until then only
+        that lane touches the block, its gradient and its optimizer state.
+        A block of ``SPLIT_CELLS`` or more is not taken (False): the step
+        cuts it by rows across every lane, as it does without ``start``."""
+        if grad.size >= SPLIT_CELLS:
+            return False
+        self._begin(params)
 
         def update():
             np.multiply(grad, scale, out=grad)
             self._apply(params, name, 0, len(grad), grad)
 
-        self._started[name] = lanes.start([update])
+        self._early = name, lanes.start([update])
+        return True
 
     def step(self, params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | None = None) -> None:
-        """Update every block no ``start`` of this batch took by its gradient
-        in ``grads`` (the wx gradient may be a ``RowProduct``), on the free
+        """Update every block but the one ``start`` took by its gradient in
+        ``grads`` (the wx gradient may be a ``RowProduct``), on the free
         lanes of ``lanes`` or on the calling thread alone when it is None.
-        Then wait for the started updates; an exception of the caller's
-        updates is raised first, else one of a started update."""
-        if not self._started:
+        Then wait for the started update; an exception of the caller's
+        updates is raised first, else one of the started update."""
+        early = None
+        if self._early is None:
             self._begin(params)
+        else:
+            early = self._early[0]
         try:
-            _update_rows({name: block for name, block in params.items()
-                          if name not in self._started},
+            _update_rows({name: block for name, block in params.items() if name != early},
                          grads, lanes, functools.partial(self._apply, params))
         finally:
             error = self.collect(lanes)
@@ -280,10 +282,12 @@ class _Optimizer:
             raise error
 
     def collect(self, lanes: kernel.Lanes | None) -> BaseException | None:
-        """Wait for the batch's started updates to end and return the first
-        one's exception, or None."""
-        started, self._started = self._started, {}
-        return lanes.collect(sum(started.values(), [])) if started else None
+        """Wait for the batch's started update to end and return its
+        exception, or None."""
+        if self._early is None:
+            return None
+        (_, started), self._early = self._early, None
+        return lanes.collect(started)
 
 
 class Sgd(_Optimizer):
@@ -374,9 +378,9 @@ def _batch_gradients(
     the subjects came in. The wx gradient is a ``RowProduct`` that the
     optimizer step computes. The conv scorer's wc gradient is a grid of
     ``workspace`` (fresh when it is None), valid until its next batch.
-    ``ready(name, grad)``, when given, takes each block that
+    ``ready(name, grad)``, when given, is offered each block that
     ``scoring.backward`` finishes early, with its gradient summed over the
-    batch; that block is left out of the result.
+    batch; a block it takes (returning True) is left out of the result.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     codes, cache, dpsi = scored
@@ -400,8 +404,8 @@ def train_epoch(
     same workspace to keep its grids; without one the epoch makes its own.
     The optimizer steps run on ``lanes``, opened by the caller, or on the
     calling thread alone when it is None. With ``lanes``, a block that
-    backward finishes early (conve's wc) starts its update on an idle lane
-    while backward goes on, and the step collects it.
+    backward finishes early (conve's wc, below ``SPLIT_CELLS``) starts its
+    update on an idle lane while backward goes on, and the step collects it.
 
     A non-finite loss stops the epoch before its batch is differentiated,
     so the batch updates no block, naming the batch and its first such

@@ -314,13 +314,13 @@ def test_a_worker_exception_in_a_fit_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def conve_epoch(monkeypatch, lanes):
+def conve_epoch(monkeypatch, lanes, embed_dim=25, channels=3):
     """A conve model, its epoch of hasFinding batches, and ``lanes`` lanes."""
     tr_feat, tr_ann, _, _ = synth_folds()
     kg = build_radkg(tr_ann, UncertainPolicy.AS_POSITIVE)
     batches = make_batches(kg, tr_feat, TrainConfig(batch_size=16, seed=0))
     pin_cpus_and_blas(monkeypatch, lanes, {"OPENBLAS_NUM_THREADS": "1"})
-    return init_model("conve", 8, 25, 4, channels=3, seed=0), batches
+    return init_model("conve", 8, embed_dim, 4, channels=channels, seed=0), batches
 
 
 @pytest.mark.parametrize("kind", [Adam, Sgd])
@@ -345,6 +345,30 @@ def test_a_conve_step_starts_wc_on_a_worker_once_per_batch(monkeypatch, kind):
     assert threads.count(("wc", False)) == len(batches)
     assert {name for name, main in threads if main} == {"wx", "ef", "er", "kernels"}
     train_epoch(alone, batches, kind(0.01))
+    assert model == alone
+
+
+def test_a_conve_wc_of_split_cells_or_more_is_cut_by_rows_in_the_step(monkeypatch):
+    """A 640 x 144 wc is not started early: on 3 lanes the step cuts its
+    update into one aligned row range per lane, as it cuts any large block,
+    and the bits are those of the calling thread alone."""
+    model, batches = conve_epoch(monkeypatch, 3, embed_dim=144, channels=4)
+    assert model.wc.size >= SPLIT_CELLS
+    alone = model.copy()
+    ranges, apply = [], Adam._apply
+
+    def traced(self, params, name, lo, hi, g):
+        if name == "wc":
+            ranges.append((lo, hi, threading.current_thread()))
+        apply(self, params, name, lo, hi, g)
+
+    monkeypatch.setattr(Adam, "_apply", traced)
+    with kernel.Lanes() as lanes, np.errstate(over="raise", invalid="raise"):
+        train_epoch(model, batches[:1], Adam(0.01), kernel.Workspace(), lanes)
+    assert sorted((lo, hi) for lo, hi, _ in ranges) == list(kernel.ranges(640, GRAD_ROWS, 3))
+    assert len({thread for *_, thread in ranges}) == 3
+    assert [lo for lo, _, thread in ranges if thread is threading.main_thread()] == [0]
+    train_epoch(alone, batches[:1], Adam(0.01))
     assert model == alone
 
 
