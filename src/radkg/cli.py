@@ -16,6 +16,7 @@ that fails writes none of its outputs.
 from __future__ import annotations
 
 import argparse
+import collections
 import math
 import os
 import sys
@@ -229,8 +230,6 @@ def join_values(argv: list[str]) -> list[str]:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
     try:
         for lineno, text in data_lines(path):
@@ -238,7 +237,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text.strip()!r}")
             values[key.strip().replace("-", "_")] = value.strip()
-    except ParseError as exc:
+    except (ParseError, OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(str(exc)) from None
     return values
 
@@ -250,8 +249,8 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict[str, ob
     """Merge defaults, config file, and explicit flags, then convert."""
     opts = COMMAND_OPTS[command]
     given = vars(namespace)
-    config_path = given.get("config") or os.environ.get("RADKG_CONFIG")
-    file_values = _load_config_file(config_path) if config_path else {}
+    config_path = given.get("config", os.environ.get("RADKG_CONFIG") or None)
+    file_values = _load_config_file(config_path) if config_path is not None else {}
     for key in file_values:
         if key not in _ALL_KEYS:
             raise UsageError(f"unknown config key {key!r}")
@@ -284,14 +283,10 @@ def _render(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, UncertainPolicy):
+    if isinstance(value, (UncertainPolicy, RelationKind)):
         return value.value
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(_render(v) for v in value)
-    if isinstance(value, list):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, RelationKind):
-        return value.value
     return str(value)
 
 
@@ -455,6 +450,9 @@ def _cmd_eval(cfg: dict, echo: list[str]) -> int:
 def _cmd_predict(cfg: dict, echo: list[str]) -> int:
     if cfg["ids"] == []:
         raise ValueError("--ids: empty image id list (none selects every row)")
+    twice = next((i for i, count in collections.Counter(cfg["ids"] or ()).items() if count > 1), None)
+    if twice is not None:
+        raise ValueError(f"--ids: image id {twice!r} is named twice")
     model, metadata, features = _load_scorer(cfg)
     selected = features.select(cfg["ids"]) if cfg["ids"] is not None else features
     finding_names = split_csv_line(metadata["findings"]) if "findings" in metadata else []
@@ -501,7 +499,7 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_options(namespace.command, namespace)
         for opt in COMMAND_OPTS[namespace.command]:
-            if opt.name.partition("-")[0] == "out" and (opt.required or resolved[opt.key]):
+            if opt.name.startswith("out") and resolved[opt.key] is not None:
                 check_target(resolved[opt.key])
         echo = echo_lines(namespace.command, resolved)
         return _RUNNERS[namespace.command](resolved, echo)

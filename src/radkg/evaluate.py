@@ -38,23 +38,26 @@ DISTMULT_CHUNK = 512
 @dataclass
 class Predictions:
     """Scores of every image against every finding: row i of the (m, n)
-    grids ``psi`` and ``p = sigmoid(psi)`` belongs to ``image_ids[i]``."""
+    grid ``psi`` belongs to ``image_ids[i]``."""
 
     image_ids: list[str]
     psi: np.ndarray
-    p: np.ndarray
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        """sigmoid(psi), taken on the first read and kept."""
+        return kernel.sigmoid(self.psi)
 
     def __len__(self) -> int:
         return len(self.image_ids)
 
 
 def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
-    """Score (image, hasFinding, F_j) for every row of a feature table and
-    apply the sigmoid, a chunk of rows at a time, on every usable CPU that
-    the BLAS's own threads leave idle: the shared ``kernel.Lanes``, opened
-    for this call, each lane taking one ``kernel.ranges`` range of at least
-    two chunks. psi and p are the same bit for bit at any CPU count; both
-    are views of (n, m) grids.
+    """Score (image, hasFinding, F_j) for every row of a feature table, a
+    chunk of rows at a time, on every usable CPU that the BLAS's own threads
+    leave idle: the shared ``kernel.Lanes``, opened for this call, each lane
+    taking one ``kernel.ranges`` range of at least two chunks. psi is the
+    same bit for bit at any CPU count, a view of an (n, m) grid.
 
     distmult's psi = ((c @ wx) * r) @ ef.T equals (((ef * r) @ wx.T) @ c.T).T
     up to rounding. Folding that (n, D) map once costs less than scoring n
@@ -73,7 +76,6 @@ def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     r = model.er[model.relation_index(RelationKind.HAS_FINDING)]
     codes = features.codes
     psi_t = np.empty((model.n_findings, len(codes)))
-    p_t = np.empty_like(psi_t)
     if model.scorer == "distmult":
         fold, chunk = (model.ef * r) @ model.wx.T, DISTMULT_CHUNK
 
@@ -85,13 +87,12 @@ def predict_table(model: scoring.EmbeddingModel, features) -> Predictions:
     def score(lo: int, hi: int) -> None:
         for start in range(lo, hi, chunk):
             rows(codes[start:start + chunk], psi_t[:, start:start + chunk])
-        p_t[:, lo:hi] = kernel.sigmoid(psi_t[:, lo:hi])
 
     chunks = -(-len(codes) // chunk)
     with kernel.Lanes() as lanes:
         lanes.run(functools.partial(score, lo, hi)
                   for lo, hi in kernel.ranges(len(codes), chunk, min(lanes.count, chunks // 2)))
-    return Predictions(list(features.image_ids), psi_t.T, p_t.T)
+    return Predictions(list(features.image_ids), psi_t.T)
 
 
 def _conve_rows(model: scoring.EmbeddingModel, r: np.ndarray):
@@ -262,7 +263,7 @@ def write_predictions(
 ) -> None:
     """Prediction CSV: probabilities to 6 decimals, binary label columns
     appended when a threshold is given."""
-    width = predictions.p.shape[1]
+    width = predictions.psi.shape[1]
     if width != len(finding_names):
         raise ValueError(f"predictions have {width} findings, expected {len(finding_names)}")
     row_format = "%s" + ",%.6f" * width

@@ -516,14 +516,14 @@ def reference_sigmoid(x):
 
 def reference_predict_table(model, features):
     """``predict_table`` for both scorers: PREDICT_CHUNK rows per batched
-    ``scoring.forward`` call, then ``reference_sigmoid``."""
+    ``scoring.forward`` call."""
     ridx = model.relation_index(RelationKind.HAS_FINDING)
     psi = np.empty((features.m, model.n_findings))
     for start in range(0, features.m, evaluate.PREDICT_CHUNK):
         codes = features.codes[start:start + evaluate.PREDICT_CHUNK]
         psi[start:start + len(codes)], _ = scoring.forward(
             model, codes @ model.wx, np.full(len(codes), ridx))
-    return evaluate.Predictions(list(features.image_ids), psi, reference_sigmoid(psi))
+    return evaluate.Predictions(list(features.image_ids), psi)
 
 
 def abs_scores(model, codes):

@@ -32,8 +32,7 @@ def _features(ids):
 
 
 def _predictions(ids):
-    p = np.full((len(ids), 2), 0.25)
-    return Predictions(ids, p, p)
+    return Predictions(ids, np.zeros((len(ids), 2)))
 
 
 WRITERS = {

@@ -80,13 +80,13 @@ def checkpoint_case(tmp_path, monkeypatch):
 
 def predictions_case(tmp_path, monkeypatch):
     path = tmp_path / "predictions.csv"
-    p = np.full((3, 2), 0.25)
+    psi = np.zeros((3, 2))
 
     def failing():
         with pytest.raises(UnicodeEncodeError):
-            write_predictions(Predictions(["a", "b", BAD], p, p), ["f0", "f1"], path)
+            write_predictions(Predictions(["a", "b", BAD], psi), ["f0", "f1"], path)
 
-    return path, lambda: write_predictions(Predictions(["a", "b", "c"], p, p), ["f0", "f1"], path), failing
+    return path, lambda: write_predictions(Predictions(["a", "b", "c"], psi), ["f0", "f1"], path), failing
 
 
 def _cli_case(tmp_path, monkeypatch, command, out_option, out_name):

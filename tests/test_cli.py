@@ -773,6 +773,25 @@ def test_config_file_from_environment(tmp_path, monkeypatch):
     assert load_features(tmp_path / "f.csv").m == 6
 
 
+@pytest.mark.parametrize("env", ["set", "unset"])
+def test_an_empty_config_path_is_a_usage_error_whatever_radkg_config_holds(
+        workspace, tmp_path, monkeypatch, capsys, env):
+    """``--config ''`` names no file; it does not fall through to RADKG_CONFIG."""
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("policy = negative\n")
+    if env == "set":
+        monkeypatch.setenv("RADKG_CONFIG", str(cfg))
+    else:
+        monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli(["build-kg", "--config", "", "--annotations", str(workspace / "annotations.csv"),
+                  "--out", str(out / "graph.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "radkg: [Errno 2] No such file or directory: ''\n"
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wat = 1\n")
@@ -1033,6 +1052,80 @@ def test_writing_commands_end_in_an_exit_code_for_hostile_values_however_they_ar
     sweep_spellings(tmp_path, capsys, option, values, argv)
 
 
+#: Every command's path options: those it reads, then those it writes.
+PATH_OPTIONS = {
+    "synth": ((), ("out-features", "out-annotations")),
+    "build-kg": (("annotations",), ("out",)),
+    "train": (("features", "annotations"), ("out-checkpoint", "out-history")),
+    "eval": (("checkpoint", "features", "annotations"), ("out",)),
+    "predict": (("checkpoint", "features"), ("out",)),
+    "gradcheck": ((), ()),
+}
+
+
+def path_argv(workspace, command, option, out):
+    """A command line of ``command`` that would succeed, writing into ``out``,
+    without ``option``."""
+    given = {"features": workspace / "features.csv", "annotations": workspace / "annotations.csv",
+             "checkpoint": workspace / "model.rkg", "out": out / "o.csv",
+             "out-features": out / "f.csv", "out-annotations": out / "a.csv",
+             "out-checkpoint": out / "m.rkg", "out-history": out / "h.csv"}
+    reads, writes = PATH_OPTIONS[command]
+    sizes = {"synth": ["--m", "5", "--n", "2", "--dim", "2"],
+             "train": ["--epochs", "1", "--embed-dim", "4"],
+             "gradcheck": ["--dim", "2", "--embed-dim", "2", "--n", "2", "--trials", "1"]}
+    return [command, *sizes.get(command, []),
+            *(token for name in (*reads, *writes) if name != option
+              for token in (f"--{name}", str(given[name])))]
+
+
+@pytest.mark.parametrize("command, option", [
+    *((command, option) for command, (reads, writes) in PATH_OPTIONS.items()
+      for option in (*reads, *writes)),
+    *((command, "config") for command in PATH_OPTIONS),
+])
+def test_a_bad_path_ends_in_one_line_and_the_same_exit_code_however_it_is_spelled(
+        workspace, tmp_path, monkeypatch, capsys, command, option):
+    """A path option given a missing file (read options), a directory, an
+    empty string, a path under a missing directory, a path holding a NUL
+    byte, or a file that is not UTF-8 (read options), as ``--x v``, ``--x=v``
+    or a config-file line, exits 1 or 2 whatever the spelling, in one
+    ``radkg: `` line with no traceback, and leaves no file behind."""
+    monkeypatch.delenv("RADKG_CONFIG", raising=False)
+    reads = option == "config" or option in PATH_OPTIONS[command][0]
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(b"id,f0\n\xe9,1\n# \xff\n")
+    values = {"directory": tmp_path / "dir", "empty": "", "under a missing directory":
+              tmp_path / "nodir" / "x.csv", "NUL byte": f"{tmp_path}/x\0.csv"}
+    if reads:
+        values.update({"missing file": tmp_path / "missing.csv",
+                       "not UTF-8": tmp_path / "latin1.csv"})
+    before = sorted(tmp_path.rglob("*"))
+    for number, (what, value) in enumerate(values.items()):
+        config = tmp_path / f"{number}.cfg"
+        config.write_text(f"{option} = {value}\n", encoding="utf-8")
+        spellings = [[f"--{option}", str(value)], [f"--{option}={value}"]]
+        if option != "config":
+            spellings.append(["--config", str(config)])
+        codes = []
+        for spelling in spellings:
+            out = tmp_path / f"out-{number}-{len(codes)}"
+            out.mkdir()
+            monkeypatch.chdir(out)
+            rc = run_cli([*path_argv(workspace, command, option, out), *spelling])
+            captured = capsys.readouterr()
+            case = (what, spelling, captured.err)
+            assert rc in (1, 2), case
+            assert "Traceback" not in captured.out + captured.err, case
+            assert len(captured.err.splitlines()) == 1 and captured.err.startswith("radkg: "), case
+            assert list(out.iterdir()) == [], case
+            codes.append(rc)
+        assert len(set(codes)) == 1, (what, codes)
+        config.unlink()
+    monkeypatch.chdir(tmp_path)
+    assert sorted(path for path in tmp_path.rglob("*") if not path.name.startswith("out-")) == before
+
+
 @pytest.mark.parametrize("ids", ["", ","])
 def test_predict_refuses_an_empty_id_list_before_reading_the_checkpoint(
         workspace, tmp_path, monkeypatch, capsys, ids):
@@ -1048,6 +1141,21 @@ def test_predict_refuses_an_empty_id_list_before_reading_the_checkpoint(
     assert captured.err == "radkg: --ids: empty image id list (none selects every row)\n"
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("ids, twice", [("img00001,img00001", "img00001"),
+                                        ("a,b,c,b,a", "a"), ("x, y,y ", "y")])
+def test_predict_refuses_a_repeated_id_before_reading_the_checkpoint(
+        workspace, tmp_path, monkeypatch, capsys, ids, twice):
+    def no_checkpoint(path):
+        raise AssertionError("read the checkpoint")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_checkpoint)
+    rc = run_cli(["predict", "--checkpoint", str(workspace / "model.rkg"),
+                  "--features", str(workspace / "features.csv"),
+                  "--out", str(tmp_path / "p.csv"), "--ids", ids])
+    assert rc == 2
+    assert capsys.readouterr().err == f"radkg: --ids: image id {twice!r} is named twice\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def eval_rows(workspace, capsys, *extra, checkpoint=None):

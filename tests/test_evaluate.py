@@ -36,15 +36,17 @@ from radkg.artifacts import data_lines as _data_lines, split_csv_line as _split_
 from radkg.kg import relation_grid
 
 
-def row(image_id, p, psi=None):
-    """One (image_id, p, psi) row; psi defaults to p."""
-    return image_id, p, p if psi is None else psi
-
-
 def grid(*rows):
-    """``Predictions`` stacked from ``row``s."""
-    ids, p, psi = zip(*rows)
-    return Predictions(list(ids), np.array(psi, dtype=np.float64), np.array(p, dtype=np.float64))
+    """``Predictions`` stacked from ``(image_id, psi)`` rows."""
+    ids, psi = zip(*rows)
+    return Predictions(list(ids), np.array(psi, dtype=np.float64))
+
+
+def logit(p):
+    """Scores whose sigmoids are ``p`` up to rounding; logit(0.5) is 0.0
+    exactly, whose sigmoid is 0.5 exactly."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p) - np.log1p(-p)
 
 
 # ---------------------------------------------------------------- auc
@@ -197,16 +199,27 @@ def test_conve_predict_table_matches_the_chunked_forward():
         assert np.array_equal(got.p, reference_sigmoid(got.psi))
 
 
-def trace_sigmoid_threads(monkeypatch):
-    """A list that each ``kernel.sigmoid`` call appends its thread to; every
-    range of a table calls it once."""
-    threads, sigmoid = [], kernel.sigmoid
+def wrap_range_tasks(monkeypatch, wrap):
+    """Make ``kernel.Lanes.run`` call ``wrap(task)`` in place of each range
+    task it receives, in the thread that runs that task."""
+    run = kernel.Lanes.run
 
-    def traced(x):
+    def wrapped(self, tasks):
+        return run(self, [lambda task=task: wrap(task) for task in tasks])
+
+    monkeypatch.setattr(kernel.Lanes, "run", wrapped)
+
+
+def trace_range_threads(monkeypatch):
+    """A list that each range task of a table appends its thread to as it
+    runs."""
+    threads = []
+
+    def traced(task):
         threads.append(threading.current_thread())
-        return sigmoid(x)
+        return task()
 
-    monkeypatch.setattr(kernel, "sigmoid", traced)
+    wrap_range_tasks(monkeypatch, traced)
     return threads
 
 
@@ -227,7 +240,7 @@ def test_a_table_is_bitwise_the_same_on_every_cpu_count(monkeypatch, scorer):
     min(CPUs, c // 2) threads."""
     make_model, chunk, sizes = LANE_CASES[scorer]
     model, rng = make_model(), np.random.default_rng(6)
-    threads = trace_sigmoid_threads(monkeypatch)
+    threads = trace_range_threads(monkeypatch)
     for m in sizes:
         features = FeatureTable([f"i{i}" for i in range(m)], rng.normal(size=(m, 16)))
         tables = []
@@ -253,7 +266,7 @@ def test_a_table_takes_a_lane_per_two_chunks_up_to_the_lanes_there_are(monkeypat
     m = chunks * getattr(evaluate, chunk)
     features = FeatureTable([f"i{i}" for i in range(m)],
                             np.random.default_rng(9).normal(size=(m, 16)))
-    threads = trace_sigmoid_threads(monkeypatch)
+    threads = trace_range_threads(monkeypatch)
     pin_cpus_and_blas(monkeypatch, 4, {"OPENBLAS_NUM_THREADS": "1"})
     predict_table(make_model(), features)
     assert len(threads) == len(set(threads)) == min(4, max(1, chunks // 2))
@@ -279,7 +292,7 @@ def test_a_table_leaves_the_blas_threads_their_cpus(monkeypatch, scorer, env, cp
     m = 8 * getattr(evaluate, chunk)
     features = FeatureTable([f"i{i}" for i in range(m)],
                             np.random.default_rng(8).normal(size=(m, 16)))
-    threads = trace_sigmoid_threads(monkeypatch)
+    threads = trace_range_threads(monkeypatch)
     pin_cpus_and_blas(monkeypatch, cpus, env)
     predict_table(make_model(), features)
     assert len(threads) == len(set(threads)) == lanes
@@ -297,17 +310,44 @@ def test_a_failing_range_raises_in_the_caller_and_leaves_no_thread(monkeypatch, 
     before = threading.active_count()
     predict_table(model, features)
     assert threading.active_count() == before
-    sigmoid = kernel.sigmoid
 
-    def failing_in_workers(x):
+    def failing_in_workers(task):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("worker range")
-        return sigmoid(x)
+        return task()
 
-    monkeypatch.setattr(kernel, "sigmoid", failing_in_workers)
+    wrap_range_tasks(monkeypatch, failing_in_workers)
     with pytest.raises(MemoryError, match="worker range"):
         predict_table(model, features)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scorer", sorted(LANE_CASES))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_table_takes_its_sigmoid_once_and_only_when_p_is_read(monkeypatch, scorer, cpus):
+    """``predict_table`` stores scores only: no range calls ``kernel.sigmoid``.
+    The first read of ``p`` calls it once, on psi, and later reads return
+    that same array."""
+    make_model, chunk, _ = LANE_CASES[scorer]
+    m = 4 * getattr(evaluate, chunk) + 1
+    features = FeatureTable([f"i{i}" for i in range(m)],
+                            np.random.default_rng(4).normal(size=(m, 16)))
+    pin_cpus_and_blas(monkeypatch, cpus, {"OPENBLAS_NUM_THREADS": "1"})
+    calls, sigmoid = [], kernel.sigmoid
+
+    def counted(x):
+        calls.append(x)
+        return sigmoid(x)
+
+    monkeypatch.setattr(kernel, "sigmoid", counted)
+    threads = trace_range_threads(monkeypatch)
+    table = predict_table(make_model(), features)
+    assert len(set(threads)) == cpus
+    assert calls == []
+    p = table.p
+    assert len(calls) == 1 and calls[0] is table.psi
+    assert p.tobytes() == sigmoid(table.psi).tobytes()
+    assert table.p is p and len(calls) == 1
 
 
 def test_classify_strict_threshold():
@@ -325,10 +365,10 @@ def test_classify_strict_threshold():
 def test_macro_auc_simple_mean():
     truth = make_table([[1, 0], [0, 1], [1, 1], [0, 0]])
     rows = grid(
-        row("img0", [0.9, 0.1]),
-        row("img1", [0.2, 0.8]),
-        row("img2", [0.8, 0.7]),
-        row("img3", [0.1, 0.2]),
+        ("img0", [0.9, 0.1]),
+        ("img1", [0.2, 0.8]),
+        ("img2", [0.8, 0.7]),
+        ("img3", [0.1, 0.2]),
     )
     report = macro_auc(rows, truth)
     assert report.auc == [1.0, 1.0]
@@ -338,7 +378,7 @@ def test_macro_auc_simple_mean():
 
 def test_macro_auc_skips_undefined_findings():
     truth = make_table([[1, 1], [0, 1]])  # second finding: all positive
-    rows = grid(row("img0", [0.9, 0.5]), row("img1", [0.1, 0.5]))
+    rows = grid(("img0", [0.9, 0.5]), ("img1", [0.1, 0.5]))
     report = macro_auc(rows, truth)
     assert report.auc == [1.0, None]
     assert report.macro == 1.0
@@ -346,13 +386,13 @@ def test_macro_auc_skips_undefined_findings():
 
 def test_macro_auc_all_undefined_is_none():
     truth = make_table([[1, 1]])
-    report = macro_auc(grid(row("img0", [0.9, 0.5])), truth)
+    report = macro_auc(grid(("img0", [0.9, 0.5])), truth)
     assert report.macro is None
 
 
 def test_macro_auc_policy_changes_truth():
     truth = make_table([[-1, 0], [0, 1]])
-    rows = grid(row("img0", [0.9, 0.1]), row("img1", [0.1, 0.9]))
+    rows = grid(("img0", [0.9, 0.1]), ("img1", [0.1, 0.9]))
     as_pos = macro_auc(rows, truth, UncertainPolicy.AS_POSITIVE)
     as_neg = macro_auc(rows, truth, UncertainPolicy.AS_NEGATIVE)
     assert as_pos.auc[0] == 1.0      # uncertain counts as positive
@@ -364,13 +404,14 @@ def test_macro_auc_policy_changes_truth():
 def test_macro_auc_uses_raw_scores_not_probabilities():
     # identical probabilities but distinct psi: ranking comes from psi
     truth = make_table([[1], [0]])
-    rows = grid(row("img0", [0.5], psi=[2.0]), row("img1", [0.5], psi=[1.0]))
+    rows = grid(("img0", [900.0]), ("img1", [800.0]))
+    assert rows.p.tolist() == [[1.0], [1.0]]
     assert macro_auc(rows, truth).auc == [1.0]
 
 
 def test_macro_auc_finding_subset():
     truth = make_table([[1, 0, 1], [0, 1, 0]])
-    rows = grid(row("img0", [0.9, 0.1, 0.9]), row("img1", [0.1, 0.9, 0.2]))
+    rows = grid(("img0", [0.9, 0.1, 0.9]), ("img1", [0.1, 0.9, 0.2]))
     report = macro_auc(rows, truth, findings=["f2", "f0"])
     assert report.finding_names == ["f2", "f0"]
     assert report.auc == [1.0, 1.0]
@@ -381,7 +422,7 @@ def test_macro_auc_finding_subset():
 def test_macro_auc_refuses_a_finding_named_twice():
     """A repeated name would count its AUC twice in the macro mean."""
     truth = make_table([[1, 0, 1], [0, 1, 0]])
-    rows = grid(row("img0", [0.9, 0.1, 0.9]), row("img1", [0.1, 0.9, 0.2]))
+    rows = grid(("img0", [0.9, 0.1, 0.9]), ("img1", [0.1, 0.9, 0.2]))
     with pytest.raises(ValueError, match="finding 'f0' is named twice"):
         macro_auc(rows, truth, findings=["f0", "f0", "f1"])
     with pytest.raises(ValueError, match="finding 'f2' is named twice"):
@@ -391,23 +432,24 @@ def test_macro_auc_refuses_a_finding_named_twice():
 @pytest.mark.parametrize("policy", list(UncertainPolicy))
 def test_macro_auc_matches_a_per_finding_loop(rng, policy):
     """The report's column sums equal counts taken one finding and one row at
-    a time, on shuffled rows with extra ids, ties, subsets and m=0."""
+    a time, on shuffled rows with extra ids, ties, subsets and m=0. psi = 0
+    has p = 0.5 exactly, a tie with the threshold."""
     for m in (0, 1, 7, 40):
         truth = random_table(rng, m, 5, uncertain=True, unmentioned=True)
         ids = list(rng.permutation(truth.image_ids + ["x0", "x1", "x2"]))
         psi = rng.integers(-2, 3, size=(len(ids), 5)).astype(np.float64)
-        rows = Predictions(ids, psi, rng.integers(0, 6, size=psi.shape) / 5.0)
+        rows = Predictions(ids, psi)
         at = [ids.index(i) for i in truth.image_ids]
         y = relation_grid(truth, policy)
         for findings in (None, ["f3", "f0"], ["f1"]):
-            report = macro_auc(rows, truth, policy, findings=findings, tau=0.6)
+            report = macro_auc(rows, truth, policy, findings=findings, tau=0.5)
             names = findings or truth.finding_names
             assert report.finding_names == names
             aucs = []
             for k, name in enumerate(names):
                 j = truth.finding_names.index(name)
                 labels = [bool(y[r, j]) for r in range(m)]
-                above = [rows.p[a, j] > 0.6 for a in at]
+                above = [rows.p[a, j] > 0.5 for a in at]
                 pos = sum(labels)
                 tp = sum(a and t for a, t in zip(above, labels))
                 tn = sum(not a and not t for a, t in zip(above, labels))
@@ -424,11 +466,11 @@ def test_macro_auc_matches_rows_by_id():
     """Prediction rows in another order, plus rows truth does not list."""
     truth = make_table([[1, 0], [0, 1], [1, 1], [0, 0]])
     rows = grid(
-        row("extra", [0.0, 1.0]),
-        row("img3", [0.1, 0.2]),
-        row("img2", [0.8, 0.7]),
-        row("img1", [0.2, 0.8]),
-        row("img0", [0.9, 0.1]),
+        ("extra", [-5.0, 5.0]),
+        ("img3", [-0.4, -0.3]),
+        ("img2", [0.3, 0.2]),
+        ("img1", [-0.3, 0.3]),
+        ("img0", [0.4, -0.4]),
     )
     report = macro_auc(rows, truth, tau=0.5)
     assert report.auc == [1.0, 1.0]
@@ -438,8 +480,8 @@ def test_macro_auc_matches_rows_by_id():
 def test_macro_auc_id_matching_errors():
     truth = make_table([[1], [0]])
     with pytest.raises(ValueError):
-        macro_auc(grid(row("img0", [0.9])), truth)  # img1 missing
-    rows = grid(row("img0", [0.9]), row("img0", [0.8]))
+        macro_auc(grid(("img0", [0.9])), truth)  # img1 missing
+    rows = grid(("img0", [0.9]), ("img0", [0.8]))
     with pytest.raises(ValueError):
         macro_auc(rows, truth)
 
@@ -447,10 +489,10 @@ def test_macro_auc_id_matching_errors():
 def test_macro_auc_threshold_metrics():
     truth = make_table([[1], [1], [0], [0]])
     rows = grid(
-        row("img0", [0.9]),
-        row("img1", [0.4]),
-        row("img2", [0.6]),
-        row("img3", [0.1]),
+        ("img0", logit([0.9])),
+        ("img1", logit([0.4])),
+        ("img2", logit([0.6])),
+        ("img3", logit([0.1])),
     )
     report = macro_auc(rows, truth, tau=0.5)
     assert report.sensitivity == [0.5]   # one of two positives above tau
@@ -461,7 +503,7 @@ def test_macro_auc_threshold_metrics():
 @pytest.mark.parametrize("tau", [1.5, 0.0, 1.0, -0.1, float("nan")])
 def test_macro_auc_rejects_threshold_outside_unit_interval(tau):
     truth = make_table([[1], [0]])
-    rows = grid(row("img0", [0.9]), row("img1", [0.1]))
+    rows = grid(("img0", [0.9]), ("img1", [0.1]))
     with pytest.raises(ValueError, match=r"threshold must be inside \(0, 1\)"):
         macro_auc(rows, truth, tau=tau)
 
@@ -522,7 +564,7 @@ def test_format_report_with_threshold_columns():
 
 
 def test_write_predictions_round_trip(tmp_path):
-    rows = grid(row("img0", [0.25, 0.75]), row("img1", [0.6, 0.4]))
+    rows = grid(("img0", logit([0.25, 0.75])), ("img1", logit([0.6, 0.4])))
     path = tmp_path / "pred.csv"
     write_predictions(rows, ["a", "b"], path, tau=0.5,
                       comments=["command = predict"])
@@ -535,22 +577,22 @@ def test_write_predictions_round_trip(tmp_path):
 
 def test_write_predictions_without_threshold(tmp_path):
     path = tmp_path / "pred.csv"
-    write_predictions(grid(row("img0", [0.5])), ["a"], path)
+    write_predictions(grid(("img0", [0.5])), ["a"], path)
     assert path.read_text().splitlines()[0] == "id,a"
 
 
 @pytest.mark.parametrize("tau", [None, 0.5, 0.25])
 def test_write_predictions_matches_per_row_writer(tmp_path, rng, tau):
-    p = rng.random((23, 5))
-    p[3, 1] = p[7, 4] = 0.5                      # at the threshold: label 0
-    p[5, 2], p[9, 0] = 0.1234565, 0.9999996      # six-decimal rounding edges
-    p[11] = [0.0, 1.0, 0.25, 1e-12, 1.0 - 1e-12]
-    predictions = Predictions([f"img{i:03d}" for i in range(23)], p.copy(), p)
+    psi = logit(rng.random((23, 5)))
+    psi[3, 1] = psi[7, 4] = 0.0                       # p = 0.5, at the threshold: label 0
+    psi[5, 2], psi[9, 0] = logit([0.1234565, 0.9999996])  # six-decimal rounding edges
+    psi[11] = [-800.0, 800.0, *logit([0.25, 1e-12, 1.0 - 1e-12])]  # p = 0.0 and 1.0 exactly
+    predictions = Predictions([f"img{i:03d}" for i in range(23)], psi)
     names = [f"f{j}" for j in range(5)]
     comments = ["command = predict", "tau = x"]
     write_predictions(predictions, names, tmp_path / "grid.csv", tau=tau, comments=comments)
-    reference_write_predictions(zip(predictions.image_ids, p), names, tmp_path / "rows.csv",
-                                tau=tau, comments=comments)
+    reference_write_predictions(zip(predictions.image_ids, reference_sigmoid(psi)), names,
+                                tmp_path / "rows.csv", tau=tau, comments=comments)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -559,9 +601,8 @@ def test_write_predictions_quotes_ids_that_need_it(tmp_path):
     reader: quoted as ``csv.writer`` quotes, and where the line would read as
     a comment. A plain id is written bare."""
     ids = [*QUOTED_IDS, "plain"]
-    p = np.full((len(ids), 2), 0.5)
     path = tmp_path / "pred.csv"
-    write_predictions(Predictions(ids, p, p), ["a", "b"], path, tau=0.25)
+    write_predictions(Predictions(ids, np.zeros((len(ids), 2))), ["a", "b"], path, tau=0.25)
     rows = [_split_csv_line(text) for _, text in _data_lines(path)]
     assert rows[0] == ["id", "a", "b", "a_label", "b_label"]
     assert rows[1:] == [[i, "0.500000", "0.500000", "1", "1"] for i in ids]
@@ -575,9 +616,8 @@ def test_finding_names_that_need_quoting_read_back_whole(tmp_path, tau):
     name would read as a comment is quoted too."""
     names = [*QUOTED_IDS, "plain"]
     n = len(names)
-    p = np.full((1, n), 0.5)
     path = tmp_path / "pred.csv"
-    write_predictions(Predictions(["img0"], p, p), names, path, tau=tau)
+    write_predictions(Predictions(["img0"], np.zeros((1, n))), names, path, tau=tau)
     header = _split_csv_line(next(_data_lines(path))[1])
     labels = [] if tau is None else [f"{name}_label" for name in names]
     assert header == ["id", *names, *labels]
@@ -593,7 +633,7 @@ def test_finding_names_that_need_quoting_read_back_whole(tmp_path, tau):
 
 def test_write_predictions_rejects_width_mismatch(tmp_path):
     with pytest.raises(ValueError):
-        write_predictions(grid(row("img0", [0.5, 0.5])), ["a"], tmp_path / "pred.csv")
+        write_predictions(grid(("img0", [0.5, 0.5])), ["a"], tmp_path / "pred.csv")
 
 
 def test_binary_truth_policies():

@@ -565,7 +565,7 @@ def test_train_returns_best_validation_model():
     assert 1 <= len(history) <= 8
     from radkg.evaluate import macro_auc
     psi = np.array([predict(best, code)[0] for code in va_feat.codes])
-    rows = Predictions(va_feat.image_ids, psi, sigmoid(psi))
+    rows = Predictions(va_feat.image_ids, psi)
     recomputed = macro_auc(rows, va_ann, UncertainPolicy.AS_POSITIVE).macro
     assert recomputed == max(h["val_auc"] for h in history)
 
