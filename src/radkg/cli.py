@@ -229,15 +229,21 @@ def join_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _check_nul(name: str, path: str, error) -> None:
+    if "\0" in path:  # which no file name can hold
+        raise error(f"--{name}: path {path!r} holds a NUL byte")
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    _check_nul("config", path, UsageError)
     try:
         for lineno, text in data_lines(path):
             key, sep, value = text.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text.strip()!r}")
             values[key.strip().replace("-", "_")] = value.strip()
-    except (ParseError, OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+    except (ParseError, OSError) as exc:
         raise UsageError(str(exc)) from None
     return values
 
@@ -499,8 +505,10 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_options(namespace.command, namespace)
         for opt in COMMAND_OPTS[namespace.command]:
-            if opt.name.startswith("out") and resolved[opt.key] is not None:
-                check_target(resolved[opt.key])
+            if opt.convert is str and not opt.choices and resolved[opt.key] is not None:  # a path
+                _check_nul(opt.name, resolved[opt.key], ValueError)
+                if opt.name.startswith("out"):
+                    check_target(resolved[opt.key])
         echo = echo_lines(namespace.command, resolved)
         return _RUNNERS[namespace.command](resolved, echo)
     except UsageError as exc:

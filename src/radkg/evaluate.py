@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, scoring
-from .artifacts import check_cells, comment_block, csv_cell, open_commented
+from .artifacts import ascii_digits, check_cells, comment_block, csv_cell, open_commented
 from .kg import AnnotationTable, RelationKind, UncertainPolicy, relation_grid
 
 #: Rows ``predict_table`` convolves at a time for the conv scorer. At D=128,
@@ -254,6 +254,15 @@ def format_report(report: EvalReport, echo=()) -> str:
     return comment_block(echo) + "\n".join(lines) + "\n"
 
 
+def _micros(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.6f"`` of probabilities p as integers times 1e6, and the mask of
+    plain cells, where they are sure: p in [0, 1] whose ``p * 1e6``, within
+    2**-34 of exact, is more than 1e-9 from a half (not 2**-7 or NaN)."""
+    scaled = p * 1e6
+    plain = (p >= 0) & (p <= 1) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9)
+    return np.rint(np.where(plain, scaled, 0)).astype(np.uint32), plain
+
+
 def write_predictions(
     predictions: Predictions,
     finding_names: list[str],
@@ -262,24 +271,35 @@ def write_predictions(
     comments=(),
 ) -> None:
     """Prediction CSV: probabilities to 6 decimals, binary label columns
-    appended when a threshold is given."""
+    appended when a threshold is given. Plain cells (``_micros``) fill 9-byte
+    ``,d.dddddd`` slots of a byte grid, labels ``,0``/``,1`` slots; a row
+    with any other cell is formatted with ``%``: the same bytes."""
     width = predictions.psi.shape[1]
     if width != len(finding_names):
         raise ValueError(f"predictions have {width} findings, expected {len(finding_names)}")
-    row_format = "%s" + ",%.6f" * width
-    p_rows = predictions.p.tolist()
-    label_rows = [()] * len(p_rows)
-    header = ["id", *finding_names]
+    p = predictions.p
+    m, header = len(p), ["id", *finding_names]
+    labels = np.empty((m, 0), np.int8)
     if tau is not None:
-        row_format += ",%d" * width
-        label_rows = classify(predictions.p, tau).tolist()
+        labels = classify(p, tau)
         header += [f"{name}_label" for name in finding_names]
-    row_format += "\n"
+    micros, plain = _micros(p)
+    grid = np.empty((m, 9 * width + 2 * labels.shape[1] + 1), np.uint8)
+    cells = grid[:, :9 * width].reshape(m, width, 9)
+    cells[:, :, 2:] = ascii_digits(micros.ravel(), 7).reshape(m, width, 7)
+    cells[:, :, 1] = cells[:, :, 2]
+    cells[:, :, [0, 2]] = np.frombuffer(b",.", np.uint8)
+    marks = grid[:, 9 * width:-1].reshape(m, labels.shape[1], 2)
+    marks[:, :, 0] = ord(",")
+    marks[:, :, 1] = labels + ord("0")
+    grid[:, -1] = ord("\n")
+    text, line = grid.tobytes().decode("ascii"), grid.shape[1]
+    tails = [text[start:start + line] for start in range(0, len(text), line)]
+    row_format = ",%.6f" * width + ",%d" * labels.shape[1] + "\n"
+    for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+        tails[i] = row_format % (*p[i].tolist(), *labels[i].tolist())
     check_cells(predictions.image_ids, "image id")
     check_cells(finding_names, "finding name")
     with open_commented(path, comments) as fh:
         fh.write(",".join(map(csv_cell, header)) + "\n")
-        fh.writelines(
-            row_format % (csv_cell(image_id, first=True), *p, *labels)
-            for image_id, p, labels in zip(predictions.image_ids, p_rows, label_rows)
-        )
+        fh.writelines(map(str.__add__, (csv_cell(i, first=True) for i in predictions.image_ids), tails))

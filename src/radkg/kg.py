@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import blocks, check_cells, csv_cell, id_cells, open_commented, read_id_header
+from .artifacts import ascii_digits, blocks, check_cells, csv_cell, id_cells, open_commented, read_id_header
 from .errors import ParseError
 
 
@@ -384,10 +384,19 @@ def write_annotations(annotations: AnnotationTable, path, comments: Sequence[str
 
 def write_kg(kg: KnowledgeGraph, path, comments: Sequence[str] = ()) -> None:
     """Serialize a graph as tab-separated ``Kind:index`` triple lines, sorted
-    by relation name, then subject index, then object index."""
+    by relation name, then subject index, then object index: rows of a byte
+    grid, each index padded to the widest, the pads then dropped by a mask."""
     with open_commented(path, [f"m = {kg.m}", f"n = {kg.n}", *comments]) as fh:
         for relation in sorted(RelationKind, key=lambda r: r.value):
-            middle = f"\t{relation.value}\t{EntityKind.FINDING.value}:"
-            subject = relation.subject_kind.value
-            fh.writelines(f"{subject}:{s}{middle}{o}\n"
-                          for s, o in np.argwhere(kg.grid(relation)).tolist())
+            subjects, objects = np.nonzero(kg.grid(relation))
+            head = f"{relation.subject_kind.value}:"
+            widths = [len(str(indices.max(initial=0))) for indices in (subjects, objects)]
+            template = f"{head}{'0' * widths[0]}\t{relation.value}\t{EntityKind.FINDING.value}:"
+            starts = [len(head), len(template)]
+            template += "0" * widths[1] + "\n"
+            lines = np.tile(np.frombuffer(template.encode("ascii"), np.uint8), (len(subjects), 1))
+            keep = np.ones(lines.shape, bool)
+            for indices, start, width in zip((subjects, objects), starts, widths):
+                lines[:, start:start + width] = ascii_digits(indices, width)
+                keep[:, start:start + width - 1] = indices[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+            fh.write(lines[keep].tobytes().decode("ascii"))

@@ -204,7 +204,7 @@ def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | Non
     ranges, one per free lane (the calling thread alone when ``lanes`` is
     None); the calling thread takes the first range of each and every
     smaller block whole. The updates are elementwise, so the bits do not
-    depend on the lane count."""
+    depend on the lane count. A FloatingPointError gets its block's name."""
     count = 1 if lanes is None else lanes.free
     jobs: list[list[tuple[str, int, int]]] = [[] for _ in range(count)]
     for name, block in params.items():
@@ -214,8 +214,12 @@ def _update_rows(params: dict[str, np.ndarray], grads, lanes: kernel.Lanes | Non
 
     def work(lane_jobs):
         for name, lo, hi in lane_jobs:
-            g = grads[name]
-            apply(name, lo, hi, g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi])
+            try:
+                g = grads[name]
+                apply(name, lo, hi, g.rows(lo, hi) if isinstance(g, RowProduct) else g[lo:hi])
+            except FloatingPointError as exc:
+                exc.block = name
+                raise
 
     if lanes is None:
         work(jobs[0])
@@ -256,8 +260,12 @@ class _Optimizer:
         self._begin(params)
 
         def update():
-            np.multiply(grad, scale, out=grad)
-            self._apply(params, name, 0, len(grad), grad)
+            try:
+                np.multiply(grad, scale, out=grad)
+                self._apply(params, name, 0, len(grad), grad)
+            except FloatingPointError as exc:
+                exc.block = name
+                raise
 
         self._early = name, lanes.start([update])
         return True
@@ -414,7 +422,7 @@ def train_epoch(
     is named by that check when the batch, scored again with the faults
     ignored, has a non-finite loss, else as the batch's forward or backward
     pass, as is one in backward, once a started update has ended; one in a
-    step, on any lane, names the optimizer step of its batch.
+    step, on any lane, names the optimizer step of its batch and its block.
     """
     workspace = kernel.Workspace() if workspace is None else workspace
     params = model.blocks()
@@ -451,7 +459,8 @@ def train_epoch(
         try:
             optimizer.step(params, grads, lanes)
         except FloatingPointError as exc:
-            raise TrainingDivergedError(f"{exc} in the optimizer step of batch {number}") from None
+            raise TrainingDivergedError(f"{exc} in the optimizer step of batch {number} "
+                                        f"on block {exc.block}") from None
     return model, (float(np.mean(np.concatenate(losses))) if losses else 0.0)
 
 

@@ -263,13 +263,12 @@ def mutate(data: bytes, rng) -> bytes:
 
 def edges(kg):
     """Every edge of a graph as a ``(relation, subject, object)`` index tuple,
-    read cell by cell from its grids."""
+    read row by row from its grids."""
     return {
         (relation, s, o)
         for relation in RelationKind
-        for s in range(kg.grid(relation).shape[0])
-        for o in range(kg.n)
-        if kg.grid(relation)[s, o]
+        for s, row in enumerate(kg.grid(relation))
+        for o in np.flatnonzero(row).tolist()
     }
 
 

@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import edge_counts, make_table
+from helpers import (
+    edge_counts, make_table, random_table, reference_write_kg, reference_write_predictions,
+)
 
-from radkg import UncertainPolicy, build_radkg, cli
+from radkg import UncertainPolicy, add_cooccurrence, build_radkg, cli, cooccurrence_matrix
 from radkg.encoders import FeatureTable, write_features
 from radkg.evaluate import EvalReport, Predictions, format_report, write_predictions
 from radkg.kg import write_annotations, write_kg
@@ -124,6 +126,25 @@ def test_a_cell_with_a_line_break_is_refused_before_the_file_is_opened(case, bad
     assert repr(bad) in str(info.value)
     assert path.read_text() == "earlier\n"
     assert _listing(tmp_path) == [Path("out.csv")]
+
+
+def test_the_writers_match_the_per_row_references_at_the_ingest_benchmark_shape(tmp_path, rng):
+    """A 10,000 x 14 prediction table, with and without a threshold, and a
+    10,000-image graph holding all three relations are written byte for
+    byte as the per-row reference writers write them."""
+    table = random_table(rng, 10000, 14, uncertain=True)
+    policy = UncertainPolicy.AS_SEPARATE_RELATION
+    graph = add_cooccurrence(build_radkg(table, policy), cooccurrence_matrix(table, policy))
+    assert all(graph.relation_counts().values())
+    write_kg(graph, tmp_path / "grid.tsv", comments=["policy = separate"])
+    reference_write_kg(graph, tmp_path / "rows.tsv", comments=["policy = separate"])
+    assert (tmp_path / "grid.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
+    predictions = Predictions(table.image_ids, rng.normal(size=(10000, 14)) * 4)
+    for tau in (None, 0.5):
+        write_predictions(predictions, table.finding_names, tmp_path / "grid.csv", tau=tau)
+        reference_write_predictions(zip(table.image_ids, predictions.p), table.finding_names,
+                                    tmp_path / "rows.csv", tau=tau)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), tau
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -937,6 +937,7 @@ def test_a_fit_whose_parameters_overflow_exits_3_in_one_line_and_writes_nothing(
     assert errors[0] == errors[1]
     assert errors[0].startswith("radkg: epoch 1: overflow encountered in ")
     assert " in the optimizer step of batch " in errors[0]
+    assert errors[0].endswith(" on block wx\n")
 
 
 # ---------------------------------------------------------------- option values
@@ -1090,7 +1091,8 @@ def test_a_bad_path_ends_in_one_line_and_the_same_exit_code_however_it_is_spelle
     empty string, a path under a missing directory, a path holding a NUL
     byte, or a file that is not UTF-8 (read options), as ``--x v``, ``--x=v``
     or a config-file line, exits 1 or 2 whatever the spelling, in one
-    ``radkg: `` line with no traceback, and leaves no file behind."""
+    ``radkg: `` line with no traceback, and leaves no file behind. A NUL
+    byte is refused naming the option and the path."""
     monkeypatch.delenv("RADKG_CONFIG", raising=False)
     reads = option == "config" or option in PATH_OPTIONS[command][0]
     (tmp_path / "dir").mkdir()
@@ -1118,6 +1120,8 @@ def test_a_bad_path_ends_in_one_line_and_the_same_exit_code_however_it_is_spelle
             assert rc in (1, 2), case
             assert "Traceback" not in captured.out + captured.err, case
             assert len(captured.err.splitlines()) == 1 and captured.err.startswith("radkg: "), case
+            if what == "NUL byte":
+                assert captured.err == f"radkg: --{option}: path {str(value)!r} holds a NUL byte\n", case
             assert list(out.iterdir()) == [], case
             codes.append(rc)
         assert len(set(codes)) == 1, (what, codes)

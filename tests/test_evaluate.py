@@ -596,6 +596,84 @@ def test_write_predictions_matches_per_row_writer(tmp_path, rng, tau):
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def exactly(p):
+    """``Predictions`` whose probabilities are exactly ``p``, row by row; the
+    scores are zero, as the writer reads only their width."""
+    p = np.asarray(p, dtype=np.float64)
+    predictions = Predictions([f"img{i:03d}" for i in range(len(p))], np.zeros_like(p))
+    predictions.p = p
+    return predictions
+
+
+def rounding_edges():
+    """Probabilities where ``"%.6f"`` is hardest to match: exact ties of the
+    sixth decimal and their neighbours, products ``p * 1e6`` within 1e-9 of
+    a half either way, the ends of [0, 1] and a NaN, in rows of 7."""
+    ties = np.array([2.0 ** -7, 3 / 8, 5 / 8, 0.5, 8192 / 2 ** 20, 0.0078125 * 3])
+    offsets = np.array([-2e-9, -1e-9, -9e-10, -5e-10, -1e-10, 1e-10, 5e-10, 9e-10, 1e-9, 2e-9])
+    near = (np.array([1234, 456789, 999999])[:, None] + 0.5 + offsets) / 1e6
+    ends = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0), 0.9999995, 0.0000005, 0.1234565, np.nan]
+    p = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1), near.ravel(), ends])
+    return np.resize(p, (-(-len(p) // 7), 7))
+
+
+@pytest.mark.parametrize("tau", [None, 0.5, 0.25])
+def test_write_predictions_matches_per_row_writer_at_rounding_edges(tmp_path, tau):
+    """Ties, near-ties, 0.9999995 (which rounds up to 1.000000), 0.0, 1.0
+    and NaN come out as the per-row writer's ``"%.6f"`` prints them, and a
+    NaN score's row reads ``nan`` with label 0."""
+    names = [f"f{j}" for j in range(7)]
+    nan_psi = Predictions(["a", "b"], np.array([[np.nan, 0.0, 1.0], [-1.0, 2.0, np.nan]]))
+    for number, (predictions, width) in enumerate([(exactly(rounding_edges()), 7), (nan_psi, 3)]):
+        fast, slow = tmp_path / f"grid{number}.csv", tmp_path / f"rows{number}.csv"
+        write_predictions(predictions, names[:width], fast, tau=tau)
+        reference_write_predictions(zip(predictions.image_ids, predictions.p), names[:width],
+                                    slow, tau=tau)
+        assert fast.read_bytes() == slow.read_bytes(), number
+    labels = {None: ("", ""), 0.5: (",0,0,1", ",0,1,0"), 0.25: (",0,1,1", ",1,1,0")}[tau]
+    assert fast.read_text().endswith(f"\na,nan,0.500000,0.731059{labels[0]}\n"
+                                     f"b,0.268941,0.880797,nan{labels[1]}\n")
+    edges = rounding_edges().ravel().tolist()
+    cells = [cell for line in (tmp_path / "grid0.csv").read_text().splitlines()[1:]
+             for cell in line.split(",")[1:8]]
+    assert cells[edges.index(0.9999995)] == "1.000000" and cells[edges.index(1.0)] == "1.000000"
+
+
+def test_write_predictions_matches_per_row_writer_at_every_multiple_of_two_to_the_minus_20(tmp_path):
+    """Every k / 2**20 in [0, 1), whose products with 1e6 hold the 64 exact
+    ties k = 8192 (mod 16384), reads as the per-row writer prints it."""
+    predictions = exactly(np.arange(2 ** 20).reshape(-1, 16) / 2 ** 20)
+    names = [f"f{j}" for j in range(16)]
+    write_predictions(predictions, names, tmp_path / "grid.csv")
+    reference_write_predictions(zip(predictions.image_ids, predictions.p), names, tmp_path / "rows.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_only_a_row_with_a_cell_that_is_not_plain_is_formatted_with_percent(tmp_path, rng, monkeypatch):
+    """A random table fills every cell from the byte grid; a row holding an
+    exact tie is formatted with ``%``, and so formatting every row writes
+    the same bytes."""
+    micros, plain = evaluate._micros, []
+
+    def spy(p):
+        result = micros(p)
+        plain.append(result[1])
+        return result
+
+    monkeypatch.setattr(evaluate, "_micros", spy)
+    names = [f"f{j}" for j in range(14)]
+    random = Predictions([f"img{i}" for i in range(2000)], rng.normal(size=(2000, 14)) * 4)
+    write_predictions(random, names, tmp_path / "grid.csv", tau=0.5)
+    assert plain[-1].all()
+    p = random.p.copy()
+    p[3, 5] = 2.0 ** -7
+    write_predictions(exactly(p), names, tmp_path / "tie.csv", tau=0.5)
+    assert np.flatnonzero(~plain[-1].all(axis=1)).tolist() == [3]
+    monkeypatch.setattr(evaluate, "_micros", lambda p: (micros(p)[0], np.zeros(p.shape, bool)))
+    write_predictions(random, names, tmp_path / "rows.csv", tau=0.5)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_write_predictions_quotes_ids_that_need_it(tmp_path):
     """Each row reads back whole, with its id, through the artifact line
     reader: quoted as ``csv.writer`` quotes, and where the line would read as

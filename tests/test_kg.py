@@ -500,6 +500,27 @@ def test_write_kg_matches_reference_writer(tmp_path, rng):
         assert fast.read_bytes() == slow.read_bytes(), (m, n, empty)
 
 
+def test_write_kg_matches_reference_writer_across_digit_widths(tmp_path):
+    """Subjects on both sides of 9/10, 99/100 and 99999/100000 and objects on
+    both sides of 9/10 and 99/100 lose exactly their own pad bytes, in the
+    per-row writer's order; the empty probablyHasFinding writes no line."""
+    m, n = 100001, 101
+    subjects, objects = [0, 9, 10, 99, 100, 99999, 100000], [0, 9, 10, 99, 100]
+    has = np.zeros((m, n), bool)
+    has[np.ix_(subjects, objects)] = True
+    has[12345, 7] = True
+    co = np.zeros((n, n), bool)
+    co[np.ix_(objects, objects[::-1])] = True
+    np.fill_diagonal(co, False)
+    graph = KnowledgeGraph({RelationKind.HAS_FINDING: has, RelationKind.CO_OCCURS: co}, m, n)
+    write_kg(graph, tmp_path / "grid.tsv")
+    reference_write_kg(graph, tmp_path / "rows.tsv")
+    text = (tmp_path / "grid.tsv").read_text()
+    assert text == (tmp_path / "rows.tsv").read_text()
+    assert "Image:100000\thasFinding\tFinding:100\n" in text and "Image:0\thasFinding\tFinding:0\n" in text
+    assert "Finding:9\tcoOccurs\tFinding:10\n" in text and "probablyHasFinding" not in text
+
+
 def test_graph_grids_are_validated_copies():
     has = np.array([[True, False, True], [False, False, True]])
     kg = KnowledgeGraph({RelationKind.HAS_FINDING: has}, 2, 3)

@@ -403,7 +403,8 @@ def test_a_fault_in_wc_update_on_the_worker_names_the_optimizer_step(monkeypatch
         with pytest.raises(TrainingDivergedError) as caught:
             train_epoch(model, batches, Adam(0.01), kernel.Workspace(), lanes)
         assert lanes.free == 2
-    assert str(caught.value) == "overflow encountered in multiply in the optimizer step of batch 2"
+    assert str(caught.value) == (
+        "overflow encountered in multiply in the optimizer step of batch 2 on block wc")
     assert threading.active_count() == before
 
 
